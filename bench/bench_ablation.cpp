@@ -9,8 +9,9 @@
 //     result depends on the manager's per-launch dispatch cost.
 //  D. Guard elision: the patcher's CFG/loop analysis vs full per-access
 //     patching on a fenced-loop corpus — static inserted instructions,
-//     dynamically executed guard instructions, and effective compiled-tier
-//     throughput on the hot pointer-walk loop. Writes the machine-readable
+//     dynamically executed guard instructions, and effective throughput of
+//     the engine on the unfused (CompileKernel) program of the hot
+//     pointer-walk loop. Writes the machine-readable
 //     line to stdout AND to ./BENCH_guard_elision.json; exits non-zero
 //     unless elision removes >= 40% of the executed guard instructions and
 //     delivers >= 1.3x effective Minstr/s on the hot loop. GRD_BENCH_QUICK=1
@@ -34,7 +35,7 @@
 
 namespace {
 
-// Executed-instruction count of one compiled-tier run (exits on failure).
+// Executed-instruction count of one engine run (exits on failure).
 std::uint64_t RunInstructions(const grd::ptx::Module& module,
                               const std::string& kernel,
                               const grd::ptxexec::LaunchParams& params) {
@@ -50,9 +51,11 @@ std::uint64_t RunInstructions(const grd::ptx::Module& module,
   return stats->instructions;
 }
 
-// Best-of-`reps` wall time of the compiled-tier hot loop, in seconds. The
-// one-time lowering happens outside the timed region, like every launch
-// after the first through the manager's compiled-program cache.
+// Best-of-`reps` wall time of the hot loop on the engine, in seconds. The
+// loop runs CompileKernel output without the fusion pass, so the gate
+// measures what elision saves per executed instruction. The one-time
+// lowering happens outside the timed region, like every launch after the
+// first through the manager's compiled-program cache.
 double RunSecondsBest(const grd::ptx::Module& module, const std::string& kernel,
                       const grd::ptxexec::LaunchParams& params, int reps) {
   using Clock = std::chrono::steady_clock;

@@ -13,7 +13,7 @@
 //     behind it; the batch kernel resumes from its checkpoint.
 //
 // Runs with tracing enabled and exports every span — client call, dispatch,
-// queue wait, preemption and per-tier execution — to ./trace.json, loadable
+// queue wait, preemption and kernel execution — to ./trace.json, loadable
 // in Perfetto / chrome://tracing.
 #include <chrono>
 #include <cstdio>

@@ -1,8 +1,7 @@
 // Structured export of the execution layer's counters (ManagerStats::ToJson):
 // every cell is registered with an obs::MetricsRegistry in declaration order
-// and rendered from there, so the JSON byte layout is exactly what the
-// pre-registry hand-rolled emitter produced and the same registration drives
-// the Prometheus text dump.
+// and rendered from there, so the JSON key order is stable and the same
+// registration drives the Prometheus text dump.
 #include "guardian/execution.hpp"
 
 #include <string>
@@ -44,11 +43,7 @@ void ManagerStats::BindTo(obs::MetricsRegistry* registry) const {
   registry->Counter("checkpoint_bytes_saved", &checkpoint_bytes_saved);
   registry->Counter("budget_requeues", &budget_requeues);
   registry->Counter("kernel_blocks_executed", &kernel_blocks_executed);
-  registry->Counter("tier1_promotions", &tier1_promotions);
-  registry->Counter("tier2_promotions", &tier2_promotions);
   registry->Counter("superinstructions_fused", &superinstructions_fused);
-  registry->Counter("tier0_instructions", &tier_instructions[0]);
-  registry->Counter("tier1_instructions", &tier_instructions[1]);
   registry->Counter("tier2_instructions", &tier_instructions[2]);
   registry->Counter("ring_messages_read", &ring_messages_read);
   registry->Counter("ring_messages_written", &ring_messages_written);
@@ -60,6 +55,8 @@ void ManagerStats::BindTo(obs::MetricsRegistry* registry) const {
                         std::string(PriorityClassName(
                             static_cast<PriorityClass>(cls))),
                         &wait_hist[cls]);
+  static const std::atomic<std::uint64_t> schema_version{kSchemaVersion};
+  registry->Gauge("schema_version", &schema_version);
 }
 
 std::string ManagerStats::ToJson() const {

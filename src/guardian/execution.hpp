@@ -76,14 +76,6 @@ struct ManagerOptions {
   // One effective-priority-class boost per this much queued wait time
   // (anti-starvation aging); 0 disables aging.
   std::uint64_t aging_quantum_ns = 250'000'000;
-  // Tiered execution (ptxexec/tier.hpp): a cached module's Nth launch
-  // promotes it to the superinstruction-fused program (tier 1) and then to
-  // direct-threaded dispatch (tier 2). Heat is counted per SandboxCache slot,
-  // so tenants sharing a library promote it together. A 0 threshold disables
-  // that tier; disabling the whole feature pins every launch to tier 0.
-  bool tiered_execution_enabled = true;
-  std::uint64_t tier1_launch_threshold = 3;
-  std::uint64_t tier2_launch_threshold = 16;
   // Entry cap for the content-addressed sandbox cache (LRU-evicted), so a
   // tenant cycling unique PTX cannot grow the manager without bound.
   std::size_t sandbox_cache_capacity = SandboxCache::kDefaultCapacity;
@@ -109,7 +101,7 @@ struct ManagerOptions {
   std::uint64_t migrate_queue_threshold = 8;
   // End-to-end request tracing (obs/trace.hpp): grdLib stamps a
   // TraceContext into every request header and the manager emits spans for
-  // dispatch, queueing, patch/compile, admission, preemption and per-tier
+  // dispatch, queueing, patch/compile, admission, preemption and kernel
   // execution. Off by default; the disabled cost is one relaxed load per
   // emission site (bench_interpreter gates the enabled cost at <= 5%).
   bool tracing_enabled = false;
@@ -136,10 +128,10 @@ struct ManagerStats {
   // eviction totals mirrored from SandboxCache::Stats.
   std::atomic<std::uint64_t> ptx_modules_patched{0};
   std::atomic<std::uint64_t> ptx_cache_hits{0};
-  // Module loads that paid the bytecode-lowering cost (CompileKernel): a
-  // fresh sandbox patch or a native-path load. Cache hits reuse the stored
-  // program and leave this untouched — the gap between loads and compiles
-  // is the compile cost the cache saved.
+  // Module loads that paid the compile cost (CompiledModule::Compile:
+  // lowering plus fusion): a fresh sandbox patch or a native-path load.
+  // Cache hits reuse the stored program and leave this untouched — the gap
+  // between loads and compiles is the compile cost the cache saved.
   std::atomic<std::uint64_t> ptx_programs_compiled{0};
   // Guard elision totals across freshly patched modules (cache hits reuse
   // the patched module and do not re-count): accesses left without an inline
@@ -174,13 +166,11 @@ struct ManagerStats {
   std::atomic<std::uint64_t> checkpoint_bytes_saved{0};
   std::atomic<std::uint64_t> budget_requeues{0};
   std::atomic<std::uint64_t> kernel_blocks_executed{0};
-  // Tiered execution: modules promoted to the fused program (tier 1) and to
-  // direct-threaded dispatch (tier 2), superinstructions emitted by those
-  // fusion passes, and instructions retired per tier (indexed by ExecTier).
-  // Per-module promotions count once regardless of how many tenants share
-  // the cached module.
-  std::atomic<std::uint64_t> tier1_promotions{0};
-  std::atomic<std::uint64_t> tier2_promotions{0};
+  // Superinstructions FuseKernel emitted when modules were compiled (a
+  // cache hit compiles nothing and adds nothing), and instructions retired
+  // by kernels, all counted in tier_instructions[2]. Slots 0 and 1 are
+  // never written and not exported; the three-slot layout stays because
+  // benchmark readers index slot 2.
   std::atomic<std::uint64_t> superinstructions_fused{0};
   std::atomic<std::uint64_t> tier_instructions[3] = {};
   // Shm-ring traffic served: requests consumed from / responses produced to
@@ -202,9 +192,16 @@ struct ManagerStats {
   // Launch-to-first-run wait time per priority class.
   WaitHistogram wait_hist[kPriorityClassCount];
 
-  // Registers every counter plus the per-class wait histograms (group
-  // "wait_histograms") with `registry`, in the declaration order above.
-  // The registry only references the cells; `this` must outlive it.
+  // Version of the exported key set. A key leaves the export only with a
+  // bump; tools/check_metrics holds the required keys of the current
+  // version. Version 2 retired the tier-promotion counters and the tier-0/1
+  // instruction counts.
+  static constexpr std::uint64_t kSchemaVersion = 2;
+
+  // Registers every exported counter plus the per-class wait histograms
+  // (group "wait_histograms") with `registry`, in the declaration order
+  // above, followed by `schema_version`. The registry only references the
+  // cells; `this` must outlive it.
   void BindTo(obs::MetricsRegistry* registry) const;
 
   // Structured export: every counter plus the per-class wait histograms

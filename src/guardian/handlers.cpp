@@ -492,9 +492,6 @@ Result<ClientModule> BuildClientModule(ExecutionContext& exec,
     }
     module.sandboxed = std::move(cached.module);
     module.sandboxed_compiled = std::move(cached.compiled);
-    // Cache-slot-owned launch heat: a module another tenant already ran hot
-    // arrives here pre-promoted.
-    module.tier_state = std::move(cached.tier_state);
     // Mirror the cache's LRU accounting into the manager stats so operators
     // see evictions next to the hit/patch counters (monotone max: a racing
     // stale snapshot must never regress the published value).
@@ -504,15 +501,21 @@ Result<ClientModule> BuildClientModule(ExecutionContext& exec,
     BumpCounterMax(
         exec.stats.sandbox_cache_bytes_reclaimed,
         cache_stats.bytes_reclaimed.load(std::memory_order_relaxed));
-    if (cached.patched_now) ++exec.stats.ptx_programs_compiled;
+    if (cached.patched_now) {
+      ++exec.stats.ptx_programs_compiled;
+      exec.stats.superinstructions_fused +=
+          module.sandboxed_compiled->superinstructions();
+    }
   }
   if (!exec.options.protection_enabled ||
       exec.options.standalone_fast_path) {
-    // A native (unfenced) launch is reachable: lower the unpatched kernels
+    // A native (unfenced) launch is reachable: compile the unpatched kernels
     // too, once at load, so the native path never compiles per launch.
     obs::ScopedSpan compile_span("module.compile.native");
     module.native_compiled = ptxexec::CompiledModule::Compile(native);
     ++exec.stats.ptx_programs_compiled;
+    exec.stats.superinstructions_fused +=
+        module.native_compiled->superinstructions();
   }
   module.native = std::move(native);
   return module;
@@ -645,31 +648,6 @@ Result<GpuTicket> EnqueueKernelLaunch(
   const FunctionEntry& entry = entry_it->second;
   const ClientModule& module = client.modules.at(entry.module);
 
-  // (1b) tier decision, once per launch at enqueue: heat accrues per
-  // *launch*, so a preempted kernel's resumes reuse this decision — a resume
-  // is not a new launch. The fused program (tier >= 1) comes back from the
-  // shared ModuleTierState; promotion counters fire only on the launch that
-  // actually performed the rewrite.
-  ptxexec::ExecTier tier = ptxexec::ExecTier::kCompiled;
-  std::shared_ptr<const ptxexec::CompiledModule> tiered_compiled;
-  if (module.tier_state != nullptr) {
-    TierPolicy tier_policy;
-    tier_policy.enabled = exec.options.tiered_execution_enabled;
-    tier_policy.tier1_launch_threshold = exec.options.tier1_launch_threshold;
-    tier_policy.tier2_launch_threshold = exec.options.tier2_launch_threshold;
-    ModuleTierState::Decision decision =
-        module.tier_state->OnLaunch(tier_policy);
-    if (decision.promoted_tier1) {
-      ++exec.stats.tier1_promotions;
-      exec.stats.superinstructions_fused += decision.superinstructions_fused;
-    }
-    if (decision.promoted_tier2) ++exec.stats.tier2_promotions;
-    if (decision.program != nullptr) {
-      tier = decision.tier;
-      tiered_compiled = std::move(decision.program);
-    }
-  }
-
   // (2) build the kernel body the executor pool will run. Everything it
   // touches is captured by value or owned via shared_ptr: the session mutex
   // is NOT held on the executor, and the session's partition may even grow
@@ -777,7 +755,6 @@ Result<GpuTicket> EnqueueKernelLaunch(
                enqueue_ns, mirror_slot, owns_mirror,
                native_compiled = module.native_compiled,
                sandboxed_compiled = module.sandboxed_compiled,
-               tiered_compiled = std::move(tiered_compiled), tier,
                kernel = entry.kernel, params = std::move(plan.params),
                partition = client.partition, footprint,
                state](KernelSlot& slot) mutable -> Status {
@@ -851,9 +828,6 @@ Result<GpuTicket> EnqueueKernelLaunch(
     // charged, just at block granularity.
     const std::uint64_t grid_blocks = std::max<std::uint64_t>(
         1, params.grid.Count());
-    // The native fast path always runs the unfused program at tier 0; the
-    // sandboxed path runs at this launch's decided tier.
-    const int tier_idx = use_native ? 0 : static_cast<int>(tier);
     // Tracing: close the queue-wait span on the first segment, then open a
     // per-segment execution span. The 'B' record is committed eagerly so a
     // worker killed mid-kernel still leaves evidence behind; the closing
@@ -871,7 +845,8 @@ Result<GpuTicket> EnqueueKernelLaunch(
             obs::TraceContext{launch_ctx.trace_id, obs::NewSpanId()},
             launch_ctx.span_id, enqueue_ns, exec_begin_ns);
       }
-      std::snprintf(exec_name, sizeof(exec_name), "exec.t%d.%s", tier_idx,
+      // Trace readers (guardbench, CI) match the "exec.t2." shape.
+      std::snprintf(exec_name, sizeof(exec_name), "exec.t2.%s",
                     kernel.c_str());
       exec_ctx = obs::TraceContext{launch_ctx.trace_id, obs::NewSpanId()};
       recorder.EmitBegin(exec_name, exec_ctx, launch_ctx.span_id,
@@ -887,7 +862,7 @@ Result<GpuTicket> EnqueueKernelLaunch(
                             exec_begin_ns, obs::MonotonicNowNs(),
                             instructions, outcome);
     };
-    controls.after_block = [&ex, &dev, footprint, grid_blocks, tier_idx,
+    controls.after_block = [&ex, &dev, footprint, grid_blocks,
                             mirror_slot, owns_mirror,
                             state_raw = state.get()](
                                const ptxexec::ExecStats& delta) {
@@ -900,8 +875,8 @@ Result<GpuTicket> EnqueueKernelLaunch(
       if (!owns_mirror)
         ex.stats.kernel_blocks_executed.fetch_add(1,
                                                   std::memory_order_relaxed);
-      ex.stats.tier_instructions[tier_idx].fetch_add(
-          delta.instructions, std::memory_order_relaxed);
+      ex.stats.tier_instructions[2].fetch_add(delta.instructions,
+                                              std::memory_order_relaxed);
       if (owns_mirror && mirror_slot != nullptr) {
         // RunGrid marks the block done before this hook fires, so the
         // mirrored bitmap never claims an unfinished block; a crash between
@@ -924,13 +899,8 @@ Result<GpuTicket> EnqueueKernelLaunch(
     auto& program =
         use_native ? state->native_program : state->sandboxed_program;
     if (program == nullptr) {
-      // Tier >= 1 resolves from the fused module (same kernel names, same
-      // program length — only superinstructions added); tier 0 and the
-      // native path resolve from the load-time programs.
       const auto& program_module =
-          use_native ? native_compiled
-                     : (tiered_compiled != nullptr ? tiered_compiled
-                                                   : sandboxed_compiled);
+          use_native ? native_compiled : sandboxed_compiled;
       if (program_module == nullptr) {
         run = Status(Internal("no compiled program for kernel " + kernel));
       } else {
@@ -943,9 +913,7 @@ Result<GpuTicket> EnqueueKernelLaunch(
     }
     if (program != nullptr) {
       slot.program = program;
-      run = interpreter.Execute(
-          *program, params, controls,
-          use_native ? ptxexec::ExecTier::kCompiled : tier);
+      run = interpreter.Execute(*program, params, controls);
     }
     if (native_guard.owns_lock()) native_guard.unlock();
     if (!run.ok()) {

@@ -1,7 +1,5 @@
 #include "guardian/sandbox_cache.hpp"
 
-#include <algorithm>
-
 #include "obs/trace.hpp"
 
 namespace grd::guardian {
@@ -13,41 +11,6 @@ std::uint64_t HashPtxSource(const std::string& source) noexcept {
     hash *= 1099511628211ull;  // FNV prime
   }
   return hash;
-}
-
-ModuleTierState::Decision ModuleTierState::OnLaunch(const TierPolicy& policy) {
-  Decision decision;
-  // The launch ordinal (1-based): heat accrues even while tiering is
-  // disabled, so flipping the policy on later promotes already-hot modules
-  // on their next launch.
-  const std::uint64_t ordinal =
-      launches_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (!policy.enabled || compiled_ == nullptr) return decision;
-
-  const bool want1 = policy.tier1_launch_threshold != 0 &&
-                     ordinal >= policy.tier1_launch_threshold;
-  const bool want2 = policy.tier2_launch_threshold != 0 &&
-                     ordinal >= policy.tier2_launch_threshold;
-  if (!want1 && !want2) return decision;
-
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fused_ == nullptr) {
-    // First launch past a threshold pays the one-time fusion pass; every
-    // later launch (from any session sharing this cache slot) reuses it.
-    fused_ = compiled_->Fused(&superinstructions_);
-    decision.promoted_tier1 = true;
-    decision.superinstructions_fused = superinstructions_;
-  }
-  decision.program = fused_;
-  decision.tier = ptxexec::ExecTier::kFused;
-  if (want2) {
-    decision.tier = ptxexec::ExecTier::kThreaded;
-    if (!tier2_announced_) {
-      tier2_announced_ = true;
-      decision.promoted_tier2 = true;
-    }
-  }
-  return decision;
 }
 
 SandboxCache::Key SandboxCache::MakeKey(
@@ -68,7 +31,6 @@ Result<SandboxCache::Lookup> SandboxCache::GetOrPatch(
   const Key key = MakeKey(source, options);
 
   std::shared_ptr<Slot> slot;
-  std::shared_ptr<ModuleTierState> revived;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto& chain = slots_[key];
@@ -88,10 +50,6 @@ Result<SandboxCache::Lookup> SandboxCache::GetOrPatch(
       slot->footprint_bytes = 3 * source.size();
       chain.push_back(slot);
       ++slot_count_;
-      // Re-insert after eviction: if any session still holds this module's
-      // tier state, adopt it — heat, fused program and promotion flags
-      // carry over instead of restarting (and re-promoting) from zero.
-      revived = ReviveTierStateLocked(key, source);
     }
     slot->last_use = ++use_tick_;
     EvictLocked();
@@ -104,8 +62,8 @@ Result<SandboxCache::Lookup> SandboxCache::GetOrPatch(
   if (slot->done) {
     if (!slot->status.ok()) return slot->status;  // cached failure, not a hit
     ++stats_.hits;
-    return Lookup{slot->module, slot->compiled, slot->tier_state,
-                  slot->patch_stats, /*patched_now=*/false};
+    return Lookup{slot->module, slot->compiled, slot->patch_stats,
+                  /*patched_now=*/false};
   }
 
   ptxpatcher::PatchStats patch_stats;
@@ -123,7 +81,7 @@ Result<SandboxCache::Lookup> SandboxCache::GetOrPatch(
   ++stats_.patches;
   slot->patch_stats = patch_stats;
   slot->module = std::make_shared<const ptx::Module>(std::move(*patched));
-  // Lower the patched kernels to bytecode while we hold the slot: the
+  // Compile and fuse the patched kernels while we hold the slot: the
   // compile cost rides with the patch cost, paid once per distinct source
   // and skipped entirely by every subsequent hit.
   {
@@ -131,15 +89,8 @@ Result<SandboxCache::Lookup> SandboxCache::GetOrPatch(
     slot->compiled = ptxexec::CompiledModule::Compile(*slot->module);
   }
   ++stats_.compiles;
-  // Launch heat lives with the cache slot so tier promotion is shared by
-  // every tenant of this module (and survives re-loads served from cache).
-  // A state revived across eviction keeps ticking where it left off; its
-  // captured compiled/fused programs came from the identical source and
-  // options, so in-flight launches and this slot agree on the program.
-  slot->tier_state = revived ? std::move(revived)
-                             : std::make_shared<ModuleTierState>(slot->compiled);
-  return Lookup{slot->module, slot->compiled, slot->tier_state,
-                slot->patch_stats, /*patched_now=*/true};
+  return Lookup{slot->module, slot->compiled, slot->patch_stats,
+                /*patched_now=*/true};
 }
 
 void SandboxCache::EvictLocked() {
@@ -163,15 +114,7 @@ void SandboxCache::EvictLocked() {
     }
     if (victim_it == slots_.end()) return;  // everything in flight
     auto& chain = victim_it->second;
-    // Park the victim's tier state for revival: sessions that loaded this
-    // module still hold it (and may have launches in flight against it), so
-    // a later re-insert of the same source must adopt it, not fork a fresh
-    // heat counter alongside.
-    Slot& victim = *chain[victim_index];
-    if (victim.tier_state)
-      evicted_tier_states_[victim_it->first].push_back(
-          EvictedTierState{victim.source, victim.tier_state});
-    stats_.bytes_reclaimed += victim.footprint_bytes;
+    stats_.bytes_reclaimed += chain[victim_index]->footprint_bytes;
     chain.erase(chain.begin() + victim_index);
     // Drop the emptied map node too, or unique-source churn would grow the
     // key map without bound while the slot count stays capped.
@@ -179,37 +122,6 @@ void SandboxCache::EvictLocked() {
     ++stats_.evictions;
     --slot_count_;
   }
-}
-
-std::shared_ptr<ModuleTierState> SandboxCache::ReviveTierStateLocked(
-    const Key& key, const std::string& source) {
-  std::shared_ptr<ModuleTierState> revived;
-  auto it = evicted_tier_states_.find(key);
-  if (it != evicted_tier_states_.end()) {
-    auto& chain = it->second;
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      if (chain[i].source != source) continue;
-      revived = chain[i].tier_state.lock();
-      // Claimed or expired, either way the parked entry is spent.
-      chain.erase(chain.begin() + i);
-      break;
-    }
-    if (chain.empty()) evicted_tier_states_.erase(it);
-  }
-  // Prune expired strays so the parking map tracks live holders only, not
-  // the history of every module ever evicted.
-  for (auto map_it = evicted_tier_states_.begin();
-       map_it != evicted_tier_states_.end();) {
-    auto& chain = map_it->second;
-    chain.erase(std::remove_if(chain.begin(), chain.end(),
-                               [](const EvictedTierState& entry) {
-                                 return entry.tier_state.expired();
-                               }),
-                chain.end());
-    map_it = chain.empty() ? evicted_tier_states_.erase(map_it)
-                           : std::next(map_it);
-  }
-  return revived;
 }
 
 std::size_t SandboxCache::size() const {

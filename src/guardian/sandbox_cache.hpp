@@ -8,11 +8,12 @@
 // flags) and stores the patched module behind a shared_ptr, so N tenants
 // loading the same library patch it once and share the immutable result.
 //
-// Since the bytecode engine, each slot also stores the patched module
-// lowered through ptxexec::CompileKernel (program.hpp): a cache hit skips
-// parse-output patching, verification replay AND compilation, so a repeat
-// load costs one hash plus one source compare — which is what makes the
-// cached launch path's cost independent of kernel size.
+// Each slot also stores the patched module compiled and fused by
+// ptxexec::CompiledModule::Compile (program.hpp), the program every launch
+// runs: a cache hit skips parse-output patching, verification replay AND
+// compilation, so a repeat load costs one hash plus one source compare —
+// which is what makes the cached launch path's cost independent of kernel
+// size.
 //
 // Concurrency: a global mutex guards the slot map only; the patch itself
 // runs under a per-slot mutex, so two workers patching *different* modules
@@ -32,63 +33,12 @@
 #include "common/status.hpp"
 #include "ptx/ast.hpp"
 #include "ptxexec/program.hpp"
-#include "ptxexec/tier.hpp"
 #include "ptxpatcher/patcher.hpp"
 
 namespace grd::guardian {
 
 // 64-bit FNV-1a over the module source — the cache's content address.
 std::uint64_t HashPtxSource(const std::string& source) noexcept;
-
-// Tier-promotion policy, copied from ManagerOptions at launch time so the
-// cache layer stays policy-free. A module's Nth launch (N >= threshold) runs
-// at that tier; a 0 threshold disables the tier.
-struct TierPolicy {
-  bool enabled = true;
-  std::uint64_t tier1_launch_threshold = 3;
-  std::uint64_t tier2_launch_threshold = 16;
-};
-
-// Launch heat and tiered-program state of one cached module. Lives in the
-// module's cache slot and is shared by every tenant whose PTX lands there —
-// heat is content-addressed exactly like the patch itself, so N tenants
-// running the same library promote it together and a hot cache hit starts
-// hot. The fused program is built once, on the first launch that crosses the
-// tier-1 threshold, and reused by every later launch (and tenant).
-class ModuleTierState {
- public:
-  explicit ModuleTierState(
-      std::shared_ptr<const ptxexec::CompiledModule> compiled)
-      : compiled_(std::move(compiled)) {}
-
-  struct Decision {
-    ptxexec::ExecTier tier = ptxexec::ExecTier::kCompiled;
-    // The program to run: the shared fused module for tiers >= 1, null for
-    // tier 0 (callers keep using their compiled module).
-    std::shared_ptr<const ptxexec::CompiledModule> program;
-    // Set on the single call that performed each promotion, so the manager
-    // can count promotions (and fused superinstructions) exactly once.
-    bool promoted_tier1 = false;
-    bool promoted_tier2 = false;
-    std::uint64_t superinstructions_fused = 0;
-  };
-
-  // Records one launch and decides its tier. Thread-safe; the fusion pass
-  // runs at most once, under the internal mutex.
-  Decision OnLaunch(const TierPolicy& policy);
-
-  std::uint64_t launches() const noexcept {
-    return launches_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::shared_ptr<const ptxexec::CompiledModule> compiled_;
-  std::atomic<std::uint64_t> launches_{0};
-  std::mutex mu_;
-  std::shared_ptr<const ptxexec::CompiledModule> fused_;  // built lazily
-  std::uint64_t superinstructions_ = 0;
-  bool tier2_announced_ = false;
-};
 
 class SandboxCache {
  public:
@@ -109,8 +59,8 @@ class SandboxCache {
   struct Stats {
     std::atomic<std::uint64_t> patches{0};
     std::atomic<std::uint64_t> hits{0};
-    // Modules lowered through ptxexec::CompileKernel (once per fresh patch);
-    // a cached load reuses the stored program and does not bump this — the
+    // Modules compiled and fused (once per fresh patch); a cached load
+    // reuses the stored program and does not bump this — the
     // compiled-program cache tests key off exactly that.
     std::atomic<std::uint64_t> compiles{0};
     std::atomic<std::uint64_t> evictions{0};
@@ -122,13 +72,9 @@ class SandboxCache {
 
   struct Lookup {
     std::shared_ptr<const ptx::Module> module;
-    // The module's kernels lowered to bytecode, compiled together with the
-    // patch and cached alongside it; launches run these directly.
+    // The module's kernels compiled and fused together with the patch and
+    // cached alongside it; launches run these directly.
     std::shared_ptr<const ptxexec::CompiledModule> compiled;
-    // Shared launch-heat / tiered-program state for this cached module.
-    // Content-addressed like the module itself: every session loading the
-    // same source shares one heat counter and one fused program.
-    std::shared_ptr<ModuleTierState> tier_state;
     // Aggregate patcher stats for the module, cached with it so the manager
     // can mirror the guard-elision counters on the load that patched
     // (patched_now) without re-running the patcher.
@@ -179,26 +125,12 @@ class SandboxCache {
     Status status{};  // non-OK when the cached patch failed
     std::shared_ptr<const ptx::Module> module;
     std::shared_ptr<const ptxexec::CompiledModule> compiled;
-    std::shared_ptr<ModuleTierState> tier_state;
     ptxpatcher::PatchStats patch_stats;
     std::uint64_t last_use = 0;  // LRU tick, guarded by the cache's mu_
     // Estimated resident footprint charged to bytes_reclaimed on eviction:
     // the retained source plus the patched module plus the compiled
     // program (each approximated by the source size).
     std::uint64_t footprint_bytes = 0;
-  };
-
-  // Launch heat of evicted slots whose tier state still has live holders
-  // (sessions keep their module/tier-state shared_ptrs across eviction, so
-  // an in-flight launch may still be deciding tiers against it). Keyed like
-  // slots_ and matched by full source: a re-inserted module adopts the
-  // surviving state instead of a fresh one, so its heat is not split
-  // between old holders and new loads and tier promotion stays
-  // exactly-once. weak_ptr: once the last holder drops, the heat
-  // legitimately dies with it and the entry is pruned on the next eviction.
-  struct EvictedTierState {
-    std::string source;
-    std::weak_ptr<ModuleTierState> tier_state;
   };
 
   static Key MakeKey(const std::string& source,
@@ -209,12 +141,6 @@ class SandboxCache {
   // never evicted — their use_count keeps them safe.
   void EvictLocked();
 
-  // Claims (and removes) the surviving tier state of a previously evicted
-  // slot with this exact key and source, if any holder kept it alive.
-  // Requires mu_ held.
-  std::shared_ptr<ModuleTierState> ReviveTierStateLocked(
-      const Key& key, const std::string& source);
-
   const std::size_t capacity_;
   mutable std::mutex mu_;
   std::uint64_t use_tick_ = 0;     // guarded by mu_
@@ -222,8 +148,6 @@ class SandboxCache {
   // Hash collisions chain into the vector; entries are matched by full
   // source comparison.
   std::unordered_map<Key, std::vector<std::shared_ptr<Slot>>, KeyHash> slots_;
-  std::unordered_map<Key, std::vector<EvictedTierState>, KeyHash>
-      evicted_tier_states_;  // guarded by mu_
   Stats stats_;
 };
 

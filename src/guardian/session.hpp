@@ -39,7 +39,6 @@
 
 #include "guardian/bounds_table.hpp"
 #include "guardian/gpu_scheduler.hpp"
-#include "guardian/sandbox_cache.hpp"
 #include "ptx/ast.hpp"
 #include "ptxexec/program.hpp"
 
@@ -50,17 +49,13 @@ struct ClientModule {
   // Owned by the SandboxCache and shared across tenants loading identical
   // PTX; null when protection is disabled.
   std::shared_ptr<const ptx::Module> sandboxed;
-  // Bytecode programs (ptxexec::CompileKernel) the launch path actually
-  // runs: `sandboxed_compiled` comes from the sandbox cache with the patch;
-  // `native_compiled` is lowered at load time and only when a native
+  // Fused bytecode programs (ptxexec::CompiledModule) the launch path
+  // actually runs: `sandboxed_compiled` comes from the sandbox cache with the
+  // patch; `native_compiled` is compiled at load time and only when a native
   // (unfenced) launch is reachable — protection off or the standalone fast
   // path armed.
   std::shared_ptr<const ptxexec::CompiledModule> sandboxed_compiled;
   std::shared_ptr<const ptxexec::CompiledModule> native_compiled;
-  // Launch-heat / tiered-program state, owned by the module's SandboxCache
-  // slot and shared across tenants: a hot cached module starts hot here too.
-  // Null when protection is disabled (no cache slot → no tiering).
-  std::shared_ptr<ModuleTierState> tier_state;
 };
 
 struct FunctionEntry {

@@ -4,7 +4,7 @@
 //
 // A TraceContext (trace_id, span_id) is stamped into every request header
 // by grdLib and propagated by dispatch/handlers through queueing, sandbox
-// patch/compile, scheduler admission, preemption and per-tier kernel
+// patch/compile, scheduler admission, preemption and per-segment kernel
 // execution. Spans are emitted into per-thread lock-free ring buffers
 // (seqlock per slot, overwrite-oldest), or — when a SharedRegion span
 // arena is bound — into process-shared memory with a per-record commit

@@ -8,16 +8,17 @@
 // AND/OR, not by special-casing.
 //
 // Two engines share the launch/fault/preemption semantics:
-//  - the COMPILED engine (the production hot path): kernels are lowered once
-//    by ptxexec::CompileKernel (program.hpp) into dense bytecode — enum
+//  - the ENGINE (engine.cpp, the production hot path): kernels are lowered
+//    once by ptxexec::CompileKernel (program.hpp) into dense bytecode — enum
 //    opcodes, interned register slots, pre-resolved branches/params/shared
-//    offsets — and executed against flat arrays with zero per-step string
-//    work;
+//    offsets — fused into superinstructions by FuseKernel, and executed
+//    against flat arrays by one computed-goto dispatch loop with zero
+//    per-step string work;
 //  - the REFERENCE engine (ExecuteReference): the original string-map
 //    interpreter, kept as the parity oracle and the bench_interpreter
 //    baseline. Every std::string-keyed lookup it performs on the step path
 //    bumps exec_debug::HotPathStringLookups(), which is how tests assert the
-//    compiled path performs none.
+//    engine performs none.
 //
 // Supported subset: the full instruction vocabulary produced by ptx/generator
 // and ptxpatcher (ld/st over param/global/local/shared/generic incl. v2/v4,
@@ -81,7 +82,10 @@ class Interpreter {
       : memory_(memory), policy_(policy), client_(client) {}
 
   // Executes a pre-compiled kernel (the hot path: no per-step string work).
-  // On a device fault, returns the fault status (detail via last_fault()).
+  // Fused (FuseKernel) and unfused (CompileKernel) programs are both legal
+  // and behave identically; fused ones retire a superinstruction per
+  // dispatch. On a device fault, returns the fault status (detail via
+  // last_fault()).
   Result<ExecStats> Execute(const CompiledKernel& kernel,
                             const LaunchParams& params);
 
@@ -95,19 +99,8 @@ class Interpreter {
                             const LaunchParams& params,
                             const ExecControls& controls);
 
-  // Tiered variant (tier.cpp). kCompiled routes to the plain compiled engine
-  // above; kFused / kThreaded run through the tiered block executor, which
-  // dispatches superinstructions as single units while charging stats,
-  // instruction budget and preemption polls per component — so stats, faults
-  // and checkpoints stay bit-identical to every other engine. For tiers >= 1
-  // pass the fused program (FuseKernel / CompiledModule::Fused); an unfused
-  // program is legal (it simply has no superinstructions to dispatch).
-  Result<ExecStats> Execute(const CompiledKernel& kernel,
-                            const LaunchParams& params,
-                            const ExecControls& controls, ExecTier tier);
-
-  // Convenience: compiles `kernel_name` from `module` and executes the
-  // result. Pays the (one-time-per-call) compile cost; callers on a hot
+  // Convenience: compiles and fuses `kernel_name` from `module` and executes
+  // the result. Pays the (one-time-per-call) compile cost; callers on a hot
   // launch path should compile once and use the CompiledKernel overloads —
   // the grdManager does so through the SandboxCache.
   Result<ExecStats> Execute(const ptx::Module& module,
@@ -118,8 +111,8 @@ class Interpreter {
                             const LaunchParams& params,
                             const ExecControls& controls);
 
-  // The seed string-map engine, kept as the parity oracle for the compiled
-  // path and as bench_interpreter's baseline. Semantically identical to
+  // The seed string-map engine, kept as the parity oracle for the engine
+  // and as bench_interpreter's baseline. Semantically identical to
   // Execute (same stats, faults, checkpoints); every per-step string lookup
   // it performs is counted by exec_debug::HotPathStringLookups().
   Result<ExecStats> ExecuteReference(const ptx::Module& module,
@@ -151,7 +144,7 @@ namespace exec_debug {
 // Process-wide count of std::string-keyed lookups (map finds, name hashing,
 // special-register name scans) performed on the per-step execution path.
 // Only the reference engine bumps it; the regression suite snapshots it
-// around a compiled-path run and asserts the delta is zero, so any future
+// around an engine run and asserts the delta is zero, so any future
 // change that sneaks a string lookup back onto the hot path — and routes it
 // through the instrumented helpers, as the reference engine does — fails
 // loudly instead of silently eating the compile win back.

@@ -1,22 +1,28 @@
-// CompileKernel (AST -> dense bytecode) and the compiled block executor.
+// CompileKernel (AST -> dense bytecode) and FuseKernel (superinstructions).
 //
 // The compiler mirrors the reference engine's Step() case by case; anything
 // that engine raised only when an instruction was actually executed is
 // lowered to a kError instruction carrying the identical status, so parity
-// holds even for kernels with dead broken code. The executor mirrors the
-// reference RunBlock/Execute structure (barrier phases, instruction budget,
-// preemption polls, checkpoint/resume) over flat arrays instead of string
-// maps.
+// holds even for kernels with dead broken code.
+//
+// FuseKernel is a peephole pass over the compiled bytecode. It scans for
+// maximal straight-line runs of unpredicated pure/memory instructions
+// (optionally closed by a branch, predicated or not), stops at every branch
+// target, and replaces the run's FIRST slot with a kFused instruction whose
+// components live in CompiledKernel::fused_code. The covered originals stay
+// in place behind the super, which buys three invariants for free:
+//  - branches into the middle of a run execute the originals individually;
+//  - branch tables and kBra targets never need remapping;
+//  - the program length is unchanged, so checkpoints, pcs and the budget
+//    accounting are identical with and without fusion.
 #include "ptxexec/program.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdlib>
+#include <optional>
+#include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
-#include "ptxexec/exec_core.hpp"
-#include "ptxexec/interpreter.hpp"
 #include "ptxexec/scalar_ops.hpp"
 
 namespace grd::ptxexec {
@@ -30,8 +36,6 @@ using ptx::Type;
 using scalar::F32Bits;
 using scalar::F64Bits;
 using scalar::kSharedTag;
-using scalar::MaskToWidth;
-using scalar::SignExtend;
 
 // ---- compiler -------------------------------------------------------------
 
@@ -529,271 +533,166 @@ Result<CompiledKernel> KernelCompiler::Compile() {
   return std::move(out_);
 }
 
-// ---- compiled block executor ----------------------------------------------
+// ---- superinstruction fusion ----------------------------------------------
 
-using exec_core::CThread;
-
-enum class StepOutcome { kContinue, kBarrier, kDone };
-
-// The tier-0 engine: one Step per dispatched instruction through an enum
-// switch. Machine state and scalar semantics live in exec_core (shared with
-// the tiered executor in tier.cpp).
-class CompiledBlockExecutor : public exec_core::EngineBase {
- public:
-  CompiledBlockExecutor(const CompiledKernel& prog, const LaunchParams& params,
-                        simgpu::GlobalMemory* memory,
-                        simgpu::AccessPolicy* policy, std::uint64_t client,
-                        std::uint64_t max_instructions, ExecStats* stats,
-                        const std::atomic<bool>* preempt = nullptr,
-                        std::uint64_t preempt_check_interval = 0)
-      : EngineBase(prog, params, memory, policy, client, max_instructions,
-                   stats, preempt, preempt_check_interval) {}
-
-  // Runs one block to completion (all threads), honoring bar.sync phases.
-  Status RunBlock(std::uint32_t bx, std::uint32_t by, std::uint32_t bz,
-                  DeviceFault* fault);
-
- private:
-  Status Step(CThread& t, std::uint64_t* regs, StepOutcome* outcome);
-};
-
-Status CompiledBlockExecutor::Step(CThread& t, std::uint64_t* regs,
-                                   StepOutcome* outcome) {
-  *outcome = StepOutcome::kContinue;
-  if (t.pc >= prog_.code.size()) {
-    *outcome = StepOutcome::kDone;
-    return OkStatus();
-  }
-  const CompiledInst& inst = prog_.code[t.pc];
-  ++stats_->instructions;
-
-  // Guard predicate: one array read, no hash.
-  if (inst.pred_slot != kNoPredSlot) {
-    const bool value = (regs[inst.pred_slot] & 1) != 0;
-    if (value == inst.pred_negated) {
-      ++t.pc;
-      return OkStatus();
-    }
-  }
-
+// Pre-decodes one fused component into its micro op. Anything outside the
+// hot integer set — floats, div/rem (trap-free zero semantics), wide/hi
+// multiplies, memory ops, cvt, special-register sources — stays kGeneric
+// and executes the original CompiledInst, so micro lowering can never
+// change semantics, only skip decode work.
+FusedComp LowerComp(const CompiledInst& inst) {
+  FusedComp m;  // defaults: kGeneric, all sources immediate 0
   const std::size_t width = inst.width;
+  m.mask = width >= 8 ? ~0ull : ((1ull << (width * 8)) - 1);
+  m.sx = static_cast<std::uint8_t>(64 - width * 8);
+  m.shmask = static_cast<std::uint8_t>(width * 8 - 1);
+  m.dst = inst.dst;
+  m.is_signed = inst.is_signed;
+  // Resolves a source to slot-or-immediate; special registers (thread/block
+  // ids) keep the component generic.
+  const auto src = [&m](unsigned idx, const OperandDesc& desc,
+                        std::uint64_t* out) {
+    switch (desc.kind) {
+      case OperandDesc::Kind::kReg:
+        *out = desc.slot;
+        m.src_imm = static_cast<std::uint8_t>(m.src_imm & ~(1u << idx));
+        return true;
+      case OperandDesc::Kind::kImm:
+        *out = desc.imm;
+        return true;
+      case OperandDesc::Kind::kSpecial:
+        return false;
+    }
+    return false;
+  };
+
+  // Only a run's terminal kBra may be predicated (FusableInterior).
+  if (inst.pred_slot != kNoPredSlot && inst.op != COp::kBra) return m;
 
   switch (inst.op) {
-    case COp::kLdParam: {
-      if (inst.param_index >= params_.args.size())
-        return Fault(InvalidArgument("missing argument for parameter " +
-                                     prog_.strings[inst.target]),
-                     0, t);
-      regs[inst.dst] =
-          MaskToWidth(params_.args[inst.param_index].bits, width);
-      ++t.pc;
-      return OkStatus();
-    }
-
-    case COp::kLd: {
-      const std::uint64_t addr = ReadOp(t, regs, inst.a) +
-                                 static_cast<std::uint64_t>(inst.mem_offset);
-      if (inst.sub > 1) {
-        for (int lane = 0; lane < inst.sub; ++lane) {
-          auto bits = LoadSized(addr + lane * width, width);
-          if (!bits.ok()) return Fault(bits.status(), addr, t);
-          regs[inst.vec[lane]] = *bits;
-        }
-      } else {
-        auto bits = LoadSized(addr, width);
-        if (!bits.ok()) return Fault(bits.status(), addr, t);
-        // Sign-extend signed sub-64-bit loads so later s64 arithmetic works.
-        regs[inst.dst] =
-            inst.is_signed
-                ? static_cast<std::uint64_t>(SignExtend(*bits, width))
-                : *bits;
-      }
-      ++t.pc;
-      return OkStatus();
-    }
-
-    case COp::kSt: {
-      const std::uint64_t addr = ReadOp(t, regs, inst.a) +
-                                 static_cast<std::uint64_t>(inst.mem_offset);
-      if (inst.sub > 1) {
-        for (int lane = 0; lane < inst.sub; ++lane) {
-          const Status s = StoreSized(
-              addr + lane * width, MaskToWidth(regs[inst.vec[lane]], width),
-              width);
-          if (!s.ok()) return Fault(s, addr, t);
-        }
-      } else {
-        const Status s = StoreSized(
-            addr, MaskToWidth(ReadOp(t, regs, inst.b), width), width);
-        if (!s.ok()) return Fault(s, addr, t);
-      }
-      ++t.pc;
-      return OkStatus();
-    }
-
-    case COp::kMov: {
-      regs[inst.dst] = ReadOp(t, regs, inst.a);
-      ++t.pc;
-      return OkStatus();
-    }
-
-    case COp::kCvt: {
-      regs[inst.dst] = exec_core::EvalCvt(inst.type, inst.src_type,
-                                          ReadOp(t, regs, inst.a));
-      ++t.pc;
-      return OkStatus();
-    }
-
+    case COp::kMov:
+      if (src(0, inst.a, &m.a)) m.op = MicroOp::kMov;
+      break;
     case COp::kBinary: {
-      regs[inst.dst] = exec_core::EvalBinary(inst, ReadOp(t, regs, inst.a),
-                                             ReadOp(t, regs, inst.b));
-      ++t.pc;
-      return OkStatus();
+      if (inst.is_float) break;
+      MicroOp op;
+      switch (static_cast<BinAlu>(inst.sub)) {
+        case BinAlu::kAdd: op = MicroOp::kAdd; break;
+        case BinAlu::kSub: op = MicroOp::kSub; break;
+        case BinAlu::kMul: op = MicroOp::kMulLo; break;
+        case BinAlu::kAnd: op = MicroOp::kAnd; break;
+        case BinAlu::kOr: op = MicroOp::kOr; break;
+        case BinAlu::kXor: op = MicroOp::kXor; break;
+        case BinAlu::kShl: op = MicroOp::kShl; break;
+        case BinAlu::kShr: op = MicroOp::kShr; break;
+        default: return m;  // div/rem/min/max/wide/hi: generic
+      }
+      if (src(0, inst.a, &m.a) && src(1, inst.b, &m.b)) m.op = op;
+      break;
     }
-
-    case COp::kMad: {
-      regs[inst.dst] = exec_core::EvalMad(inst, ReadOp(t, regs, inst.a),
-                                          ReadOp(t, regs, inst.b),
-                                          ReadOp(t, regs, inst.c));
-      ++t.pc;
-      return OkStatus();
-    }
-
-    case COp::kUnary: {
-      regs[inst.dst] = exec_core::EvalUnary(inst, ReadOp(t, regs, inst.a));
-      ++t.pc;
-      return OkStatus();
-    }
-
-    case COp::kSetp: {
-      regs[inst.dst] = exec_core::EvalSetp(inst, ReadOp(t, regs, inst.a),
-                                           ReadOp(t, regs, inst.b))
-                           ? 1
-                           : 0;
-      ++t.pc;
-      return OkStatus();
-    }
-
-    case COp::kSelp: {
-      const std::uint64_t a = ReadOp(t, regs, inst.a);
-      const std::uint64_t b = ReadOp(t, regs, inst.b);
-      const std::uint64_t p = ReadOp(t, regs, inst.c);
-      regs[inst.dst] = (p & 1) ? a : b;
-      ++t.pc;
-      return OkStatus();
-    }
-
-    case COp::kBra: {
-      t.pc = inst.target;
-      return OkStatus();
-    }
-
-    case COp::kBrx: {
-      // brx.idx %index, table; — the paper's unsafe indirect branch (§3):
-      // out-of-range indices are modeled as a device fault; Guardian's patch
-      // clamps the index so the patched kernel cannot reach it.
-      const std::uint64_t idx = ReadOp(t, regs, inst.a);
-      const BranchTable& table = prog_.branch_tables[inst.target];
-      if (idx >= table.pcs.size())
-        return Fault(OutOfRange("brx.idx index " + std::to_string(idx) +
-                                " outside table of " +
-                                std::to_string(table.pcs.size())),
-                     idx, t);
-      const std::uint32_t target = table.pcs[idx];
-      if (target == BranchTable::kUnresolved)
-        return Fault(
-            Status(StatusCode::kNotFound,
-                   prog_.strings[table.label_strings[idx]]),
-            0, t);
-      t.pc = target;
-      return OkStatus();
-    }
-
-    case COp::kBar: {
-      ++t.pc;
-      *outcome = StepOutcome::kBarrier;
-      return OkStatus();
-    }
-
-    case COp::kRetExit: {
-      *outcome = StepOutcome::kDone;
-      return OkStatus();
-    }
-
-    case COp::kTrap: {
-      // Emitted by the address-checking instrumentation on a bounds
-      // violation.
-      return Fault(
-          OutOfRange("bounds check trap in kernel " + prog_.name), 0, t);
-    }
-
-    case COp::kError: {
-      Status status(inst.error_code, prog_.strings[inst.target]);
-      if (inst.error_is_fault) return Fault(std::move(status), 0, t);
-      return status;
-    }
-
-    case COp::kFused: {
-      // Superinstructions exist only in tier >= 1 programs, which run
-      // through the tiered executor (tier.cpp); reaching one here means a
-      // fused program was handed to the untiered engine.
-      return Internal("superinstruction in untiered program " + prog_.name);
-    }
+    case COp::kMad:
+      if (inst.is_float || inst.sub != 0) break;  // wide/float mad: generic
+      if (src(0, inst.a, &m.a) && src(1, inst.b, &m.b) &&
+          src(2, inst.c, &m.c))
+        m.op = MicroOp::kMad;
+      break;
+    case COp::kSetp:
+      if (inst.is_float) break;
+      m.cmp = inst.sub;
+      if (src(0, inst.a, &m.a) && src(1, inst.b, &m.b)) m.op = MicroOp::kSetp;
+      break;
+    case COp::kSelp:
+      if (src(0, inst.a, &m.a) && src(1, inst.b, &m.b) &&
+          src(2, inst.c, &m.c))
+        m.op = MicroOp::kSelp;
+      break;
+    case COp::kBra:
+      m.op = MicroOp::kBra;
+      m.target = inst.target;
+      m.pred_slot = inst.pred_slot;
+      m.pred_negated = inst.pred_negated;
+      break;
+    default:
+      break;  // ld/st/ldparam/cvt/unary: generic
   }
-  return Internal("corrupt compiled instruction");
+  return m;
 }
 
-Status CompiledBlockExecutor::RunBlock(std::uint32_t bx, std::uint32_t by,
-                                       std::uint32_t bz, DeviceFault* fault) {
-  const std::uint64_t nthreads = params_.block.Count();
-  std::vector<CThread> threads;
-  SetupBlock(bx, by, bz, &threads);
-
-  bool all_done = false;
-  while (!all_done) {
-    all_done = true;
-    bool progressed = false;
-    for (std::uint64_t i = 0; i < nthreads; ++i) {
-      auto& t = threads[i];
-      if (t.done) continue;
-      std::uint64_t* regs = regs_.data() + i * prog_.reg_slots;
-      // Run this thread until it blocks on a barrier or finishes.
-      std::uint64_t budget = max_instructions_;
-      while (true) {
-        if (budget-- == 0) {
-          const Status s = BudgetFault(t);
-          *fault = fault_;
-          return s;
-        }
-        PollPreempt();
-        StepOutcome outcome;
-        const Status s = Step(t, regs, &outcome);
-        if (!s.ok()) {
-          *fault = fault_;
-          return s;
-        }
-        progressed = true;
-        if (outcome == StepOutcome::kDone) {
-          t.done = true;
-          break;
-        }
-        if (outcome == StepOutcome::kBarrier) break;
-      }
-      if (!t.done) all_done = false;
-    }
-    if (!all_done && !progressed) {
-      *fault = DeviceFault{Internal("barrier deadlock in " + prog_.name), 0,
-                           0, prog_.name};
-      return fault->status;
-    }
+// An instruction that may sit anywhere in a fused run: unpredicated, pure or
+// memory, never a control transfer / barrier / trap / deferred error.
+bool FusableInterior(const CompiledInst& inst) {
+  if (inst.pred_slot != kNoPredSlot) return false;
+  switch (inst.op) {
+    case COp::kLdParam:
+    case COp::kLd:
+    case COp::kSt:
+    case COp::kMov:
+    case COp::kCvt:
+    case COp::kBinary:
+    case COp::kMad:
+    case COp::kUnary:
+    case COp::kSetp:
+    case COp::kSelp:
+      return true;
+    default:
+      return false;
   }
-  return OkStatus();
 }
 
 }  // namespace
 
 Result<CompiledKernel> CompileKernel(const ptx::Kernel& kernel) {
   return KernelCompiler(kernel).Compile();
+}
+
+CompiledKernel FuseKernel(CompiledKernel out) {
+  if (out.super_count > 0) return out;  // already fused
+  const std::size_t n = out.code.size();
+  if (n < 2) return out;
+
+  // A fused run must never span a branch target: a kFused instruction may
+  // only BEGIN at one. Targets come from kBra instructions and from every
+  // resolved branch-table entry (an unresolved entry faults before jumping).
+  std::vector<bool> is_target(n + 1, false);
+  for (const auto& inst : out.code)
+    if (inst.op == COp::kBra && inst.target <= n) is_target[inst.target] = true;
+  for (const auto& table : out.branch_tables)
+    for (const std::uint32_t pc : table.pcs)
+      if (pc != BranchTable::kUnresolved && pc <= n) is_target[pc] = true;
+
+  for (std::size_t pc = 0; pc < n;) {
+    if (!FusableInterior(out.code[pc])) {
+      ++pc;
+      continue;
+    }
+    std::size_t end = pc + 1;
+    while (end < n && end - pc < kMaxFusedRun && !is_target[end] &&
+           FusableInterior(out.code[end]))
+      ++end;
+    // A trailing branch (predicated or not) joins the run: the setp + @%p bra
+    // loop tail retires in the same dispatch, and a backward branch to the
+    // run's own head re-enters the superinstruction directly — one dispatch
+    // per loop iteration.
+    if (end < n && end - pc < kMaxFusedRun && !is_target[end] &&
+        out.code[end].op == COp::kBra)
+      ++end;
+    const std::size_t count = end - pc;
+    if (count >= 2) {
+      CompiledInst super;
+      super.op = COp::kFused;
+      super.sub = static_cast<std::uint8_t>(count);
+      super.target = static_cast<std::uint32_t>(out.fused_code.size());
+      for (std::size_t j = pc; j < end; ++j) {
+        out.fused_code.push_back(out.code[j]);
+        out.fused_micro.push_back(LowerComp(out.code[j]));
+      }
+      out.code[pc] = super;
+      ++out.super_count;
+      out.fused_instructions += static_cast<std::uint32_t>(count);
+    }
+    pc = end;  // covered originals stay in place; scan resumes after the run
+  }
+  return out;
 }
 
 std::shared_ptr<const CompiledModule> CompiledModule::Compile(
@@ -804,11 +703,14 @@ std::shared_ptr<const CompiledModule> CompiledModule::Compile(
     Entry entry;
     entry.name = kernel.name;
     auto result = CompileKernel(kernel);
-    if (result.ok())
-      entry.kernel = std::make_shared<const CompiledKernel>(
-          std::move(*result));
-    else
+    if (result.ok()) {
+      auto fused = std::make_shared<const CompiledKernel>(
+          FuseKernel(std::move(*result)));
+      compiled->superinstructions_ += fused->super_count;
+      entry.kernel = std::move(fused);
+    } else {
       entry.error = result.status();
+    }
     compiled->entries_.push_back(std::move(entry));
   }
   return compiled;
@@ -823,43 +725,6 @@ Result<std::shared_ptr<const CompiledKernel>> CompiledModule::Find(
   }
   return Status(NotFound("kernel " + std::string(kernel_name) +
                          " not in module"));
-}
-
-// ---- compiled top-level execution -----------------------------------------
-
-Result<ExecStats> Interpreter::Execute(const CompiledKernel& kernel,
-                                       const LaunchParams& params) {
-  return Execute(kernel, params, ExecControls{});
-}
-
-Result<ExecStats> Interpreter::Execute(const CompiledKernel& kernel,
-                                       const LaunchParams& params,
-                                       const ExecControls& controls) {
-  return exec_core::RunGrid(
-      kernel, params, controls, &last_fault_, [&](ExecStats* stats) {
-        return CompiledBlockExecutor(kernel, params, memory_, policy_, client_,
-                                     max_instructions_per_thread_, stats,
-                                     controls.preempt_requested,
-                                     controls.preempt_check_interval);
-      });
-}
-
-Result<ExecStats> Interpreter::Execute(const ptx::Module& module,
-                                       std::string_view kernel_name,
-                                       const LaunchParams& params) {
-  return Execute(module, kernel_name, params, ExecControls{});
-}
-
-Result<ExecStats> Interpreter::Execute(const ptx::Module& module,
-                                       std::string_view kernel_name,
-                                       const LaunchParams& params,
-                                       const ExecControls& controls) {
-  const ptx::Kernel* kernel = module.FindKernel(kernel_name);
-  if (kernel == nullptr)
-    return Status(NotFound("kernel " + std::string(kernel_name) +
-                           " not in module"));
-  GRD_ASSIGN_OR_RETURN(CompiledKernel compiled, CompileKernel(*kernel));
-  return Execute(compiled, params, controls);
 }
 
 }  // namespace grd::ptxexec

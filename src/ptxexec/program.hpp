@@ -82,17 +82,6 @@ enum class COp : std::uint8_t {
   kFused,     // superinstruction: executes fused_code[target .. target+sub)
 };
 
-// Execution tier of a launch (tier.hpp builds tier >= 1 programs; the
-// SandboxCache promotes modules across tiers by launch heat):
-//  - kCompiled: the dense bytecode engine, one switch dispatch per
-//    instruction (the PR 4 baseline);
-//  - kFused: hot instruction runs rewritten into superinstructions, so one
-//    dispatch retires a whole loop body / guard+access pair;
-//  - kThreaded: the fused program under direct-threaded computed-goto
-//    dispatch (falls back to the switch loop where labels-as-values are
-//    unavailable — see ThreadedDispatchAvailable()).
-enum class ExecTier : std::uint8_t { kCompiled = 0, kFused = 1, kThreaded = 2 };
-
 enum class BinAlu : std::uint8_t {
   kAdd, kSub, kMul, kMulWide, kMulHi, kDiv, kRem, kMin, kMax,
   kAnd, kOr, kXor, kShl, kShr,
@@ -201,12 +190,12 @@ struct CompiledKernel {
   std::size_t param_count = 0;
   std::uint64_t shared_size = 0;     // per-block shared segment, bytes
 
-  // Tier >= 1 programs only (FuseKernel, tier.hpp). A kFused instruction at
-  // pc replaces the first instruction of a fused run and executes the
-  // components fused_code[target .. target+sub) back to back; the covered
-  // originals at pc+1 .. pc+sub-1 stay in place, so a branch into the middle
-  // of a fused region still executes them individually and no branch target
-  // ever needs remapping.
+  // Fused programs only (FuseKernel). A kFused instruction at pc replaces
+  // the first instruction of a fused run and executes the components
+  // fused_code[target .. target+sub) back to back; the covered originals at
+  // pc+1 .. pc+sub-1 stay in place, so a branch into the middle of a fused
+  // region still executes them individually and no branch target ever
+  // needs remapping.
   std::vector<CompiledInst> fused_code;
   // Parallel to fused_code: the pre-decoded micro op per component (kGeneric
   // entries fall back to the CompiledInst above).
@@ -218,26 +207,41 @@ struct CompiledKernel {
 // Lowers one kernel. Fails only on structural problems PrepareKernel also
 // rejected (duplicate labels) or hard limits (register/instruction counts
 // beyond the index types); per-instruction problems compile into kError.
+// The result is unfused; FuseKernel is the second, optional pass.
 Result<CompiledKernel> CompileKernel(const ptx::Kernel& kernel);
 
-// Every kernel of a module, compiled once. Kernels that failed to compile
-// store their error and reproduce it at launch (matching the reference
-// engine, which surfaced such errors per-Execute).
+// Upper bound on components per superinstruction. Generous relative to the
+// patterns fusion targets (a fenced access is 3 instructions, a typical loop
+// body under 10); the cap keeps `sub` meaningful and faults mid-run cheap to
+// attribute.
+inline constexpr unsigned kMaxFusedRun = 12;
+
+// Rewrites a compiled program with superinstructions: recurring
+// straight-line runs — mad+setp+bra loop heads, ld+op+st bodies, and the
+// patcher's guard-check+access pairs — collapse so one dispatch retires the
+// whole run. Pure and total: never fails, never changes program length or
+// branch targets, and returns the input unchanged when nothing is fusable
+// or the program is already fused. The result reports its rewrite in
+// CompiledKernel::super_count / fused_instructions.
+CompiledKernel FuseKernel(CompiledKernel kernel);
+
+// Every kernel of a module, compiled and fused once. Kernels that failed to
+// compile store their error and reproduce it at launch (matching the
+// reference engine, which surfaced such errors per-Execute).
 class CompiledModule {
  public:
   static std::shared_ptr<const CompiledModule> Compile(
       const ptx::Module& module);
 
-  // The compiled kernel, NotFound ("kernel X not in module" — the reference
+  // The fused kernel, NotFound ("kernel X not in module" — the reference
   // engine's message) for unknown names, or the kernel's compile error.
   Result<std::shared_ptr<const CompiledKernel>> Find(
       std::string_view kernel_name) const;
 
-  // Tier-1 copy of the module: every successfully compiled kernel rewritten
-  // by FuseKernel (tier.cpp); kernels that failed to compile keep their
-  // error. `superinstructions` (optional) receives the total fused count.
-  std::shared_ptr<const CompiledModule> Fused(
-      std::uint64_t* superinstructions) const;
+  // Superinstructions FuseKernel emitted across the module's kernels.
+  std::uint64_t superinstructions() const noexcept {
+    return superinstructions_;
+  }
 
  private:
   struct Entry {
@@ -246,6 +250,7 @@ class CompiledModule {
     Status error;
   };
   std::vector<Entry> entries_;
+  std::uint64_t superinstructions_ = 0;
 };
 
 }  // namespace grd::ptxexec

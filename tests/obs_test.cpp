@@ -143,6 +143,12 @@ TEST(ManagerStatsTest, JsonKeepsHistoricalKeyOrderAndRingCounters) {
   // One histogram per priority class, in class order.
   EXPECT_LT(json.find("\"realtime\":{", hist), json.find("\"normal\":{", hist));
   EXPECT_LT(json.find("\"normal\":{", hist), json.find("\"batch\":{", hist));
+  // The schema version closes the object; retired keys stay out.
+  const std::string tail = ",\"schema_version\":2}";
+  ASSERT_GE(json.size(), tail.size());
+  EXPECT_EQ(json.compare(json.size() - tail.size(), tail.size(), tail), 0)
+      << json;
+  EXPECT_EQ(json.find("\"tier0_instructions\""), std::string::npos);
 
   const std::string prom = stats.ToPrometheus();
   EXPECT_NE(prom.find("grd_launches 3\n"), std::string::npos);

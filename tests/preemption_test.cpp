@@ -229,83 +229,6 @@ TEST_F(PreemptionTest, RealtimeKernelPreemptsFullDeviceBatchKernel) {
   EXPECT_EQ(rout, rdata);
 }
 
-TEST_F(PreemptionTest, TierPromotedKernelPreemptsAndResumesExactly) {
-  // Same revocation scenario, but the victim module is hot: low promotion
-  // thresholds plus two warm-up launches put the batch kernel at tier 2
-  // (direct-threaded fused dispatch) before it is revoked. Checkpoint,
-  // resume and exact block accounting must be tier-invariant.
-  ManagerOptions options;
-  options.scheduler_executors = 4;
-  options.device_time_ns_per_cycle = 200.0;
-  options.aging_quantum_ns = 0;
-  options.tier1_launch_threshold = 2;
-  options.tier2_launch_threshold = 3;
-  Init(options);
-
-  auto batch = Connect();
-  auto rt = Connect();
-  ASSERT_TRUE(batch.ok() && rt.ok());
-  ASSERT_TRUE(batch->SetPriority(PriorityClass::kBatch).ok());
-  ASSERT_TRUE(rt->SetPriority(PriorityClass::kRealtime).ok());
-  auto batch_fn = LoadKernel(*batch, "copyk");
-  auto rt_fn = LoadKernel(*rt, "copyk");
-  ASSERT_TRUE(batch_fn.ok() && rt_fn.ok());
-
-  constexpr std::uint32_t kBatchElems = 48 * 1024;
-  constexpr std::uint32_t kRtElems = 256;
-  constexpr std::uint32_t kWarmElems = 64;
-  DevicePtr bsrc = 0, bdst = 0, rsrc = 0, rdst = 0;
-  ASSERT_TRUE(batch->cudaMalloc(&bsrc, kBatchElems * 4).ok());
-  ASSERT_TRUE(batch->cudaMalloc(&bdst, kBatchElems * 4).ok());
-  ASSERT_TRUE(rt->cudaMalloc(&rsrc, kRtElems * 4).ok());
-  ASSERT_TRUE(rt->cudaMalloc(&rdst, kRtElems * 4).ok());
-  std::vector<std::uint32_t> bdata(kBatchElems);
-  for (std::uint32_t i = 0; i < kBatchElems; ++i) bdata[i] = i * 5 + 2;
-  ASSERT_TRUE(batch->cudaMemcpyH2D(bsrc, bdata.data(), kBatchElems * 4).ok());
-  std::vector<std::uint32_t> rdata(kRtElems, 0xBEEF);
-  ASSERT_TRUE(rt->cudaMemcpyH2D(rsrc, rdata.data(), kRtElems * 4).ok());
-
-  simcuda::StreamId bstream = 0, rstream = 0;
-  ASSERT_TRUE(batch->cudaStreamCreate(&bstream).ok());
-  ASSERT_TRUE(rt->cudaStreamCreate(&rstream).ok());
-
-  // Two single-block warm-up launches drive the shared module heat to the
-  // tier-2 threshold; the big launch below is the third.
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(
-        LaunchCopy(*batch, *batch_fn, bsrc, bdst, kWarmElems, 64, bstream)
-            .ok());
-  }
-  ASSERT_TRUE(batch->cudaStreamSynchronize(bstream).ok());
-  EXPECT_EQ(manager_->stats().tier1_promotions, 1u);
-
-  ASSERT_TRUE(
-      LaunchCopy(*batch, *batch_fn, bsrc, bdst, kBatchElems, 1024, bstream)
-          .ok());
-  ASSERT_TRUE(WaitForResidentKernel());
-  ASSERT_TRUE(
-      LaunchCopy(*rt, *rt_fn, rsrc, rdst, kRtElems, 256, rstream).ok());
-  ASSERT_TRUE(rt->cudaStreamSynchronize(rstream).ok());
-  ASSERT_TRUE(batch->cudaStreamSynchronize(bstream).ok());
-
-  EXPECT_GE(manager_->stats().preemptions, 1u);
-  EXPECT_GE(manager_->stats().preemption_resumes, 1u);
-  EXPECT_EQ(manager_->stats().tier2_promotions, 1u);
-  EXPECT_GT(manager_->stats().tier_instructions[2].load(), 0u)
-      << "the revoked/resumed launch should have retired at tier 2";
-  // Exact accounting across revocation: warm-ups (1 block each) + the
-  // 48-block batch grid + the 1-block realtime grid, nothing replayed.
-  EXPECT_EQ(manager_->stats().kernel_blocks_executed,
-            2u + kBatchElems / 1024 + kRtElems / 256);
-
-  std::vector<std::uint32_t> out(kBatchElems);
-  ASSERT_TRUE(batch
-                  ->cudaMemcpy(out.data(), bdst, kBatchElems * 4,
-                               MemcpyKind::kDeviceToHost)
-                  .ok());
-  EXPECT_EQ(out, bdata);
-}
-
 TEST_F(PreemptionTest, DisabledEngineNeverPreempts) {
   ManagerOptions options;
   options.scheduler_executors = 4;

@@ -1,10 +1,9 @@
-// Parity suite for the compiled bytecode engine (ptxexec::CompileKernel +
-// the CompiledKernel executor) AND the tiered executors (FuseKernel
-// superinstructions at tier 1, direct-threaded dispatch at tier 2) against
-// the seed string-map interpreter (Interpreter::ExecuteReference): every
-// kernel family the ptxexec tests exercise — plus patched kernels, faults,
+// Parity suite for the kernel execution engine (engine.cpp) against the
+// seed string-map interpreter (Interpreter::ExecuteReference): every kernel
+// family the ptxexec tests exercise — plus patched kernels, faults,
 // checkpoints and random fuzz — must produce identical ExecStats, statuses,
-// fault details and memory images on every engine. Also holds the
+// fault details and memory images on the reference and on the engine, fed
+// both CompileKernel output and FuseKernel output. Also holds the
 // no-string-lookups-per-step regression guard and the fusion structure
 // tests.
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include "ptx/generator.hpp"
 #include "ptx/parser.hpp"
 #include "ptxexec/interpreter.hpp"
-#include "ptxexec/tier.hpp"
 #include "ptxpatcher/patcher.hpp"
 
 namespace grd::ptxexec {
@@ -106,38 +104,39 @@ void ExpectSameOutcome(const EngineRun& reference, const EngineRun& other,
       << "kernel " << kernel << ": engines diverged in memory effects";
 }
 
-// Every kernel every parity test runs goes through all four engines: the
-// reference oracle, the compiled bytecode (tier 0), the fused program under
-// switch dispatch (tier 1) and under direct-threaded dispatch (tier 2).
+// The program the engine runs for `kernel`: CompileKernel output, then
+// FuseKernel output when `fuse` is set. Errors match the module overload's.
+Result<CompiledKernel> EngineProgram(const ptx::Module& module,
+                                     const std::string& kernel, bool fuse) {
+  const ptx::Kernel* k = module.FindKernel(kernel);
+  if (k == nullptr)
+    return Status(NotFound("kernel " + kernel + " not in module"));
+  GRD_ASSIGN_OR_RETURN(CompiledKernel compiled, CompileKernel(*k));
+  if (!fuse) return compiled;
+  return FuseKernel(std::move(compiled));
+}
+
+// Every kernel every parity test runs goes through the reference oracle and
+// through the engine twice: on the unfused and on the fused program.
 void ExpectParity(const ptx::Module& module, const std::string& kernel,
                   const LaunchParams& params, const MemInit& init = {},
                   simgpu::AccessPolicy* ref_policy = nullptr,
-                  simgpu::AccessPolicy* compiled_policy = nullptr) {
+                  simgpu::AccessPolicy* engine_policy = nullptr) {
   const EngineRun reference = RunEngine(
       module, kernel, params, init, ref_policy,
       [](Interpreter& interp, const ptx::Module& m, const std::string& k,
          const LaunchParams& p) { return interp.ExecuteReference(m, k, p); });
-  const EngineRun compiled = RunEngine(
-      module, kernel, params, init, compiled_policy,
-      [](Interpreter& interp, const ptx::Module& m, const std::string& k,
-         const LaunchParams& p) { return interp.Execute(m, k, p); });
-  ExpectSameOutcome(reference, compiled, kernel, "compiled");
-
-  for (const ExecTier tier : {ExecTier::kFused, ExecTier::kThreaded}) {
-    const EngineRun tiered = RunEngine(
-        module, kernel, params, init, compiled_policy,
-        [tier](Interpreter& interp, const ptx::Module& m, const std::string& k,
+  for (const bool fuse : {false, true}) {
+    const EngineRun engine = RunEngine(
+        module, kernel, params, init, engine_policy,
+        [fuse](Interpreter& interp, const ptx::Module& m,
+               const std::string& k,
                const LaunchParams& p) -> Result<ExecStats> {
-          // Mirrors the manager's tiered launch path: compile the module,
-          // surface per-kernel compile errors at Find, fuse, execute at tier.
-          auto cm = CompiledModule::Compile(m);
-          auto found = cm->Find(k);
-          if (!found.ok()) return found.status();
-          const CompiledKernel fused = FuseKernel(**found);
-          return interp.Execute(fused, p, ExecControls{}, tier);
+          auto program = EngineProgram(m, k, fuse);
+          if (!program.ok()) return program.status();
+          return interp.Execute(*program, p);
         });
-    ExpectSameOutcome(reference, tiered, kernel,
-                      tier == ExecTier::kFused ? "fused" : "threaded");
+    ExpectSameOutcome(reference, engine, kernel, fuse ? "fused" : "unfused");
   }
 }
 
@@ -227,9 +226,9 @@ TEST(ProgramParity, OobWriterUnprotectedAndPolicyFault) {
                {{0x20000, 777u}});
   // Under a range policy both engines must fault identically.
   RangePolicy ref_policy(0x10000, 0x1000);
-  RangePolicy compiled_policy(0x10000, 0x1000);
+  RangePolicy engine_policy(0x10000, 0x1000);
   ExpectParity(MakeSampleModule(), "oob_writer", params, {{0x20000, 777u}},
-               &ref_policy, &compiled_policy);
+               &ref_policy, &engine_policy);
 }
 
 TEST(ProgramParity, MissingKernelArgumentFaults) {
@@ -246,11 +245,11 @@ TEST(ProgramParity, UnknownKernelNameSameError) {
   Interpreter interp(&memory, &allow, 1);
   const ptx::Module module = MakeSampleModule();
   auto reference = interp.ExecuteReference(module, "nope", params);
-  auto compiled = interp.Execute(module, "nope", params);
+  auto engine = interp.Execute(module, "nope", params);
   ASSERT_FALSE(reference.ok());
-  ASSERT_FALSE(compiled.ok());
-  EXPECT_EQ(reference.status().code(), compiled.status().code());
-  EXPECT_EQ(reference.status().message(), compiled.status().message());
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(reference.status().code(), engine.status().code());
+  EXPECT_EQ(reference.status().message(), engine.status().message());
 }
 
 // ---- patched (sandboxed) kernels ------------------------------------------
@@ -442,8 +441,9 @@ TEST(ProgramParity, RandomKernelFuzz) {
 
 // Elision-vs-full oracle: the CFG/loop guard-elision rewrite must be
 // observationally identical to full per-access patching. Each round patches
-// one random kernel both ways, proves each flavor self-consistent across all
-// four engines, then diffs the two flavors against each other on memory,
+// one random kernel both ways, proves each flavor self-consistent across the
+// reference and both engine programs, then diffs the two flavors against
+// each other on memory,
 // faults and access counts (executed-instruction counts are excluded —
 // shrinking them is the whole point of elision). Rounds mix loop and
 // straight-line shapes, all three bounds-check modes, and generous vs
@@ -500,11 +500,11 @@ TEST(ProgramParity, GuardElisionFuzzParity) {
       init.push_back({base + i * 4, static_cast<std::uint32_t>(
                                         rng.NextInRange(0, 1u << 30))});
 
-    // Each flavor must first agree with itself across all four engines.
+    // Each flavor must first agree with itself on the reference and engine.
     ExpectParity(*full, "fz", params, init);
     ExpectParity(*elided, "fz", params, init);
 
-    // Cross-flavor diff on the compiled engine.
+    // Cross-flavor diff on the engine.
     const auto run = [](Interpreter& interp, const ptx::Module& m,
                         const std::string& k, const LaunchParams& p) {
       return interp.Execute(m, k, p);
@@ -546,35 +546,30 @@ TEST(ProgramParity, InstructionBudgetTripsIdentically) {
   params.block = {64, 1, 1};
   params.args = {KernelArg::U64(0x1000), KernelArg::U64(0x2000),
                  KernelArg::U64(0x3000), KernelArg::U32(128)};
-  simgpu::GlobalMemory mem_a(kMemBytes), mem_b(kMemBytes);
+  simgpu::GlobalMemory mem_a(kMemBytes);
   simgpu::AllowAllPolicy allow;
-  Interpreter ref(&mem_a, &allow, 1), comp(&mem_b, &allow, 1);
+  Interpreter ref(&mem_a, &allow, 1);
   ref.set_max_instructions_per_thread(10);
-  comp.set_max_instructions_per_thread(10);
   auto a = ref.ExecuteReference(module, "vecadd", params);
-  auto b = comp.Execute(module, "vecadd", params);
   ASSERT_FALSE(a.ok());
-  ASSERT_FALSE(b.ok());
   EXPECT_EQ(a.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(a.status().code(), b.status().code());
-  EXPECT_EQ(a.status().message(), b.status().message());
 
   // The budget is charged per component inside superinstructions too, so the
-  // trip point (and its message) is identical at tiers 1 and 2.
-  auto found = CompiledModule::Compile(module)->Find("vecadd");
-  ASSERT_TRUE(found.ok()) << found.status();
-  const CompiledKernel fused = FuseKernel(**found);
-  ASSERT_GT(fused.super_count, 0u) << "vecadd should fuse";
-  for (const ExecTier tier : {ExecTier::kFused, ExecTier::kThreaded}) {
+  // trip point (and its message) is identical with and without fusion.
+  for (const bool fuse : {false, true}) {
+    SCOPED_TRACE(fuse ? "fused" : "unfused");
+    auto program = EngineProgram(module, "vecadd", fuse);
+    ASSERT_TRUE(program.ok()) << program.status();
+    if (fuse) {
+      ASSERT_GT(program->super_count, 0u) << "vecadd should fuse";
+    }
     simgpu::GlobalMemory mem(kMemBytes);
-    Interpreter tiered(&mem, &allow, 1);
-    tiered.set_max_instructions_per_thread(10);
-    auto t = tiered.Execute(fused, params, ExecControls{}, tier);
-    ASSERT_FALSE(t.ok()) << "tier " << static_cast<int>(tier);
-    EXPECT_EQ(a.status().code(), t.status().code())
-        << "tier " << static_cast<int>(tier);
-    EXPECT_EQ(a.status().message(), t.status().message())
-        << "tier " << static_cast<int>(tier);
+    Interpreter engine(&mem, &allow, 1);
+    engine.set_max_instructions_per_thread(10);
+    auto b = engine.Execute(*program, params);
+    ASSERT_FALSE(b.ok());
+    EXPECT_EQ(a.status().code(), b.status().code());
+    EXPECT_EQ(a.status().message(), b.status().message());
   }
 }
 
@@ -583,11 +578,13 @@ TEST(ProgramParity, PreemptCheckpointResumeMatchesReference) {
   MemInit init;
   for (int i = 0; i < 512; ++i) init.push_back({0x10000 + i * 4, 5u * i});
 
-  // All four engines: run with an always-on revocation flag, collecting one
-  // block per segment, resuming until done; totals must match a plain run.
-  enum class Engine { kReference, kCompiled, kTier1, kTier2 };
-  for (const Engine engine : {Engine::kReference, Engine::kCompiled,
-                              Engine::kTier1, Engine::kTier2}) {
+  // Reference and engine (unfused and fused): run with an always-on
+  // revocation flag, collecting one block per segment, resuming until done;
+  // the output must match a plain run and the totals the reference's.
+  enum class Engine { kReference, kUnfused, kFused };
+  ExecStats reference;
+  for (const Engine engine :
+       {Engine::kReference, Engine::kUnfused, Engine::kFused}) {
     SCOPED_TRACE("engine=" + std::to_string(static_cast<int>(engine)));
     simgpu::GlobalMemory memory(kMemBytes);
     simgpu::AllowAllPolicy allow;
@@ -607,30 +604,15 @@ TEST(ProgramParity, PreemptCheckpointResumeMatchesReference) {
     controls.preempt_check_interval = 100;
     controls.checkpoint = &ckpt;
 
-    CompiledKernel fused;
-    if (engine == Engine::kTier1 || engine == Engine::kTier2) {
-      auto found = CompiledModule::Compile(module)->Find("copyk");
-      ASSERT_TRUE(found.ok()) << found.status();
-      fused = FuseKernel(**found);
-    }
+    auto program = EngineProgram(module, "copyk", engine == Engine::kFused);
+    ASSERT_TRUE(program.ok()) << program.status();
 
     int segments = 0;
     Result<ExecStats> run = ExecStats{};
     while (true) {
-      switch (engine) {
-        case Engine::kReference:
-          run = interp.ExecuteReference(module, "copyk", params, controls);
-          break;
-        case Engine::kCompiled:
-          run = interp.Execute(module, "copyk", params, controls);
-          break;
-        case Engine::kTier1:
-          run = interp.Execute(fused, params, controls, ExecTier::kFused);
-          break;
-        case Engine::kTier2:
-          run = interp.Execute(fused, params, controls, ExecTier::kThreaded);
-          break;
-      }
+      run = engine == Engine::kReference
+                ? interp.ExecuteReference(module, "copyk", params, controls)
+                : interp.Execute(*program, params, controls);
       if (run.ok()) break;
       ASSERT_TRUE(IsPreempted(run.status())) << run.status();
       ++segments;
@@ -639,6 +621,11 @@ TEST(ProgramParity, PreemptCheckpointResumeMatchesReference) {
     EXPECT_EQ(segments, 3) << "one block per segment over a 4-block grid";
     EXPECT_EQ(run->blocks, 4u);
     EXPECT_EQ(ckpt.blocks_done, 4u);
+    if (engine == Engine::kReference) reference = *run;
+    EXPECT_EQ(run->instructions, reference.instructions);
+    EXPECT_EQ(run->global_loads, reference.global_loads);
+    EXPECT_EQ(run->global_stores, reference.global_stores);
+    EXPECT_EQ(run->threads, reference.threads);
     for (int i = 0; i < 512; ++i) {
       auto v = memory.Load<std::uint32_t>(0x20000 + i * 4);
       ASSERT_TRUE(v.ok());
@@ -649,9 +636,11 @@ TEST(ProgramParity, PreemptCheckpointResumeMatchesReference) {
 
 // A kernel revoked while executing inside a fused loop body must still stop
 // exactly at the block boundary: the checkpoint's completed-block count
-// advances one block per segment and no block is replayed, at both tier 1
-// and tier 2. The loop body fuses into a single superinstruction, so every
-// preemption poll here happens between superinstruction dispatches.
+// advances one block per segment and no block is replayed, and the totals
+// match the reference. The loop body fuses into a single superinstruction,
+// so every preemption poll on the fused program happens between
+// superinstruction dispatches; the unfused program runs the same sequence
+// one instruction per dispatch.
 TEST(ProgramParity, RevokedMidFusedBlockExactAccounting) {
   const std::string src = R"(
 .version 7.7
@@ -682,10 +671,6 @@ LOOP:
 )";
   auto module = ptx::Parse(src);
   ASSERT_TRUE(module.ok()) << module.status();
-  auto compiled = CompileKernel(module->kernels[0]);
-  ASSERT_TRUE(compiled.ok()) << compiled.status();
-  const CompiledKernel fused = FuseKernel(*compiled);
-  ASSERT_GT(fused.super_count, 0u) << "the loop body must fuse";
 
   constexpr std::uint32_t kIters = 200;
   const std::uint32_t expect = kIters * (kIters - 1) / 2;  // sum 0..n-1
@@ -694,19 +679,24 @@ LOOP:
   params.block = {32, 1, 1};
   params.args = {KernelArg::U64(0x8000), KernelArg::U32(kIters)};
 
-  // Tier-0 baseline for the exact instruction total.
-  std::uint64_t baseline_instructions = 0;
+  // The reference gives the exact instruction total.
+  std::uint64_t reference_instructions = 0;
   {
     simgpu::GlobalMemory memory(kMemBytes);
     simgpu::AllowAllPolicy allow;
     Interpreter interp(&memory, &allow, 1);
-    auto run = interp.Execute(*compiled, params);
+    auto run = interp.ExecuteReference(*module, "loopk", params);
     ASSERT_TRUE(run.ok()) << run.status();
-    baseline_instructions = run->instructions;
+    reference_instructions = run->instructions;
   }
 
-  for (const ExecTier tier : {ExecTier::kFused, ExecTier::kThreaded}) {
-    SCOPED_TRACE("tier=" + std::to_string(static_cast<int>(tier)));
+  for (const bool fuse : {false, true}) {
+    SCOPED_TRACE(fuse ? "fused" : "unfused");
+    auto program = EngineProgram(*module, "loopk", fuse);
+    ASSERT_TRUE(program.ok()) << program.status();
+    if (fuse) {
+      ASSERT_GT(program->super_count, 0u) << "the loop body must fuse";
+    }
     simgpu::GlobalMemory memory(kMemBytes);
     simgpu::AllowAllPolicy allow;
     Interpreter interp(&memory, &allow, 1);
@@ -722,7 +712,7 @@ LOOP:
     int segments = 0;
     Result<ExecStats> run = ExecStats{};
     while (true) {
-      run = interp.Execute(fused, params, controls, tier);
+      run = interp.Execute(*program, params, controls);
       if (run.ok()) break;
       ASSERT_TRUE(IsPreempted(run.status())) << run.status();
       ++segments;
@@ -733,8 +723,9 @@ LOOP:
     EXPECT_EQ(segments, 3);
     EXPECT_EQ(run->blocks, 4u);
     EXPECT_EQ(ckpt.blocks_done, 4u);
-    EXPECT_EQ(run->instructions, baseline_instructions)
-        << "per-component accounting must match tier 0 across preemptions";
+    EXPECT_EQ(run->instructions, reference_instructions)
+        << "per-component accounting must match the reference across "
+           "preemptions";
     for (std::uint32_t i = 0; i < 128; ++i) {
       auto v = memory.Load<std::uint32_t>(0x8000 + i * 4);
       ASSERT_TRUE(v.ok());
@@ -745,61 +736,33 @@ LOOP:
 
 // ---- the no-string-work regression guard -----------------------------------
 
-TEST(ProgramHotPath, CompiledExecutionPerformsNoStringLookups) {
+TEST(ProgramHotPath, EnginePerformsNoStringLookups) {
   const ptx::Module module = MakeSampleModule();
-  simgpu::GlobalMemory memory(kMemBytes);
-  simgpu::AllowAllPolicy allow;
-  Interpreter interp(&memory, &allow, 1);
   LaunchParams params;
   params.grid = {2, 1, 1};
   params.block = {128, 1, 1};
   params.args = {KernelArg::U64(0x10000), KernelArg::U64(0x20000),
                  KernelArg::U64(0x30000), KernelArg::U32(200)};
 
-  // Compile outside the measured window (compilation itself may hash).
-  const ptx::Kernel* kernel = module.FindKernel("vecadd");
-  ASSERT_NE(kernel, nullptr);
-  auto compiled = CompileKernel(*kernel);
-  ASSERT_TRUE(compiled.ok());
-
-  const std::uint64_t before = exec_debug::HotPathStringLookups();
-  auto run = interp.Execute(*compiled, params);
-  ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_EQ(exec_debug::HotPathStringLookups() - before, 0u)
-      << "a std::string lookup crept back onto the compiled step path";
-
-  // Sanity: the counter is live — the reference engine must bump it heavily
-  // (several lookups per executed instruction).
-  auto ref = interp.ExecuteReference(module, "vecadd", params);
-  ASSERT_TRUE(ref.ok());
-  EXPECT_GT(exec_debug::HotPathStringLookups() - before, ref->instructions);
-}
-
-// Tiers 1 and 2 run the same pre-decoded program — fusion must not
-// reintroduce any per-step string work.
-TEST(ProgramHotPath, TieredExecutionPerformsNoStringLookups) {
-  const ptx::Module module = MakeSampleModule();
-  const ptx::Kernel* kernel = module.FindKernel("vecadd");
-  ASSERT_NE(kernel, nullptr);
-  auto compiled = CompileKernel(*kernel);
-  ASSERT_TRUE(compiled.ok());
-  const CompiledKernel fused = FuseKernel(*compiled);
-
-  LaunchParams params;
-  params.grid = {2, 1, 1};
-  params.block = {128, 1, 1};
-  params.args = {KernelArg::U64(0x10000), KernelArg::U64(0x20000),
-                 KernelArg::U64(0x30000), KernelArg::U32(200)};
-  for (const ExecTier tier : {ExecTier::kFused, ExecTier::kThreaded}) {
+  for (const bool fuse : {false, true}) {
+    SCOPED_TRACE(fuse ? "fused" : "unfused");
+    // Compile outside the measured window (compilation itself may hash).
+    auto program = EngineProgram(module, "vecadd", fuse);
+    ASSERT_TRUE(program.ok()) << program.status();
     simgpu::GlobalMemory memory(kMemBytes);
     simgpu::AllowAllPolicy allow;
     Interpreter interp(&memory, &allow, 1);
     const std::uint64_t before = exec_debug::HotPathStringLookups();
-    auto run = interp.Execute(fused, params, ExecControls{}, tier);
+    auto run = interp.Execute(*program, params);
     ASSERT_TRUE(run.ok()) << run.status();
     EXPECT_EQ(exec_debug::HotPathStringLookups() - before, 0u)
-        << "tier " << static_cast<int>(tier)
-        << " performs string lookups on the step path";
+        << "a std::string lookup crept back onto the engine's step path";
+
+    // Sanity: the counter is live — the reference engine must bump it
+    // heavily (several lookups per executed instruction).
+    auto ref = interp.ExecuteReference(module, "vecadd", params);
+    ASSERT_TRUE(ref.ok());
+    EXPECT_GT(exec_debug::HotPathStringLookups() - before, ref->instructions);
   }
 }
 

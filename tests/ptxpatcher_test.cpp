@@ -330,31 +330,71 @@ TEST_F(PatchedExecution, VecAddEquivalentWhenInBounds) {
   }
 }
 
-// Property sweep: random kernels, all three modes, execution inside the
-// partition must succeed and never touch memory outside it.
+// Isolation oracle: every global access the engine makes on behalf of a
+// patched kernel must land inside [base, base+size). The policy records any
+// access outside it (and refuses it, so the run stops there).
+class EscapeRecorder final : public simgpu::AccessPolicy {
+ public:
+  EscapeRecorder(std::uint64_t base, std::uint64_t size)
+      : base_(base), size_(size) {}
+
+  Status CheckAccess(std::uint64_t, std::uint64_t addr, std::uint64_t bytes,
+                     bool is_write) override {
+    ++accesses_;
+    if (addr >= base_ && bytes <= size_ && addr - base_ <= size_ - bytes)
+      return OkStatus();
+    if (escapes_++ == 0) {
+      std::ostringstream first;
+      first << (is_write ? "store" : "load") << " of " << bytes
+            << " bytes at 0x" << std::hex << addr;
+      first_escape_ = first.str();
+    }
+    return PermissionDenied("access escaped the partition");
+  }
+
+  std::uint64_t accesses() const { return accesses_; }
+  std::uint64_t escapes() const { return escapes_; }
+  const std::string& first_escape() const { return first_escape_; }
+
+ private:
+  std::uint64_t base_, size_;
+  std::uint64_t accesses_ = 0, escapes_ = 0;
+  std::string first_escape_;
+};
+
+// The sweep: random straight-line and loop kernels, all three modes, guard
+// elision on and off, and the kernel's data pointer honest or hostile. The
+// fencing modes must complete (their fences wrap every address into the
+// partition); checking mode may stop, but only with its bounds-check trap.
+// No mode may ever touch memory outside the partition.
 class PatchedRandomKernels
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int, bool, bool, int>> {
+};
 
 TEST_P(PatchedRandomKernels, NeverEscapesPartition) {
-  const auto [seed, mode_index] = GetParam();
+  const auto [seed, mode_index, elision, loop_shape, pointer_index] =
+      GetParam();
   Rng rng(seed * 104729 + 7);
   const auto mode = static_cast<BoundsCheckMode>(mode_index);
 
-  simgpu::GlobalMemory memory(32ull << 20);
-  simgpu::AllowAllPolicy allow;
-  Interpreter interp(&memory, &allow, 1);
-
   const std::uint64_t base = 1ull << 20;
   const std::uint64_t size = 1ull << 20;
-  // Poison a sentinel outside the partition.
-  const std::uint64_t sentinel = 4ull << 20;
-  ASSERT_TRUE(memory.Store<std::uint64_t>(sentinel, 0x5EBA5E11ull).ok());
+  // Honest, then hostile: the last word, one past the end, another tenant's
+  // memory, a pointer whose offsets wrap around zero, and null.
+  const std::uint64_t kDataPointers[] = {
+      base, base + size - 4, base + size, 4ull << 20, 0xFFFFFFFFFFFFFFF0ull,
+      0};
+  const std::uint64_t data = kDataPointers[pointer_index];
 
-  const Kernel kernel = ptx::MakeRandomKernel(
-      rng, "rk", static_cast<int>(rng.NextInRange(1, 24)),
-      static_cast<int>(rng.NextInRange(1, 12)), rng.NextBool(0.5));
+  const Kernel kernel =
+      loop_shape ? ptx::MakeRandomLoopKernel(rng, "rk")
+                 : ptx::MakeRandomKernel(
+                       rng, "rk", static_cast<int>(rng.NextInRange(1, 24)),
+                       static_cast<int>(rng.NextInRange(1, 12)),
+                       rng.NextBool(0.5));
   PatchOptions options;
   options.mode = mode;
+  options.elision_enabled = elision;
   auto patched = PatchKernel(kernel, options);
   ASSERT_TRUE(patched.ok()) << patched.status();
   ptx::Module m;
@@ -362,20 +402,42 @@ TEST_P(PatchedRandomKernels, NeverEscapesPartition) {
 
   const GrdArgs grd = ComputeGrdArgs(mode, base, size);
   LaunchParams params;
-  params.block = {32, 1, 1};
-  params.args = {KernelArg::U64(base), KernelArg::U32(0),
+  std::uint32_t count = 0;
+  if (loop_shape) {
+    params.grid = {2, 1, 1};
+    params.block = {1, 1, 1};
+    count = static_cast<std::uint32_t>(rng.NextInRange(1, 6));  // iterations
+  } else {
+    params.block = {32, 1, 1};
+  }
+  params.args = {KernelArg::U64(data), KernelArg::U32(count),
                  KernelArg::U64(grd.arg0), KernelArg::U64(grd.arg1)};
-  auto stats = interp.Execute(m, "rk", params);
-  ASSERT_TRUE(stats.ok()) << stats.status();
 
-  auto v = memory.Load<std::uint64_t>(sentinel);
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(*v, 0x5EBA5E11ull);
+  simgpu::GlobalMemory memory(32ull << 20);
+  EscapeRecorder policy(base, size);
+  Interpreter interp(&memory, &policy, 1);
+  auto stats = interp.Execute(m, "rk", params);
+
+  EXPECT_EQ(policy.escapes(), 0u) << "first escape: " << policy.first_escape();
+  if (mode == BoundsCheckMode::kChecking && data != base) {
+    if (!stats.ok()) {
+      EXPECT_EQ(stats.status().code(), StatusCode::kOutOfRange);
+      EXPECT_NE(stats.status().message().find("bounds check trap"),
+                std::string::npos)
+          << stats.status();
+    }
+    return;
+  }
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_GT(policy.accesses(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, PatchedRandomKernels,
                          ::testing::Combine(::testing::Range(0, 12),
-                                            ::testing::Values(0, 1, 2)));
+                                            ::testing::Values(0, 1, 2),
+                                            ::testing::Bool(),
+                                            ::testing::Bool(),
+                                            ::testing::Range(0, 6)));
 
 // ---- Register model (Figure 9) ----------------------------------------
 

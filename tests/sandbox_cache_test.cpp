@@ -157,64 +157,6 @@ TEST(SandboxCacheTest, CapacityIsEnforcedWithLruEviction) {
   EXPECT_EQ(cache.stats().evictions, 2u);
 }
 
-TEST(SandboxCacheTest, TierStateSurvivesEvictReinsertWhileHeld) {
-  // ModuleTierState lifetime across eviction: sessions keep their module
-  // and tier-state shared_ptrs, so evicting the slot must not fork a fresh
-  // heat counter on re-insert. Pre-fix, the re-patched slot made a new
-  // ModuleTierState: the module's heat restarted at zero (splitting future
-  // launches between the old holders' state and the new one) and the fusion
-  // pass ran — and was counted — a second time for the same logical module.
-  SandboxCache cache(/*capacity=*/1);
-  ptxpatcher::PatchOptions options;
-  const std::string source_a = SamplePtx() + "\n// tier-revival A";
-  const std::string source_b = SamplePtx() + "\n// tier-revival B";
-  auto parsed_a = ptx::Parse(source_a);
-  auto parsed_b = ptx::Parse(source_b);
-  ASSERT_TRUE(parsed_a.ok() && parsed_b.ok());
-  TierPolicy policy;
-  policy.tier1_launch_threshold = 2;
-  policy.tier2_launch_threshold = 0;
-
-  // A session loads module A and keeps it hot: launch 2 promotes to tier 1.
-  auto held = cache.GetOrPatch(source_a, *parsed_a, options);
-  ASSERT_TRUE(held.ok()) << held.status();
-  ASSERT_NE(held->tier_state, nullptr);
-  EXPECT_FALSE(held->tier_state->OnLaunch(policy).promoted_tier1);
-  auto promoted = held->tier_state->OnLaunch(policy);
-  EXPECT_TRUE(promoted.promoted_tier1);
-  EXPECT_EQ(promoted.tier, ptxexec::ExecTier::kFused);
-
-  // Loading B evicts A's slot (capacity 1) while the session above still
-  // holds A's module and tier state.
-  ASSERT_TRUE(cache.GetOrPatch(source_b, *parsed_b, options).ok());
-  EXPECT_EQ(cache.stats().evictions, 1u);
-
-  // Re-inserting A re-patches it, but the surviving tier state is adopted:
-  // same object, heat intact, promotion not repeated.
-  auto reloaded = cache.GetOrPatch(source_a, *parsed_a, options);
-  ASSERT_TRUE(reloaded.ok());
-  EXPECT_TRUE(reloaded->patched_now);
-  ASSERT_NE(reloaded->tier_state, nullptr);
-  EXPECT_EQ(reloaded->tier_state.get(), held->tier_state.get())
-      << "evict/reinsert recycled the module's tier state";
-  auto after = reloaded->tier_state->OnLaunch(policy);
-  EXPECT_EQ(reloaded->tier_state->launches(), 3u)
-      << "launch heat restarted across eviction";
-  EXPECT_EQ(after.tier, ptxexec::ExecTier::kFused);
-  EXPECT_FALSE(after.promoted_tier1) << "fusion pass re-ran after eviction";
-  EXPECT_EQ(after.program.get(), promoted.program.get());
-
-  // Once no session holds the tier state, eviction really retires it: the
-  // next re-insert starts cold instead of reviving a dead module's heat.
-  held = Result<SandboxCache::Lookup>(Status(NotFound("released")));
-  reloaded = Result<SandboxCache::Lookup>(Status(NotFound("released")));
-  ASSERT_TRUE(cache.GetOrPatch(source_b, *parsed_b, options).ok());  // evict A
-  auto cold = cache.GetOrPatch(source_a, *parsed_a, options);
-  ASSERT_TRUE(cold.ok());
-  ASSERT_NE(cold->tier_state, nullptr);
-  EXPECT_EQ(cold->tier_state->launches(), 0u);
-}
-
 TEST(SandboxCacheTest, HashPtxSourceIsStableAndDiscriminating) {
   const std::string a = SamplePtx();
   EXPECT_EQ(HashPtxSource(a), HashPtxSource(a));
@@ -349,9 +291,9 @@ TEST(SandboxCacheTest, ConcurrentIdenticalLoadsPatchOnce) {
 }
 
 TEST(SandboxCacheTest, CompiledProgramCachedAlongsidePatch) {
-  // The bytecode program is compiled exactly once per distinct source: a
-  // cache hit returns the stored CompiledModule without re-running
-  // CompileKernel (compiles stays at 1).
+  // The fused program is compiled exactly once per distinct source: a cache
+  // hit returns the stored CompiledModule without re-running CompileKernel
+  // or FuseKernel (compiles stays at 1).
   SandboxCache cache;
   const std::string source = SamplePtx();
   auto parsed = ptx::Parse(source);
@@ -369,10 +311,52 @@ TEST(SandboxCacheTest, CompiledProgramCachedAlongsidePatch) {
   EXPECT_EQ(first->compiled.get(), second->compiled.get());
   EXPECT_EQ(cache.stats().compiles, 1u) << "cache hit re-ran CompileKernel";
 
-  // The cached program is runnable as-is.
+  // The cached program is runnable as-is, and already fused.
   auto program = first->compiled->Find("copyk");
   ASSERT_TRUE(program.ok()) << program.status();
   EXPECT_GT((*program)->code.size(), 0u);
+  EXPECT_GT((*program)->super_count, 0u) << "cached program is not fused";
+  EXPECT_GT(first->compiled->superinstructions(), 0u);
+
+  // Through the manager: superinstructions_fused is counted when a module is
+  // compiled and not on a cache hit, and the very first launch retires every
+  // instruction on the one engine (slot 2; slots 0 and 1 stay empty).
+  simcuda::Gpu gpu(simgpu::QuadroRtxA4000());
+  GrdManager manager(&gpu, ManagerOptions{});
+  LoopbackTransport transport(&manager);
+  auto alice = GrdLib::Connect(&transport, 4 << 20);
+  auto bob = GrdLib::Connect(&transport, 4 << 20);
+  ASSERT_TRUE(alice.ok() && bob.ok());
+  auto module = alice->cuModuleLoadData(source);
+  ASSERT_TRUE(module.ok());
+  const std::uint64_t fused = manager.stats().superinstructions_fused;
+  EXPECT_GT(fused, 0u);
+  ASSERT_TRUE(bob->cuModuleLoadData(source).ok());
+  EXPECT_EQ(manager.stats().ptx_cache_hits, 1u);
+  EXPECT_EQ(manager.stats().superinstructions_fused, fused)
+      << "a cache hit counted fusion again";
+
+  auto fn = alice->cuModuleGetFunction(*module, "copyk");
+  ASSERT_TRUE(fn.ok());
+  DevicePtr in = 0, out = 0;
+  ASSERT_TRUE(alice->cudaMalloc(&in, 256).ok());
+  ASSERT_TRUE(alice->cudaMalloc(&out, 256).ok());
+  std::vector<std::uint32_t> data(64, 7u);
+  ASSERT_TRUE(alice->cudaMemcpyH2D(in, data.data(), 256).ok());
+  simcuda::LaunchConfig config;
+  config.block = {64, 1, 1};
+  ASSERT_TRUE(alice
+                  ->cudaLaunchKernel(*fn, config,
+                                     {KernelArg::U64(in), KernelArg::U64(out),
+                                      KernelArg::U32(64)})
+                  .ok());
+  std::uint32_t check = 0;
+  ASSERT_TRUE(
+      alice->cudaMemcpy(&check, out, 4, MemcpyKind::kDeviceToHost).ok());
+  EXPECT_EQ(check, 7u);
+  EXPECT_GT(manager.stats().tier_instructions[2].load(), 0u);
+  EXPECT_EQ(manager.stats().tier_instructions[0].load(), 0u);
+  EXPECT_EQ(manager.stats().tier_instructions[1].load(), 0u);
 }
 
 TEST(SandboxCacheTest, ManagerCacheHitSkipsParsePatchAndCompile) {
@@ -481,193 +465,6 @@ TEST(SandboxCacheTest, CheckpointResumeUnderCompileCache) {
                                MemcpyKind::kDeviceToHost)
                   .ok());
   EXPECT_EQ(out, bdata);
-}
-
-// ---- tiered-execution promotion state ---------------------------------------
-
-TEST(ModuleTierStateTest, PromotesByLaunchHeatExactlyOnce) {
-  auto parsed = ptx::Parse(SamplePtx());
-  ASSERT_TRUE(parsed.ok());
-  ModuleTierState state(ptxexec::CompiledModule::Compile(*parsed));
-  TierPolicy policy;
-  policy.tier1_launch_threshold = 3;
-  policy.tier2_launch_threshold = 5;
-
-  for (int i = 1; i <= 2; ++i) {
-    auto d = state.OnLaunch(policy);
-    EXPECT_EQ(d.tier, ptxexec::ExecTier::kCompiled) << "launch " << i;
-    EXPECT_EQ(d.program, nullptr);
-    EXPECT_FALSE(d.promoted_tier1 || d.promoted_tier2);
-  }
-  // Launch 3 crosses the tier-1 threshold: the fusion pass runs exactly here.
-  auto d3 = state.OnLaunch(policy);
-  EXPECT_EQ(d3.tier, ptxexec::ExecTier::kFused);
-  EXPECT_TRUE(d3.promoted_tier1);
-  EXPECT_FALSE(d3.promoted_tier2);
-  ASSERT_NE(d3.program, nullptr);
-  EXPECT_GT(d3.superinstructions_fused, 0u);
-  // Launch 4: same fused program, no re-promotion.
-  auto d4 = state.OnLaunch(policy);
-  EXPECT_EQ(d4.tier, ptxexec::ExecTier::kFused);
-  EXPECT_FALSE(d4.promoted_tier1);
-  EXPECT_EQ(d4.program.get(), d3.program.get()) << "fusion must run once";
-  // Launch 5 crosses tier 2; launch 6 stays there without re-announcing.
-  auto d5 = state.OnLaunch(policy);
-  EXPECT_EQ(d5.tier, ptxexec::ExecTier::kThreaded);
-  EXPECT_TRUE(d5.promoted_tier2);
-  EXPECT_FALSE(d5.promoted_tier1);
-  auto d6 = state.OnLaunch(policy);
-  EXPECT_EQ(d6.tier, ptxexec::ExecTier::kThreaded);
-  EXPECT_FALSE(d6.promoted_tier1 || d6.promoted_tier2);
-  EXPECT_EQ(state.launches(), 6u);
-}
-
-TEST(ModuleTierStateTest, DisabledPolicyAccruesHeatWithoutPromoting) {
-  auto parsed = ptx::Parse(SamplePtx());
-  ASSERT_TRUE(parsed.ok());
-  ModuleTierState state(ptxexec::CompiledModule::Compile(*parsed));
-  TierPolicy disabled;
-  disabled.enabled = false;
-  disabled.tier1_launch_threshold = 2;
-  disabled.tier2_launch_threshold = 4;
-  for (int i = 0; i < 10; ++i) {
-    auto d = state.OnLaunch(disabled);
-    EXPECT_EQ(d.tier, ptxexec::ExecTier::kCompiled);
-    EXPECT_EQ(d.program, nullptr);
-  }
-  EXPECT_EQ(state.launches(), 10u);
-  // Heat accrued while disabled: flipping the policy on promotes the module
-  // straight through both tiers on its very next launch.
-  TierPolicy enabled = disabled;
-  enabled.enabled = true;
-  auto d = state.OnLaunch(enabled);
-  EXPECT_EQ(d.tier, ptxexec::ExecTier::kThreaded);
-  EXPECT_TRUE(d.promoted_tier1);
-  EXPECT_TRUE(d.promoted_tier2);
-}
-
-TEST(ModuleTierStateTest, ZeroThresholdDisablesThatTier) {
-  auto parsed = ptx::Parse(SamplePtx());
-  ASSERT_TRUE(parsed.ok());
-  const auto compiled = ptxexec::CompiledModule::Compile(*parsed);
-
-  // tier2 = 0: the module plateaus at tier 1 forever.
-  ModuleTierState capped(compiled);
-  TierPolicy no_tier2;
-  no_tier2.tier1_launch_threshold = 1;
-  no_tier2.tier2_launch_threshold = 0;
-  for (int i = 0; i < 20; ++i)
-    EXPECT_EQ(capped.OnLaunch(no_tier2).tier, ptxexec::ExecTier::kFused);
-
-  // tier1 = 0: the module jumps from compiled straight to threaded (the
-  // fusion pass still runs then, since tier 2 executes the fused program).
-  ModuleTierState leap(compiled);
-  TierPolicy no_tier1;
-  no_tier1.tier1_launch_threshold = 0;
-  no_tier1.tier2_launch_threshold = 2;
-  EXPECT_EQ(leap.OnLaunch(no_tier1).tier, ptxexec::ExecTier::kCompiled);
-  auto d = leap.OnLaunch(no_tier1);
-  EXPECT_EQ(d.tier, ptxexec::ExecTier::kThreaded);
-  EXPECT_TRUE(d.promoted_tier1);
-  EXPECT_TRUE(d.promoted_tier2);
-  ASSERT_NE(d.program, nullptr);
-}
-
-TEST(SandboxCacheTest, TierHeatSharedAcrossTenantsAndSurfacedInStats) {
-  // Launch heat is content-addressed: two tenants of the same PTX share one
-  // ModuleTierState through the cache slot, so their launches jointly cross
-  // the promotion thresholds — and the promotions/instruction mix land in
-  // ManagerStats and its JSON export (the MANAGER_STATS payload).
-  simcuda::Gpu gpu(simgpu::QuadroRtxA4000());
-  ManagerOptions options;
-  options.tier1_launch_threshold = 2;
-  options.tier2_launch_threshold = 3;
-  GrdManager manager(&gpu, options);
-  LoopbackTransport transport(&manager);
-  auto alice = GrdLib::Connect(&transport, 4 << 20);
-  auto bob = GrdLib::Connect(&transport, 4 << 20);
-  ASSERT_TRUE(alice.ok() && bob.ok());
-
-  const std::string source = SamplePtx();
-  auto module_a = alice->cuModuleLoadData(source);
-  auto module_b = bob->cuModuleLoadData(source);  // cache hit: shared state
-  ASSERT_TRUE(module_a.ok() && module_b.ok());
-
-  const auto launch = [&](GrdLib& lib, simcuda::ModuleId module,
-                          std::uint32_t fill) {
-    auto fn = lib.cuModuleGetFunction(module, "copyk");
-    ASSERT_TRUE(fn.ok());
-    DevicePtr in = 0, out = 0;
-    ASSERT_TRUE(lib.cudaMalloc(&in, 256).ok());
-    ASSERT_TRUE(lib.cudaMalloc(&out, 256).ok());
-    std::vector<std::uint32_t> data(64, fill);
-    ASSERT_TRUE(lib.cudaMemcpyH2D(in, data.data(), 256).ok());
-    simcuda::LaunchConfig config;
-    config.block = {64, 1, 1};
-    ASSERT_TRUE(lib.cudaLaunchKernel(*fn, config,
-                                     {KernelArg::U64(in), KernelArg::U64(out),
-                                      KernelArg::U32(64)})
-                    .ok());
-    std::uint32_t check = 0;
-    ASSERT_TRUE(lib.cudaMemcpy(&check, out, 4, MemcpyKind::kDeviceToHost).ok());
-    EXPECT_EQ(check, fill) << "tiered launch corrupted output";
-  };
-
-  // Launch 1 (alice): tier 0. Launch 2 (bob): crosses tier 1 — bob benefits
-  // from alice's heat. Launch 3 (bob): crosses tier 2.
-  launch(*alice, *module_a, 7u);
-  EXPECT_EQ(manager.stats().tier1_promotions, 0u);
-  launch(*bob, *module_b, 9u);
-  EXPECT_EQ(manager.stats().tier1_promotions, 1u);
-  EXPECT_EQ(manager.stats().tier2_promotions, 0u);
-  launch(*bob, *module_b, 11u);
-  EXPECT_EQ(manager.stats().tier1_promotions, 1u);
-  EXPECT_EQ(manager.stats().tier2_promotions, 1u);
-  EXPECT_GT(manager.stats().superinstructions_fused, 0u);
-  // One launch retired per tier.
-  EXPECT_GT(manager.stats().tier_instructions[0], 0u);
-  EXPECT_GT(manager.stats().tier_instructions[1], 0u);
-  EXPECT_GT(manager.stats().tier_instructions[2], 0u);
-
-  const std::string json = manager.stats().ToJson();
-  EXPECT_NE(json.find("\"tier1_promotions\":1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"tier2_promotions\":1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"superinstructions_fused\":"), std::string::npos);
-  EXPECT_NE(json.find("\"tier0_instructions\":"), std::string::npos);
-  EXPECT_NE(json.find("\"tier2_instructions\":"), std::string::npos);
-}
-
-TEST(SandboxCacheTest, TieringDisabledStaysAtTierZero) {
-  simcuda::Gpu gpu(simgpu::QuadroRtxA4000());
-  ManagerOptions options;
-  options.tiered_execution_enabled = false;
-  options.tier1_launch_threshold = 1;
-  options.tier2_launch_threshold = 1;
-  GrdManager manager(&gpu, options);
-  LoopbackTransport transport(&manager);
-  auto lib = GrdLib::Connect(&transport, 4 << 20);
-  ASSERT_TRUE(lib.ok());
-  auto module = lib->cuModuleLoadData(SamplePtx());
-  ASSERT_TRUE(module.ok());
-  auto fn = lib->cuModuleGetFunction(*module, "copyk");
-  ASSERT_TRUE(fn.ok());
-  DevicePtr in = 0, out = 0;
-  ASSERT_TRUE(lib->cudaMalloc(&in, 256).ok());
-  ASSERT_TRUE(lib->cudaMalloc(&out, 256).ok());
-  simcuda::LaunchConfig config;
-  config.block = {64, 1, 1};
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(lib->cudaLaunchKernel(*fn, config,
-                                      {KernelArg::U64(in), KernelArg::U64(out),
-                                       KernelArg::U32(64)})
-                    .ok());
-  }
-  ASSERT_TRUE(lib->cudaDeviceSynchronize().ok());
-  EXPECT_EQ(manager.stats().tier1_promotions, 0u);
-  EXPECT_EQ(manager.stats().tier2_promotions, 0u);
-  EXPECT_GT(manager.stats().tier_instructions[0], 0u);
-  EXPECT_EQ(manager.stats().tier_instructions[1], 0u);
-  EXPECT_EQ(manager.stats().tier_instructions[2], 0u);
 }
 
 TEST(SandboxCacheTest, ProtectionDisabledBypassesCache) {

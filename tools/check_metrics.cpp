@@ -8,8 +8,9 @@
 //                                      recovered)
 //   check_metrics stats FILE...        MANAGER_STATS objects (raw JSON, or a
 //                                      log whose "MANAGER_STATS {...}" lines
-//                                      are extracted): required counter keys
-//                                      plus per-class wait histograms
+//                                      are extracted): schema_version 2, its
+//                                      required counter keys, and per-class
+//                                      wait histograms
 //   check_metrics trace FILE [MIN]     Chrome trace-event JSON: traceEvents
 //                                      array of >= MIN events, each carrying
 //                                      name/ph/ts/pid/tid
@@ -322,16 +323,18 @@ int CheckFleet(const char* path) {
 
 // ---- stats: MANAGER_STATS object ------------------------------------------
 
-// The counters every ManagerStats export must carry (a prefix of the full
-// set — new counters may be appended, these may never vanish or be renamed).
+// The ManagerStats schema version this tool validates, and the counters
+// every export of that version must carry. A key leaves the export only
+// with a version bump; version 2 retired the tier-promotion counters and
+// the tier-0/1 instruction counts (docs/metrics.md).
+constexpr double kStatsSchemaVersion = 2;
 constexpr const char* kRequiredStatsKeys[] = {
     "launches",           "sandboxed_launches",    "native_launches",
     "transfers_checked",  "faults_contained",      "responses_dropped",
-    "ptx_modules_patched", "ptx_cache_hits",       "kernels_enqueued",
-    "preemptions",        "preemption_resumes",    "tier1_promotions",
-    "tier2_promotions",   "tier0_instructions",    "tier1_instructions",
-    "tier2_instructions", "ring_messages_read",    "ring_messages_written",
-    "sessions_adopted",   "sessions_migrated",
+    "ptx_modules_patched", "ptx_cache_hits",       "ptx_programs_compiled",
+    "kernels_enqueued",   "preemptions",           "preemption_resumes",
+    "superinstructions_fused", "tier2_instructions", "ring_messages_read",
+    "ring_messages_written", "sessions_adopted",   "sessions_migrated",
     "checkpoint_kernels_resumed",
 };
 
@@ -341,6 +344,10 @@ int CheckStatsObject(const char* path, const std::string& text) {
   if (!parser.Parse(&root)) return Complain(path, parser.error());
   if (root.kind != JsonValue::Kind::kObject)
     return Complain(path, "expected a JSON object");
+  const JsonValue* version = root.Find("schema_version");
+  if (version == nullptr || version->kind != JsonValue::Kind::kNumber ||
+      version->number != kStatsSchemaVersion)
+    return Complain(path, "schema_version is not 2");
   for (const char* key : kRequiredStatsKeys) {
     const JsonValue* value = root.Find(key);
     if (value == nullptr)
