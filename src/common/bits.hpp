@@ -11,8 +11,11 @@ constexpr bool IsPowerOfTwo(std::uint64_t v) noexcept {
   return v != 0 && (v & (v - 1)) == 0;
 }
 
-// Smallest power of two >= v (v = 0 maps to 1).
+// Smallest power of two >= v (v = 0 maps to 1), or 0 when v exceeds 2^63
+// and no uint64 power of two is that large (std::bit_ceil is undefined
+// there).
 constexpr std::uint64_t NextPowerOfTwo(std::uint64_t v) noexcept {
+  if (v > (std::uint64_t{1} << 63)) return 0;
   return std::bit_ceil(v == 0 ? std::uint64_t{1} : v);
 }
 

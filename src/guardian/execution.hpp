@@ -76,9 +76,11 @@ struct ManagerOptions {
   // One effective-priority-class boost per this much queued wait time
   // (anti-starvation aging); 0 disables aging.
   std::uint64_t aging_quantum_ns = 250'000'000;
-  // Entry cap for the content-addressed sandbox cache (LRU-evicted), so a
-  // tenant cycling unique PTX cannot grow the manager without bound.
-  std::size_t sandbox_cache_capacity = SandboxCache::kDefaultCapacity;
+  // Byte budget for the content-addressed sandbox cache (LRU-evicted), so a
+  // tenant cycling unique PTX cannot grow the manager without bound. A slot
+  // costs SandboxCache::kSlotOverheadBytes plus its source, its error
+  // message or its compiled program's bytes.
+  std::size_t sandbox_cache_bytes = SandboxCache::kDefaultCapacityBytes;
   // Executor threads draining the device scheduler's stream queues — the
   // simulated equivalent of how many kernels/copies make progress at once.
   std::size_t scheduler_executors = 2;
@@ -265,7 +267,7 @@ struct ExecutionContext {
                    ManagerStats* shared_stats = nullptr)
       : options(std::move(options_in)),
         stats(shared_stats != nullptr ? *shared_stats : owned_stats),
-        sandbox_cache(options.sandbox_cache_capacity) {
+        sandbox_cache(options.sandbox_cache_bytes) {
     devices.push_back(
         std::make_unique<DeviceState>(0, gpu_in, nullptr, options, &stats));
     for (const simgpu::DeviceSpec& spec : options.extra_devices)

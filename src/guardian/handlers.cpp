@@ -456,18 +456,15 @@ Result<ModuleLoadReq> DecodeModuleLoad(Reader& req) {
   GRD_ASSIGN_OR_RETURN(out.ptx_text, req.GetString());
   return out;
 }
-// Parse → validate → patch/compile pipeline of a module load, shared by the
-// RPC handler and the adoption replay (which re-runs it on journaled PTX;
-// the content-addressed cache makes the replay cheap when the source was
-// already patched by any worker... in-process. Across processes it
-// re-patches once).
+// The programs of a module load, shared by the RPC handler and the adoption
+// replay (which re-runs it on journaled PTX). `content_hash` is the source's
+// HashPtxSource. With protection on, the content-addressed cache answers
+// first: a hit costs the compare of the source against the cached one, and
+// only a miss parses, validates, patches and compiles. Each worker process
+// has its own cache, so an adopting worker builds a module once.
 Result<ClientModule> BuildClientModule(ExecutionContext& exec,
-                                       const std::string& ptx_text) {
-  GRD_ASSIGN_OR_RETURN(ptx::Module native, ptx::Parse(ptx_text));
-  // Reject semantically broken PTX at the trust boundary (undeclared
-  // registers, dangling branch targets, unknown parameters) before it
-  // reaches the patcher or the device.
-  GRD_RETURN_IF_ERROR(ptx::ValidateOrError(native));
+                                       const std::string& ptx_text,
+                                       std::uint64_t content_hash) {
   ClientModule module;
   if (exec.options.protection_enabled) {
     // Offline sandboxing (§4.3), served through the content-addressed cache:
@@ -478,7 +475,7 @@ Result<ClientModule> BuildClientModule(ExecutionContext& exec,
     patch_options.elision_enabled = exec.options.guard_elision_enabled;
     GRD_ASSIGN_OR_RETURN(SandboxCache::Lookup cached,
                          exec.sandbox_cache.GetOrPatch(
-                             ptx_text, native, patch_options));
+                             ptx_text, content_hash, patch_options));
     if (cached.patched_now) {
       ++exec.stats.ptx_modules_patched;
       // Guard-elision yield of this fresh patch (cache hits share the
@@ -490,7 +487,6 @@ Result<ClientModule> BuildClientModule(ExecutionContext& exec,
     } else {
       ++exec.stats.ptx_cache_hits;
     }
-    module.sandboxed = std::move(cached.module);
     module.sandboxed_compiled = std::move(cached.compiled);
     // Mirror the cache's LRU accounting into the manager stats so operators
     // see evictions next to the hit/patch counters (monotone max: a racing
@@ -509,29 +505,35 @@ Result<ClientModule> BuildClientModule(ExecutionContext& exec,
   }
   if (!exec.options.protection_enabled ||
       exec.options.standalone_fast_path) {
-    // A native (unfenced) launch is reachable: compile the unpatched kernels
-    // too, once at load, so the native path never compiles per launch.
+    // A native (unfenced) launch is reachable: parse and compile the
+    // unpatched kernels too, once at load, so the native path never
+    // compiles per launch. This path is not cached.
+    GRD_ASSIGN_OR_RETURN(ptx::Module native, ptx::Parse(ptx_text));
+    GRD_RETURN_IF_ERROR(ptx::ValidateOrError(native));
     obs::ScopedSpan compile_span("module.compile.native");
     module.native_compiled = ptxexec::CompiledModule::Compile(native);
     ++exec.stats.ptx_programs_compiled;
     exec.stats.superinstructions_fused +=
         module.native_compiled->superinstructions();
   }
-  module.native = std::move(native);
   return module;
 }
 
 Result<Writer> ExecuteModuleLoad(HandlerContext& ctx, ModuleLoadReq& req) {
-  GRD_ASSIGN_OR_RETURN(ClientModule module,
-                       BuildClientModule(ctx.exec, req.ptx_text));
+  // One hash per load: the cache and the shared intern arena both key on it.
+  const std::uint64_t content_hash = HashPtxSource(req.ptx_text);
+  GRD_ASSIGN_OR_RETURN(
+      ClientModule module,
+      BuildClientModule(ctx.exec, req.ptx_text, content_hash));
   const std::uint64_t id = ctx.session->next_module++;
   if (SharedSessionJournal* journal = JournalOf(ctx)) {
     const std::uint32_t n =
         journal->module_count.load(std::memory_order_relaxed);
-    auto interned = n < SharedSessionJournal::kMaxModules
-                        ? ctx.sessions.shared()->InternPtx(req.ptx_text)
-                        : Result<std::uint64_t>(
-                              Status(OutOfMemory("journal module slots")));
+    auto interned =
+        n < SharedSessionJournal::kMaxModules
+            ? ctx.sessions.shared()->InternPtx(req.ptx_text, content_hash)
+            : Result<std::uint64_t>(
+                  Status(OutOfMemory("journal module slots")));
     if (interned.ok()) {
       journal->modules[n] = {id, *interned};
       journal->next_module = ctx.session->next_module;
@@ -560,8 +562,11 @@ Status ValidateGetFunction(HandlerContext& ctx, const GetFunctionReq& req) {
   const auto it = ctx.session->modules.find(req.module);
   if (it == ctx.session->modules.end())
     return InvalidArgument("unknown module");
-  if (it->second.native.FindKernel(req.kernel) == nullptr)
-    return NotFound("kernel " + req.kernel + " not in module");
+  // A kernel that failed to compile still resolves here; its launch
+  // returns the compile error. Only an absent name is NotFound.
+  const auto kernel = it->second.program().Find(req.kernel);
+  if (!kernel.ok() && kernel.status().code() == StatusCode::kNotFound)
+    return kernel.status();
   return OkStatus();
 }
 Result<Writer> ExecuteGetFunction(HandlerContext& ctx, GetFunctionReq& req) {
@@ -1548,7 +1553,8 @@ Result<std::shared_ptr<ClientSession>> AdoptJournaledSession(
     auto replay = [&]() -> Status {
       GRD_ASSIGN_OR_RETURN(std::string ptx,
                            shared->PtxAt(j.modules[i].ptx_slot));
-      GRD_ASSIGN_OR_RETURN(ClientModule module, BuildClientModule(exec, ptx));
+      GRD_ASSIGN_OR_RETURN(ClientModule module,
+                           BuildClientModule(exec, ptx, HashPtxSource(ptx)));
       modules.emplace_back(j.modules[i].id, std::move(module));
       return OkStatus();
     }();

@@ -18,6 +18,12 @@ Result<PartitionBounds> PartitionAllocator::CreatePartition(
     std::uint64_t requested_bytes) {
   if (requested_bytes == 0)
     return Status(InvalidArgument("partition size must be positive"));
+  // A tenant-chosen size: anything larger than the device can never be
+  // carved, and rounding it up could leave uint64 range.
+  if (requested_bytes > device_bytes_)
+    return Status(OutOfMemory("partition of " +
+                              std::to_string(requested_bytes) +
+                              " bytes exceeds the device"));
   const std::uint64_t size = NextPowerOfTwo(requested_bytes);
   // Align to the partition size so (addr & ~(size-1)) == base for every
   // in-partition address — the precondition of the Figure 4 mask trick.

@@ -1,132 +1,144 @@
 #include "guardian/sandbox_cache.hpp"
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
+
 #include "obs/trace.hpp"
+#include "ptx/parser.hpp"
+#include "ptx/validator.hpp"
 
 namespace grd::guardian {
 
-std::uint64_t HashPtxSource(const std::string& source) noexcept {
-  std::uint64_t hash = 14695981039346656037ull;  // FNV offset basis
-  for (const char c : source) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 1099511628211ull;  // FNV prime
-  }
-  return hash;
+std::uint64_t HashPtxSource(std::string_view source) noexcept {
+  // libstdc++'s std::hash over bytes: a Murmur-style hash with a fixed seed
+  // that reads 8 bytes per step (0.13 ms for a 600 KB library, ~8x faster
+  // than hashing a byte per step).
+  return static_cast<std::uint64_t>(std::hash<std::string_view>{}(source));
 }
 
-SandboxCache::Key SandboxCache::MakeKey(
-    const std::string& source,
-    const ptxpatcher::PatchOptions& options) noexcept {
+Result<SandboxCache::Lookup> SandboxCache::GetOrPatch(
+    const std::string& source, std::uint64_t content_hash,
+    const ptxpatcher::PatchOptions& options) {
   Key key;
-  key.content_hash = HashPtxSource(source);
+  key.content_hash = content_hash;
   key.mode = static_cast<std::uint8_t>(options.mode);
   key.skip_statically_safe = options.skip_statically_safe;
   key.protect_indirect_branches = options.protect_indirect_branches;
   key.elision_enabled = options.elision_enabled;
-  return key;
-}
-
-Result<SandboxCache::Lookup> SandboxCache::GetOrPatch(
-    const std::string& source, const ptx::Module& parsed,
-    const ptxpatcher::PatchOptions& options) {
-  const Key key = MakeKey(source, options);
 
   std::shared_ptr<Slot> slot;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto& chain = slots_[key];
-    for (const auto& candidate : chain) {
-      if (candidate->source == source) {
-        slot = candidate;
-        break;
-      }
+    const auto found =
+        std::find_if(chain.begin(), chain.end(), [&](LruList::iterator entry) {
+          return (*entry)->source == source;
+        });
+    if (found != chain.end()) {
+      lru_.splice(lru_.begin(), lru_, *found);  // now the most recent
+    } else {
+      lru_.push_front(std::make_shared<Slot>());
+      lru_.front()->key = key;
+      lru_.front()->source = source;
+      chain.push_back(lru_.begin());
     }
-    if (!slot) {
-      slot = std::make_shared<Slot>();
-      slot->source = source;
-      // Source + ~patched module + ~compiled program (each estimated at
-      // source size: patched PTX is the source plus a few fences per
-      // access, and the bytecode is a constant factor of the instruction
-      // count).
-      slot->footprint_bytes = 3 * source.size();
-      chain.push_back(slot);
-      ++slot_count_;
-    }
-    slot->last_use = ++use_tick_;
-    EvictLocked();
+    slot = lru_.front();
   }
 
-  // The global lock is released: patching one module does not block loads
+  // The global lock is released: building one module does not block loads
   // of different modules. Same-module loads serialize on the slot mutex and
   // all but the first observe `done`.
   std::lock_guard<std::mutex> lock(slot->mu);
   if (slot->done) {
     if (!slot->status.ok()) return slot->status;  // cached failure, not a hit
     ++stats_.hits;
-    return Lookup{slot->module, slot->compiled, slot->patch_stats,
-                  /*patched_now=*/false};
+    return Lookup{slot->compiled, slot->patch_stats, /*patched_now=*/false};
   }
 
-  ptxpatcher::PatchStats patch_stats;
-  auto patched = [&] {
-    // Miss path only: cache hits above never reach this span, so a trace
-    // showing sandbox.patch is itself evidence of a cold module.
-    obs::ScopedSpan patch_span("sandbox.patch", source.size());
-    return ptxpatcher::PatchModule(parsed, options, &patch_stats);
-  }();
+  Build(*slot, options);
   slot->done = true;
+  {
+    // Charge the finished slot and make room for it. The slot itself is
+    // in use here, so this pass never evicts it.
+    std::lock_guard<std::mutex> cache_lock(mu_);
+    slot->footprint_bytes = kSlotOverheadBytes + slot->source.size() +
+                            slot->status.message().size() +
+                            (slot->compiled ? slot->compiled->bytes() : 0);
+    bytes_ += slot->footprint_bytes;
+    EvictLocked();
+  }
+  if (!slot->status.ok()) return slot->status;
+  return Lookup{slot->compiled, slot->patch_stats, /*patched_now=*/true};
+}
+
+void SandboxCache::Build(Slot& slot, const ptxpatcher::PatchOptions& options) {
+  // Miss path only: cache hits never reach these spans, so a trace showing
+  // sandbox.patch is itself evidence of a cold module.
+  auto parsed = [&]() -> Result<ptx::Module> {
+    obs::ScopedSpan parse_span("sandbox.parse", slot.source.size());
+    GRD_ASSIGN_OR_RETURN(ptx::Module module, ptx::Parse(slot.source));
+    // Reject semantically broken PTX at the trust boundary (undeclared
+    // registers, dangling branch targets, unknown parameters) before it
+    // reaches the patcher or the device.
+    GRD_RETURN_IF_ERROR(ptx::ValidateOrError(module));
+    return module;
+  }();
+  if (!parsed.ok()) {
+    slot.status = parsed.status();
+    return;
+  }
+  auto patched = [&] {
+    obs::ScopedSpan patch_span("sandbox.patch", slot.source.size());
+    return ptxpatcher::PatchModule(*parsed, options, &slot.patch_stats);
+  }();
   if (!patched.ok()) {
-    slot->status = patched.status();
-    return slot->status;
+    slot.status = patched.status();
+    return;
   }
   ++stats_.patches;
-  slot->patch_stats = patch_stats;
-  slot->module = std::make_shared<const ptx::Module>(std::move(*patched));
   // Compile and fuse the patched kernels while we hold the slot: the
   // compile cost rides with the patch cost, paid once per distinct source
-  // and skipped entirely by every subsequent hit.
+  // and skipped entirely by every subsequent hit. Both ASTs die on return.
   {
-    obs::ScopedSpan compile_span("sandbox.compile", source.size());
-    slot->compiled = ptxexec::CompiledModule::Compile(*slot->module);
+    obs::ScopedSpan compile_span("sandbox.compile", slot.source.size());
+    slot.compiled = ptxexec::CompiledModule::Compile(*patched);
   }
   ++stats_.compiles;
-  return Lookup{slot->module, slot->compiled, slot->patch_stats,
-                /*patched_now=*/true};
 }
 
 void SandboxCache::EvictLocked() {
-  while (slot_count_ > capacity_) {
-    // Find the least-recently-used idle slot. A slot with use_count > 1 is
-    // held by a worker (being patched or just handed out this call) and is
-    // skipped — which also protects the entry acquired above.
-    auto victim_it = slots_.end();
-    std::size_t victim_index = 0;
-    std::uint64_t oldest = 0;
-    for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-      auto& chain = it->second;
-      for (std::size_t i = 0; i < chain.size(); ++i) {
-        if (chain[i].use_count() > 1) continue;
-        if (victim_it == slots_.end() || chain[i]->last_use < oldest) {
-          victim_it = it;
-          victim_index = i;
-          oldest = chain[i]->last_use;
-        }
-      }
+  auto cursor = lru_.end();
+  while (bytes_ > capacity_bytes_ && cursor != lru_.begin()) {
+    const auto victim = std::prev(cursor);
+    // use_count > 1: a worker holds the slot (being built or just handed
+    // out) — which also protects the slot whose charge triggered this pass.
+    if (victim->use_count() > 1) {
+      cursor = victim;
+      continue;
     }
-    if (victim_it == slots_.end()) return;  // everything in flight
-    auto& chain = victim_it->second;
-    stats_.bytes_reclaimed += chain[victim_index]->footprint_bytes;
-    chain.erase(chain.begin() + victim_index);
-    // Drop the emptied map node too, or unique-source churn would grow the
-    // key map without bound while the slot count stays capped.
-    if (chain.empty()) slots_.erase(victim_it);
+    const Slot& slot = **victim;
+    bytes_ -= slot.footprint_bytes;
+    stats_.bytes_reclaimed += slot.footprint_bytes;
     ++stats_.evictions;
-    --slot_count_;
+    // Drop the emptied map node too, or unique-source churn would grow the
+    // key map without bound while the byte total stays capped.
+    const auto node = slots_.find(slot.key);
+    auto& chain = node->second;
+    chain.erase(std::find(chain.begin(), chain.end(), victim));
+    if (chain.empty()) slots_.erase(node);
+    lru_.erase(victim);
   }
 }
 
 std::size_t SandboxCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return slot_count_;
+  return lru_.size();
+}
+
+std::uint64_t SandboxCache::bytes_in_use() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return bytes_;
 }
 
 }  // namespace grd::guardian

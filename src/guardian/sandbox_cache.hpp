@@ -1,61 +1,82 @@
-// Content-addressed cache of sandboxed PTX modules and their compiled
-// programs.
+// Content-addressed cache of compiled sandboxed PTX programs.
 //
 // The paper patches every registered module per client (§4.2.3). In a
 // multi-tenant deployment N clients typically load the *same* accelerated
 // library, so the patch cost is paid N times for identical input. The cache
-// keys on (FNV-1a hash of the PTX source) × (bounds-check mode and patch
-// flags) and stores the patched module behind a shared_ptr, so N tenants
-// loading the same library patch it once and share the immutable result.
+// keys on (content hash of the PTX source) × (bounds-check mode and patch
+// flags), so N tenants loading the same library pay for it once and share
+// the immutable result.
 //
-// Each slot also stores the patched module compiled and fused by
-// ptxexec::CompiledModule::Compile (program.hpp), the program every launch
-// runs: a cache hit skips parse-output patching, verification replay AND
-// compilation, so a repeat load costs one hash plus one source compare —
-// which is what makes the cached launch path's cost independent of kernel
-// size.
+// The lookup comes first. A load hashes its source once (HashPtxSource,
+// 8 bytes per step) and compares it in full against the slot's retained
+// source, and that is all a repeat load costs: a hit returns the stored
+// program without parsing, validating, patching or compiling anything.
+// Only a miss runs Parse → ValidateOrError → PatchModule →
+// CompiledModule::Compile, under the slot's mutex, and drops both ASTs once
+// the fused program exists. A slot therefore holds its source, its status,
+// the compiled program, the patch stats and its footprint — never an AST.
+// The trust boundary does not move: a hit serves the program built from
+// bytes that passed validation, and the hash match plus the full source
+// compare prove those bytes equal the request's.
 //
-// Concurrency: a global mutex guards the slot map only; the patch itself
-// runs under a per-slot mutex, so two workers patching *different* modules
-// proceed in parallel while two workers loading the *same* module serialize
-// and the second gets the cached result. Hash collisions are handled by
-// verifying the full source text, never by trusting the hash.
+// Concurrency: a global mutex guards the slot map and LRU list only; the
+// miss itself runs under a per-slot mutex, so two workers building
+// *different* modules proceed in parallel while two workers loading the
+// *same* module serialize and the second gets the cached result. Hash
+// collisions are handled by verifying the full source text, never by
+// trusting the hash.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/status.hpp"
-#include "ptx/ast.hpp"
 #include "ptxexec/program.hpp"
 #include "ptxpatcher/patcher.hpp"
 
 namespace grd::guardian {
 
-// 64-bit FNV-1a over the module source — the cache's content address.
-std::uint64_t HashPtxSource(const std::string& source) noexcept;
+// The content address of a module source, and the only content hash in the
+// guardian layer: the sandbox cache and the shared PTX intern arena both key
+// on it, so a load hashes its source once. Reads 8 bytes per step; the
+// result is deterministic across the processes of one binary.
+std::uint64_t HashPtxSource(std::string_view source) noexcept;
 
 class SandboxCache {
  public:
-  // Entry cap: the cache is bounded (LRU eviction) so a tenant looping
-  // unique PTX sources cannot grow the trusted manager without bound.
-  // Sessions keep their module shared_ptr, so evicting an entry never
-  // invalidates an already-loaded module — a re-load just re-patches.
-  static constexpr std::size_t kDefaultCapacity = 256;
+  // Byte budget (LRU eviction) so a tenant looping unique PTX sources cannot
+  // grow the trusted manager without bound. Once its miss finishes, a slot
+  // is charged kSlotOverheadBytes plus its source, its error message (a
+  // failed build) and CompiledModule::bytes() (a successful one). Sessions
+  // keep their program shared_ptr, so evicting a slot never invalidates an
+  // already-loaded module — a re-load just rebuilds it.
+  static constexpr std::size_t kDefaultCapacityBytes = std::size_t{1} << 30;
 
-  explicit SandboxCache(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+  // What a slot costs beyond its source, message and program: the slot
+  // itself with its shared_ptr control block, its LRU list node, its share
+  // of the key map (node, chain vector, bucket) and the allocator headers
+  // of each, rounded up (a failed slot for a source of a few bytes measures
+  // about 500 B of RSS on x86-64 libstdc++, message included). Without it a
+  // tenant loading unique sources of a few bytes would be charged a few
+  // bytes per slot and could fill memory with slots long before the budget
+  // evicted any.
+  static constexpr std::size_t kSlotOverheadBytes = 512;
+
+  explicit SandboxCache(std::size_t capacity_bytes = kDefaultCapacityBytes)
+      : capacity_bytes_(capacity_bytes) {}
 
   // Successful-outcome counters, mirrored 1:1 by the manager's
   // ptx_modules_patched / ptx_cache_hits stats: `patches` counts modules
-  // successfully patched, `hits` counts loads served a cached module.
-  // Failed patches (fresh or replayed) count in neither — the error itself
-  // reaches the caller.
+  // successfully patched, `hits` counts loads served a cached program.
+  // Failed loads (parse, validate or patch; fresh or replayed) count in
+  // neither — the error itself reaches the caller.
   struct Stats {
     std::atomic<std::uint64_t> patches{0};
     std::atomic<std::uint64_t> hits{0};
@@ -64,16 +85,14 @@ class SandboxCache {
     // compiled-program cache tests key off exactly that.
     std::atomic<std::uint64_t> compiles{0};
     std::atomic<std::uint64_t> evictions{0};
-    // Approximate bytes LRU eviction reclaimed (source text retained for
-    // collision-proofing plus the patched module, estimated at source
-    // size); mirrored into ManagerStats for operators.
+    // Sum of the evicted slots' charged footprints; mirrored into
+    // ManagerStats for operators.
     std::atomic<std::uint64_t> bytes_reclaimed{0};
   };
 
   struct Lookup {
-    std::shared_ptr<const ptx::Module> module;
-    // The module's kernels compiled and fused together with the patch and
-    // cached alongside it; launches run these directly.
+    // The module's kernels patched, compiled and fused; launches run these
+    // directly.
     std::shared_ptr<const ptxexec::CompiledModule> compiled;
     // Aggregate patcher stats for the module, cached with it so the manager
     // can mirror the guard-elision counters on the load that patched
@@ -82,17 +101,22 @@ class SandboxCache {
     bool patched_now = false;  // false = served from cache
   };
 
-  // Returns the sandboxed module for `source`, patching `parsed` on first
-  // use. Patch failures are cached too: identical input yields an identical
-  // error without re-running the patcher.
+  // Returns the compiled sandboxed program for `source`, whose
+  // HashPtxSource is `content_hash`, building it on first use. Failures of
+  // any miss stage are cached too: identical input yields an identical
+  // error without re-running parse, validation or the patcher.
   Result<Lookup> GetOrPatch(const std::string& source,
-                            const ptx::Module& parsed,
+                            std::uint64_t content_hash,
                             const ptxpatcher::PatchOptions& options);
 
   const Stats& stats() const noexcept { return stats_; }
 
   // Distinct cached entries (successful and failed).
   std::size_t size() const;
+
+  // Sum of the live slots' charged footprints; at most the budget once
+  // every in-flight miss has finished.
+  std::uint64_t bytes_in_use() const;
 
  private:
   struct Key {
@@ -119,35 +143,37 @@ class SandboxCache {
     }
   };
   struct Slot {
+    Key key;             // finds the slot's chain when it is evicted
     std::mutex mu;
     std::string source;  // full text: collision-proofs the content hash
     bool done = false;
-    Status status{};  // non-OK when the cached patch failed
-    std::shared_ptr<const ptx::Module> module;
+    Status status{};  // non-OK when the cached build failed
     std::shared_ptr<const ptxexec::CompiledModule> compiled;
     ptxpatcher::PatchStats patch_stats;
-    std::uint64_t last_use = 0;  // LRU tick, guarded by the cache's mu_
-    // Estimated resident footprint charged to bytes_reclaimed on eviction:
-    // the retained source plus the patched module plus the compiled
-    // program (each approximated by the source size).
+    // Charged to bytes_ once the miss finishes and credited to
+    // bytes_reclaimed on eviction. Guarded by the cache's mu_.
     std::uint64_t footprint_bytes = 0;
   };
+  // Owns the slots, most recently used first.
+  using LruList = std::list<std::shared_ptr<Slot>>;
 
-  static Key MakeKey(const std::string& source,
-                     const ptxpatcher::PatchOptions& options) noexcept;
+  // Parse → validate → patch → compile for a slot's first load; runs under
+  // the slot mutex and fills status or compiled/patch_stats.
+  void Build(Slot& slot, const ptxpatcher::PatchOptions& options);
 
-  // Drops least-recently-used idle entries until within capacity. Requires
-  // mu_ held. Slots referenced outside the map (a worker mid-patch) are
-  // never evicted — their use_count keeps them safe.
+  // Drops least-recently-used idle slots until within the byte budget,
+  // walking from the cold end of lru_. Requires mu_ held. A slot referenced
+  // outside the list (a worker mid-build, or one just handed out) is
+  // skipped, so a pass costs the busy slots it steps over plus its victims.
   void EvictLocked();
 
-  const std::size_t capacity_;
+  const std::size_t capacity_bytes_;
   mutable std::mutex mu_;
-  std::uint64_t use_tick_ = 0;     // guarded by mu_
-  std::size_t slot_count_ = 0;     // guarded by mu_; kept in step with slots_
-  // Hash collisions chain into the vector; entries are matched by full
-  // source comparison.
-  std::unordered_map<Key, std::vector<std::shared_ptr<Slot>>, KeyHash> slots_;
+  std::uint64_t bytes_ = 0;  // guarded by mu_; sum of footprints
+  LruList lru_;              // guarded by mu_
+  // Guarded by mu_. Hash collisions chain into the vector; entries are
+  // matched by full source comparison.
+  std::unordered_map<Key, std::vector<LruList::iterator>, KeyHash> slots_;
   Stats stats_;
 };
 

@@ -39,23 +39,25 @@
 
 #include "guardian/bounds_table.hpp"
 #include "guardian/gpu_scheduler.hpp"
-#include "ptx/ast.hpp"
 #include "ptxexec/program.hpp"
 
 namespace grd::guardian {
 
+// A loaded module is only its fused bytecode programs
+// (ptxexec::CompiledModule), the ones the launch path runs; no AST outlives
+// the load. `sandboxed_compiled` is owned by the SandboxCache and shared
+// across tenants loading identical PTX (null when protection is disabled);
+// `native_compiled` is compiled at load time and only when a native
+// (unfenced) launch is reachable — protection off or the standalone fast
+// path armed.
 struct ClientModule {
-  ptx::Module native;
-  // Owned by the SandboxCache and shared across tenants loading identical
-  // PTX; null when protection is disabled.
-  std::shared_ptr<const ptx::Module> sandboxed;
-  // Fused bytecode programs (ptxexec::CompiledModule) the launch path
-  // actually runs: `sandboxed_compiled` comes from the sandbox cache with the
-  // patch; `native_compiled` is compiled at load time and only when a native
-  // (unfenced) launch is reachable — protection off or the standalone fast
-  // path armed.
   std::shared_ptr<const ptxexec::CompiledModule> sandboxed_compiled;
   std::shared_ptr<const ptxexec::CompiledModule> native_compiled;
+
+  // Either program resolves kernel names: patching never renames a kernel.
+  const ptxexec::CompiledModule& program() const {
+    return sandboxed_compiled ? *sandboxed_compiled : *native_compiled;
+  }
 };
 
 struct FunctionEntry {

@@ -17,17 +17,6 @@ constexpr std::uint64_t AlignUp(std::uint64_t value, std::uint64_t align) {
 constexpr std::uint64_t kSlotAlign = 64;
 constexpr std::uint64_t kRingAlign = 4096;
 
-// FNV-1a — the intern arena dedupes on (hash, size) then byte-compares, so
-// collision quality only affects the number of compares, not correctness.
-std::uint64_t HashBytes(const char* data, std::size_t size) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<std::uint8_t>(data[i]);
-    hash *= 1099511628211ull;
-  }
-  return hash != 0 ? hash : 1;  // 0 means "slot free"
-}
-
 }  // namespace
 
 std::uint64_t SharedServingState::RegionSize(
@@ -238,8 +227,11 @@ std::size_t SharedServingState::AdoptSessionsOfWorker(
   return adopted;
 }
 
-Result<std::uint64_t> SharedServingState::InternPtx(const std::string& source) {
-  const std::uint64_t hash = HashBytes(source.data(), source.size());
+Result<std::uint64_t> SharedServingState::InternPtx(
+    const std::string& source, std::uint64_t content_hash) {
+  // The arena dedupes on (hash, size) then byte-compares, so collision
+  // quality only affects the number of compares, not correctness.
+  const std::uint64_t hash = content_hash != 0 ? content_hash : 1;  // 0 = free
   ipc::RobustLock lock(registry_mu_);
   if (lock.recovered()) RepairRegistry();
   auto* slots = At<SharedPtxSlot>(ptx_slots_offset_);

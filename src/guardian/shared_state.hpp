@@ -164,8 +164,8 @@ struct SharedSessionSlot {
   SharedSessionJournal journal;
 };
 
-// One interned PTX source in the shared arena (deduplicated by FNV hash +
-// full byte compare). Slots are write-once under the registry mutex;
+// One interned PTX source in the shared arena (deduplicated by content hash
+// + full byte compare). Slots are write-once under the registry mutex;
 // `ready` is published last so lock-free readers never see a half copy.
 struct SharedPtxSlot {
   std::atomic<std::uint64_t> hash{0};
@@ -290,9 +290,11 @@ class SharedServingState {
 
   // ---- PTX intern arena (any process) ----
 
-  // Interns `source` (deduplicating on content) and returns its slot index,
-  // or ResourceExhausted when slots/bytes run out. Takes the registry mutex.
-  Result<std::uint64_t> InternPtx(const std::string& source);
+  // Interns `source`, whose HashPtxSource is `content_hash` (deduplicating
+  // on content), and returns its slot index, or ResourceExhausted when
+  // slots/bytes run out. Takes the registry mutex.
+  Result<std::uint64_t> InternPtx(const std::string& source,
+                                  std::uint64_t content_hash);
 
   // The bytes of a previously interned source; InvalidArgument for an
   // out-of-range or unpublished slot.

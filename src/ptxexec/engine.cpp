@@ -366,6 +366,9 @@ class BlockExec {
     const std::size_t width = inst.width;
     const std::uint64_t addr = ReadOp(t, regs, inst.a) +
                                static_cast<std::uint64_t>(inst.mem_offset);
+    if (scalar::MisalignedGlobal(addr, width * inst.sub)) [[unlikely]]
+      return Fault(scalar::MisalignedAccess(addr, width * inst.sub, false),
+                   addr, t);
     if (inst.sub > 1) {
       for (int lane = 0; lane < inst.sub; ++lane) {
         auto bits = LoadSized(addr + lane * width, width);
@@ -387,6 +390,9 @@ class BlockExec {
     const std::size_t width = inst.width;
     const std::uint64_t addr = ReadOp(t, regs, inst.a) +
                                static_cast<std::uint64_t>(inst.mem_offset);
+    if (scalar::MisalignedGlobal(addr, width * inst.sub)) [[unlikely]]
+      return Fault(scalar::MisalignedAccess(addr, width * inst.sub, true),
+                   addr, t);
     if (inst.sub > 1) {
       for (int lane = 0; lane < inst.sub; ++lane) {
         const Status s =

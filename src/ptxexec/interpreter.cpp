@@ -335,6 +335,9 @@ Status BlockExecutor::Step(ThreadState& t, StepOutcome* outcome) {
     }
     GRD_ASSIGN_OR_RETURN(std::uint64_t addr, ResolveAddress(t, ops[1]));
     const int lanes = inst.VectorWidth();
+    if (scalar::MisalignedGlobal(addr, width * lanes))
+      return Fault(scalar::MisalignedAccess(addr, width * lanes, false), addr,
+                   t);
     if (lanes > 1) {
       for (int lane = 0; lane < lanes; ++lane) {
         auto bits = LoadSized(addr + lane * width, width);
@@ -358,6 +361,9 @@ Status BlockExecutor::Step(ThreadState& t, StepOutcome* outcome) {
   if (opc == "st") {
     GRD_ASSIGN_OR_RETURN(std::uint64_t addr, ResolveAddress(t, ops[0]));
     const int lanes = inst.VectorWidth();
+    if (scalar::MisalignedGlobal(addr, width * lanes))
+      return Fault(scalar::MisalignedAccess(addr, width * lanes, true), addr,
+                   t);
     if (lanes > 1) {
       for (int lane = 0; lane < lanes; ++lane) {
         CountStringLookup();

@@ -695,6 +695,26 @@ CompiledKernel FuseKernel(CompiledKernel out) {
   return out;
 }
 
+namespace {
+
+template <typename T>
+std::uint64_t VectorBytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+std::uint64_t KernelBytes(const CompiledKernel& k) {
+  std::uint64_t bytes = sizeof(CompiledKernel) + k.name.capacity() +
+                        VectorBytes(k.code) + VectorBytes(k.branch_tables) +
+                        VectorBytes(k.strings) + VectorBytes(k.fused_code) +
+                        VectorBytes(k.fused_micro);
+  for (const BranchTable& table : k.branch_tables)
+    bytes += VectorBytes(table.pcs) + VectorBytes(table.label_strings);
+  for (const std::string& s : k.strings) bytes += s.capacity();
+  return bytes;
+}
+
+}  // namespace
+
 std::shared_ptr<const CompiledModule> CompiledModule::Compile(
     const ptx::Module& module) {
   auto compiled = std::make_shared<CompiledModule>();
@@ -707,12 +727,16 @@ std::shared_ptr<const CompiledModule> CompiledModule::Compile(
       auto fused = std::make_shared<const CompiledKernel>(
           FuseKernel(std::move(*result)));
       compiled->superinstructions_ += fused->super_count;
+      compiled->bytes_ += KernelBytes(*fused);
       entry.kernel = std::move(fused);
     } else {
       entry.error = result.status();
     }
+    compiled->bytes_ += entry.name.capacity();
     compiled->entries_.push_back(std::move(entry));
   }
+  compiled->bytes_ +=
+      sizeof(CompiledModule) + VectorBytes(compiled->entries_);
   return compiled;
 }
 

@@ -234,7 +234,8 @@ class CompiledModule {
       const ptx::Module& module);
 
   // The fused kernel, NotFound ("kernel X not in module" — the reference
-  // engine's message) for unknown names, or the kernel's compile error.
+  // engine's message) for unknown names, or the kernel's compile error
+  // (never NotFound: compilation fails only with InvalidArgument).
   Result<std::shared_ptr<const CompiledKernel>> Find(
       std::string_view kernel_name) const;
 
@@ -242,6 +243,11 @@ class CompiledModule {
   std::uint64_t superinstructions() const noexcept {
     return superinstructions_;
   }
+
+  // Heap bytes the program holds: the module and its entries plus every
+  // compiled kernel's arrays (code, fused code, micro ops, branch tables,
+  // string pool). Computed once by Compile.
+  std::uint64_t bytes() const noexcept { return bytes_; }
 
  private:
   struct Entry {
@@ -251,6 +257,7 @@ class CompiledModule {
   };
   std::vector<Entry> entries_;
   std::uint64_t superinstructions_ = 0;
+  std::uint64_t bytes_ = 0;
 };
 
 }  // namespace grd::ptxexec

@@ -1,18 +1,39 @@
-// Scalar bit-manipulation helpers shared by the compiled engine
-// (program.cpp) and the reference engine (interpreter.cpp). Both engines
-// must produce bit-identical results — the parity suite compares their
-// outputs — so the width masking / sign extension / float reinterpretation
-// primitives live here exactly once.
+// Scalar helpers shared by the engine (engine.cpp) and the reference
+// engine (interpreter.cpp). Both engines must produce bit-identical results
+// and identical faults — the parity suite compares them — so the width
+// masking / sign extension / float reinterpretation primitives and the
+// alignment rule live here exactly once.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <string>
+
+#include "common/status.hpp"
+#include "common/strings.hpp"
 
 namespace grd::ptxexec::scalar {
 
 // Shared-memory addresses are tagged so fenced global arithmetic can never
 // collide with them (fencing applies only to global/local accesses anyway).
 inline constexpr std::uint64_t kSharedTag = 0x4000'0000'0000'0000ull;
+
+// A GPU faults a global access whose address is not a multiple of its full
+// size (type width x vector lanes: 1..8 x 1/2/4, always a power of two).
+// Both engines check before the access policy sees the address, so a
+// misaligned pointer can never straddle a partition end past a fence.
+// Shared-segment accesses are bounds-checked per block instead.
+inline bool MisalignedGlobal(std::uint64_t addr, std::size_t bytes) {
+  return (addr & (bytes - 1)) != 0 && (addr & kSharedTag) == 0;
+}
+
+// The one status both engines fault a misaligned global access with.
+inline Status MisalignedAccess(std::uint64_t addr, std::size_t bytes,
+                               bool is_store) {
+  return InvalidArgument("device fault: misaligned " + std::to_string(bytes) +
+                         "-byte " + (is_store ? "store" : "load") + " at " +
+                         ToHex(addr));
+}
 
 inline std::uint64_t MaskToWidth(std::uint64_t v, std::size_t bytes) {
   if (bytes >= 8) return v;

@@ -70,6 +70,10 @@ TEST(Bits, PowerOfTwo) {
   EXPECT_EQ(NextPowerOfTwo(1), 1u);
   EXPECT_EQ(NextPowerOfTwo(17), 32u);
   EXPECT_EQ(NextPowerOfTwo(1u << 20), 1u << 20);
+  EXPECT_EQ(NextPowerOfTwo(1ull << 63), 1ull << 63);
+  // No uint64 power of two is >= these: 0, never undefined behavior.
+  EXPECT_EQ(NextPowerOfTwo((1ull << 63) + 1), 0u);
+  EXPECT_EQ(NextPowerOfTwo(~std::uint64_t{0}), 0u);
 }
 
 TEST(Bits, Alignment) {

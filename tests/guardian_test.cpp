@@ -414,6 +414,19 @@ TEST(PartitionAllocatorTest, PowerOfTwoSizeAlignedPartitions) {
   EXPECT_TRUE(p1->end() <= p2->base || p2->end() <= p1->base);
 }
 
+TEST(PartitionAllocatorTest, OversizedRequestsFailCleanly) {
+  // Tenant-chosen sizes beyond the device, up to ones with no uint64
+  // power of two above them, fail as OutOfMemory without rounding up.
+  PartitionAllocator alloc(1ull << 30);
+  const std::uint64_t kOversized[] = {(1ull << 30) + 1, (1ull << 63) + 1,
+                                      ~std::uint64_t{0}};
+  for (const std::uint64_t bytes : kOversized) {
+    auto p = alloc.CreatePartition(bytes);
+    ASSERT_FALSE(p.ok()) << bytes;
+    EXPECT_EQ(p.status().code(), StatusCode::kOutOfMemory) << bytes;
+  }
+}
+
 TEST(PartitionAllocatorTest, SuballocationsStayInside) {
   PartitionAllocator alloc(1ull << 30);
   auto p = alloc.CreatePartition(1ull << 20);

@@ -283,9 +283,8 @@ class SnippetParity : public ::testing::Test {
  protected:
   // The ptxexec_arith_test harness shape: %rd1 = out pointer, %rd2/%rd3 =
   // u64 args a/b.
-  void Check(const std::string& body, std::uint64_t a = 0,
-             std::uint64_t b = 0) {
-    const std::string src = R"(
+  static std::string Source(const std::string& body) {
+    return R"(
 .version 7.7
 .target sm_86
 .address_size 64
@@ -305,13 +304,22 @@ class SnippetParity : public ::testing::Test {
     ret;
 }
 )";
-    auto module = ptx::Parse(src);
-    ASSERT_TRUE(module.ok()) << module.status() << "\n" << body;
-    LaunchParams params;
-    params.args = {KernelArg::U64(0x1000), KernelArg::U64(a),
-                   KernelArg::U64(b)};
-    ExpectParity(*module, "t", params);
   }
+
+  static LaunchParams Params(std::uint64_t a = 0, std::uint64_t b = 0) {
+    LaunchParams params;
+    params.args = {KernelArg::U64(kOut), KernelArg::U64(a), KernelArg::U64(b)};
+    return params;
+  }
+
+  void Check(const std::string& body, std::uint64_t a = 0,
+             std::uint64_t b = 0) {
+    auto module = ptx::Parse(Source(body));
+    ASSERT_TRUE(module.ok()) << module.status() << "\n" << body;
+    ExpectParity(*module, "t", Params(a, b));
+  }
+
+  static constexpr std::uint64_t kOut = 0x1000;  // %rd1
 };
 
 TEST_F(SnippetParity, IntegerArithmetic) {
@@ -380,8 +388,48 @@ TEST_F(SnippetParity, PredicatesAndSelp) {
 TEST_F(SnippetParity, VectorLoadsStores) {
   Check("mov.u32 %r1, 0x11; mov.u32 %r2, 0x22; mov.u32 %r3, 0x33; "
         "mov.u32 %r4, 0x44; st.global.v4.u32 [%rd1], {%r1, %r2, %r3, %r4}; "
-        "ld.global.v2.u32 {%r5, %r6}, [%rd1+4]; add.u32 %r7, %r5, %r6; "
+        "ld.global.v2.u32 {%r5, %r6}, [%rd1+8]; add.u32 %r7, %r5, %r6; "
         "st.global.u32 [%rd1+16], %r7;");
+}
+
+TEST_F(SnippetParity, MisalignedGlobalAccessFaultsIdentically) {
+  // A global access must be aligned to its full size (width x lanes), as on
+  // a GPU: both engines fault before the access, with one status and the
+  // same fault address, and memory stays untouched.
+  struct Case {
+    const char* body;
+    std::uint64_t address;
+    const char* what;
+  };
+  const Case cases[] = {
+      {"ld.global.u32 %r1, [%rd1+2]; st.global.u32 [%rd1], %r1;", kOut + 2,
+       "misaligned 4-byte load"},
+      {"mov.u32 %r1, 7; st.global.u32 [%rd1+6], %r1;", kOut + 6,
+       "misaligned 4-byte store"},
+      // 4-byte aligned, but a v4.u32 access is 16 bytes wide.
+      {"mov.u32 %r1, 1; mov.u32 %r2, 2; mov.u32 %r3, 3; mov.u32 %r4, 4; "
+       "st.global.v4.u32 [%rd1+4], {%r1, %r2, %r3, %r4};",
+       kOut + 4, "misaligned 16-byte store"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.body);
+    Check(c.body);
+    auto module = ptx::Parse(Source(c.body));
+    ASSERT_TRUE(module.ok()) << module.status();
+    simgpu::GlobalMemory memory(kMemBytes);
+    simgpu::AllowAllPolicy allow_all;
+    Interpreter interp(&memory, &allow_all, 1);
+    auto run = interp.Execute(*module, "t", Params());
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(run.status().message().find(c.what), std::string::npos)
+        << run.status();
+    EXPECT_EQ(interp.last_fault().address, c.address);
+    // No lane of a faulting access reaches memory.
+    std::uint8_t bytes[32] = {};
+    ASSERT_TRUE(memory.Read(kOut, bytes, sizeof(bytes)).ok());
+    for (const std::uint8_t byte : bytes) EXPECT_EQ(byte, 0u);
+  }
 }
 
 TEST_F(SnippetParity, SharedMemoryViaIdentifier) {

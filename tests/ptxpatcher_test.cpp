@@ -366,7 +366,9 @@ class EscapeRecorder final : public simgpu::AccessPolicy {
 // elision on and off, and the kernel's data pointer honest or hostile. The
 // fencing modes must complete (their fences wrap every address into the
 // partition); checking mode may stop, but only with its bounds-check trap.
-// No mode may ever touch memory outside the partition.
+// A misaligned data pointer may stop every mode, but only with the engine's
+// misaligned-access fault (or checking mode's trap). No mode may ever touch
+// memory outside the partition.
 class PatchedRandomKernels
     : public ::testing::TestWithParam<std::tuple<int, int, bool, bool, int>> {
 };
@@ -380,10 +382,11 @@ TEST_P(PatchedRandomKernels, NeverEscapesPartition) {
   const std::uint64_t base = 1ull << 20;
   const std::uint64_t size = 1ull << 20;
   // Honest, then hostile: the last word, one past the end, another tenant's
-  // memory, a pointer whose offsets wrap around zero, and null.
+  // memory, a pointer whose offsets wrap around zero, null, and a misaligned
+  // pointer whose fenced 4-byte accesses would straddle the partition end.
   const std::uint64_t kDataPointers[] = {
       base, base + size - 4, base + size, 4ull << 20, 0xFFFFFFFFFFFFFFF0ull,
-      0};
+      0,    base + size - 2};
   const std::uint64_t data = kDataPointers[pointer_index];
 
   const Kernel kernel =
@@ -419,6 +422,20 @@ TEST_P(PatchedRandomKernels, NeverEscapesPartition) {
   auto stats = interp.Execute(m, "rk", params);
 
   EXPECT_EQ(policy.escapes(), 0u) << "first escape: " << policy.first_escape();
+  if (data % 4 != 0) {
+    if (!stats.ok()) {
+      const Status& status = stats.status();
+      const bool misaligned =
+          status.code() == StatusCode::kInvalidArgument &&
+          status.message().find("misaligned 4-byte") != std::string::npos;
+      const bool trap =
+          mode == BoundsCheckMode::kChecking &&
+          status.code() == StatusCode::kOutOfRange &&
+          status.message().find("bounds check trap") != std::string::npos;
+      EXPECT_TRUE(misaligned || trap) << status;
+    }
+    return;
+  }
   if (mode == BoundsCheckMode::kChecking && data != base) {
     if (!stats.ok()) {
       EXPECT_EQ(stats.status().code(), StatusCode::kOutOfRange);
@@ -437,7 +454,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PatchedRandomKernels,
                                             ::testing::Values(0, 1, 2),
                                             ::testing::Bool(),
                                             ::testing::Bool(),
-                                            ::testing::Range(0, 6)));
+                                            ::testing::Range(0, 7)));
 
 // ---- Register model (Figure 9) ----------------------------------------
 

@@ -1,10 +1,14 @@
 // SandboxCache coverage: content-addressed patch sharing across tenants,
-// mode-keyed entries, collision safety and concurrent loads.
+// mode-keyed entries, collision safety, concurrent loads, cached load
+// failures, the byte budget, and name resolution against compiled programs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "guardian/grdlib.hpp"
@@ -14,6 +18,7 @@
 #include "ptx/generator.hpp"
 #include "ptx/parser.hpp"
 #include "ptx/printer.hpp"
+#include "ptx/validator.hpp"
 #include "simgpu/device_spec.hpp"
 
 namespace grd::guardian {
@@ -25,22 +30,54 @@ using simcuda::MemcpyKind;
 
 std::string SamplePtx() { return ptx::Print(ptx::MakeSampleModule()); }
 
+Result<SandboxCache::Lookup> Load(SandboxCache& cache,
+                                  const std::string& source,
+                                  const ptxpatcher::PatchOptions& options) {
+  return cache.GetOrPatch(source, HashPtxSource(source), options);
+}
+
+// True when `kernel` of `program` executes a rem — the modulo fence's op.
+bool HasRem(const ptxexec::CompiledModule& program, const std::string& kernel) {
+  auto compiled = program.Find(kernel);
+  if (!compiled.ok()) return false;
+  for (const ptxexec::CompiledInst& inst : (*compiled)->code)
+    if (inst.op == ptxexec::COp::kBinary &&
+        static_cast<ptxexec::BinAlu>(inst.sub) == ptxexec::BinAlu::kRem)
+      return true;
+  return false;
+}
+
+// One kernel that validates but cannot compile: its 4 x 16,384 distinct
+// registers exceed the compiler's uint16 register slots.
+std::string TooManyRegistersPtx() {
+  constexpr int kInstructions = 16'384;
+  std::string ptx =
+      ".version 7.7\n.target sm_86\n.address_size 64\n"
+      ".visible .entry wide(.param .u64 p)\n{\n"
+      "    .reg .b32 %r<" + std::to_string(4 * kInstructions) + ">;\n";
+  for (int i = 0; i < kInstructions; ++i) {
+    const std::string r = "%r" + std::to_string(4 * i);
+    ptx += "    mad.lo.u32 " + r + ", %r" + std::to_string(4 * i + 1) +
+           ", %r" + std::to_string(4 * i + 2) + ", %r" +
+           std::to_string(4 * i + 3) + ";\n";
+  }
+  return ptx + "    ret;\n}\n";
+}
+
 TEST(SandboxCacheTest, SecondLookupOfIdenticalSourceHitsCache) {
   SandboxCache cache;
   const std::string source = SamplePtx();
-  auto parsed = ptx::Parse(source);
-  ASSERT_TRUE(parsed.ok());
   ptxpatcher::PatchOptions options;
 
-  auto first = cache.GetOrPatch(source, *parsed, options);
+  auto first = Load(cache, source, options);
   ASSERT_TRUE(first.ok()) << first.status();
   EXPECT_TRUE(first->patched_now);
 
-  auto second = cache.GetOrPatch(source, *parsed, options);
+  auto second = Load(cache, source, options);
   ASSERT_TRUE(second.ok());
   EXPECT_FALSE(second->patched_now);
-  // Shared immutable module, not a copy.
-  EXPECT_EQ(first->module.get(), second->module.get());
+  // Shared immutable program, not a copy.
+  EXPECT_EQ(first->compiled.get(), second->compiled.get());
 
   EXPECT_EQ(cache.stats().patches, 1u);
   EXPECT_EQ(cache.stats().hits, 1u);
@@ -50,8 +87,6 @@ TEST(SandboxCacheTest, SecondLookupOfIdenticalSourceHitsCache) {
 TEST(SandboxCacheTest, DifferentBoundsCheckModesDoNotCollide) {
   SandboxCache cache;
   const std::string source = SamplePtx();
-  auto parsed = ptx::Parse(source);
-  ASSERT_TRUE(parsed.ok());
 
   ptxpatcher::PatchOptions bitwise;
   bitwise.mode = ptxpatcher::BoundsCheckMode::kFencingBitwise;
@@ -60,35 +95,34 @@ TEST(SandboxCacheTest, DifferentBoundsCheckModesDoNotCollide) {
   ptxpatcher::PatchOptions checking;
   checking.mode = ptxpatcher::BoundsCheckMode::kChecking;
 
-  auto a = cache.GetOrPatch(source, *parsed, bitwise);
-  auto b = cache.GetOrPatch(source, *parsed, modulo);
-  auto c = cache.GetOrPatch(source, *parsed, checking);
+  auto a = Load(cache, source, bitwise);
+  auto b = Load(cache, source, modulo);
+  auto c = Load(cache, source, checking);
   ASSERT_TRUE(a.ok() && b.ok() && c.ok());
   EXPECT_TRUE(a->patched_now);
   EXPECT_TRUE(b->patched_now);
   EXPECT_TRUE(c->patched_now);
-  EXPECT_NE(a->module.get(), b->module.get());
-  EXPECT_NE(b->module.get(), c->module.get());
+  EXPECT_NE(a->compiled.get(), b->compiled.get());
+  EXPECT_NE(b->compiled.get(), c->compiled.get());
   EXPECT_EQ(cache.stats().patches, 3u);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.size(), 3u);
 
-  // Instrumentation genuinely differs across modes (the bitwise module
-  // fences with and/or, the modulo module with rem).
-  EXPECT_NE(ptx::Print(*a->module), ptx::Print(*b->module));
+  // Instrumentation genuinely differs across modes (the bitwise program
+  // fences with and/or, the modulo program with rem).
+  EXPECT_TRUE(HasRem(*b->compiled, "copyk"));
+  EXPECT_FALSE(HasRem(*a->compiled, "copyk"));
 }
 
 TEST(SandboxCacheTest, PatchFlagVariantsAreDistinctEntries) {
   SandboxCache cache;
   const std::string source = SamplePtx();
-  auto parsed = ptx::Parse(source);
-  ASSERT_TRUE(parsed.ok());
 
   ptxpatcher::PatchOptions plain;
   ptxpatcher::PatchOptions skip_safe = plain;
   skip_safe.skip_statically_safe = true;
-  auto a = cache.GetOrPatch(source, *parsed, plain);
-  auto b = cache.GetOrPatch(source, *parsed, skip_safe);
+  auto a = Load(cache, source, plain);
+  auto b = Load(cache, source, skip_safe);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_TRUE(b->patched_now);  // not served from the plain entry
   EXPECT_EQ(cache.stats().patches, 2u);
@@ -102,17 +136,15 @@ TEST(SandboxCacheTest, GuardElisionFlagKeysDistinctEntries) {
   m.kernels.push_back(ptx::MakeRepeatedRmwKernel("rmw", 4));
   m.kernels.push_back(ptx::MakePointerWalkKernel("walk", 2));
   const std::string source = ptx::Print(m);
-  auto parsed = ptx::Parse(source);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
 
   ptxpatcher::PatchOptions full;
   ptxpatcher::PatchOptions elide = full;
   elide.elision_enabled = true;
-  auto a = cache.GetOrPatch(source, *parsed, full);
-  auto b = cache.GetOrPatch(source, *parsed, elide);
+  auto a = Load(cache, source, full);
+  auto b = Load(cache, source, elide);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_TRUE(b->patched_now);
-  EXPECT_NE(a->module.get(), b->module.get());
+  EXPECT_NE(a->compiled.get(), b->compiled.get());
   EXPECT_EQ(cache.stats().patches, 2u);
 
   // The aggregate patch stats ride with the slot: the fresh elided patch
@@ -120,41 +152,176 @@ TEST(SandboxCacheTest, GuardElisionFlagKeysDistinctEntries) {
   EXPECT_EQ(a->patch_stats.guards_elided, 0u);
   EXPECT_GT(b->patch_stats.guards_elided, 0u);
   EXPECT_EQ(b->patch_stats.loop_range_checks, 1u);
-  auto b2 = cache.GetOrPatch(source, *parsed, elide);
+  auto b2 = Load(cache, source, elide);
   ASSERT_TRUE(b2.ok());
   EXPECT_FALSE(b2->patched_now);
   EXPECT_EQ(b2->patch_stats.guards_elided, b->patch_stats.guards_elided);
 }
 
 TEST(SandboxCacheTest, CapacityIsEnforcedWithLruEviction) {
-  SandboxCache cache(/*capacity=*/2);
   ptxpatcher::PatchOptions options;
   // Three distinct sources: version-comment variants of the sample module.
   std::vector<std::string> sources;
   for (int i = 0; i < 3; ++i)
     sources.push_back(SamplePtx() + "\n// variant " + std::to_string(i));
-  std::vector<ptx::Module> parsed;
+  // Each slot's footprint, as an unbounded cache charges it.
+  std::vector<std::uint64_t> footprint;
+  SandboxCache sizing;
   for (const auto& source : sources) {
-    auto module = ptx::Parse(source);
-    ASSERT_TRUE(module.ok());
-    parsed.push_back(std::move(*module));
+    const std::uint64_t before = sizing.bytes_in_use();
+    auto built = Load(sizing, source, options);
+    ASSERT_TRUE(built.ok()) << built.status();
+    footprint.push_back(sizing.bytes_in_use() - before);
   }
+  // A byte budget that holds any two of the modules but never all three.
+  const std::uint64_t budget =
+      2 * std::max({footprint[0], footprint[1], footprint[2]});
+  ASSERT_LT(budget, footprint[0] + footprint[1] + footprint[2]);
+  SandboxCache cache(budget);
 
-  ASSERT_TRUE(cache.GetOrPatch(sources[0], parsed[0], options).ok());
-  ASSERT_TRUE(cache.GetOrPatch(sources[1], parsed[1], options).ok());
+  ASSERT_TRUE(Load(cache, sources[0], options).ok());
+  ASSERT_TRUE(Load(cache, sources[1], options).ok());
   EXPECT_EQ(cache.size(), 2u);
   // Third entry evicts the least-recently-used (source 0).
-  ASSERT_TRUE(cache.GetOrPatch(sources[2], parsed[2], options).ok());
+  ASSERT_TRUE(Load(cache, sources[2], options).ok());
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().bytes_reclaimed, footprint[0]);
   // Source 1 is still cached; source 0 must be re-patched.
-  auto hit = cache.GetOrPatch(sources[1], parsed[1], options);
+  auto hit = Load(cache, sources[1], options);
   ASSERT_TRUE(hit.ok());
   EXPECT_FALSE(hit->patched_now);
-  auto repatch = cache.GetOrPatch(sources[0], parsed[0], options);
+  auto repatch = Load(cache, sources[0], options);
   ASSERT_TRUE(repatch.ok());
   EXPECT_TRUE(repatch->patched_now);
   EXPECT_EQ(cache.stats().evictions, 2u);
+  // The second victim was source 2 (source 1's hit made it the newer one),
+  // and eviction credits exactly what each slot was charged.
+  EXPECT_EQ(cache.stats().bytes_reclaimed, footprint[0] + footprint[2]);
+  auto kept = Load(cache, sources[1], options);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_FALSE(kept->patched_now);
+}
+
+TEST(SandboxCacheTest, MalformedPtxFailsIdenticallyWithoutPatching) {
+  // Parse and validation failures are cached like patch failures: the
+  // second load replays the first one's status from the same slot, and
+  // neither reaches the patcher or the compiler.
+  const std::string unparsable = ".version 7.7\n.visible .entry k( {";
+  const std::string invalid = R"(.version 7.7
+.target sm_86
+.address_size 64
+.visible .entry k(.param .u64 p)
+{
+    mov.u32 %r1, 1;
+    ret;
+}
+)";
+  const auto parse_status = ptx::Parse(unparsable).status();
+  ASSERT_FALSE(parse_status.ok());
+  auto parsed_invalid = ptx::Parse(invalid);
+  ASSERT_TRUE(parsed_invalid.ok()) << parsed_invalid.status();
+  const Status validate_status = ptx::ValidateOrError(*parsed_invalid);
+  ASSERT_FALSE(validate_status.ok());
+
+  for (const auto& [source, expected] :
+       {std::pair{unparsable, parse_status},
+        std::pair{invalid, validate_status}}) {
+    SandboxCache cache;
+    ptxpatcher::PatchOptions options;
+    auto first = Load(cache, source, options);
+    auto second = Load(cache, source, options);
+    ASSERT_FALSE(first.ok());
+    ASSERT_FALSE(second.ok());
+    // The same status the pre-cache parse/validate step returned.
+    EXPECT_EQ(first.status().code(), expected.code());
+    EXPECT_EQ(first.status().message(), expected.message());
+    EXPECT_EQ(second.status().code(), first.status().code());
+    EXPECT_EQ(second.status().message(), first.status().message());
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.stats().patches, 0u);
+    EXPECT_EQ(cache.stats().compiles, 0u);
+    EXPECT_EQ(cache.stats().hits, 0u);
+  }
+}
+
+TEST(SandboxCacheTest, TinyUniqueFailuresStayWithinByteBudget) {
+  // A tenant loading unique garbage sources of a few bytes: each failed slot
+  // is charged at least kSlotOverheadBytes, so the budget bounds the slot
+  // count, not just the sum of the sources.
+  constexpr std::size_t kBudget = 64 << 10;
+  constexpr int kLoads = 20'000;
+  SandboxCache cache(kBudget);
+  ptxpatcher::PatchOptions options;
+  for (int i = 0; i < kLoads; ++i) {
+    ASSERT_FALSE(Load(cache, "x" + std::to_string(i), options).ok());
+    ASSERT_LE(cache.bytes_in_use(), kBudget);
+  }
+  EXPECT_GT(cache.size(), 0u);
+  EXPECT_LE(cache.size(), kBudget / SandboxCache::kSlotOverheadBytes);
+  EXPECT_EQ(cache.stats().evictions, kLoads - cache.size());
+  EXPECT_GE(cache.stats().bytes_reclaimed,
+            cache.stats().evictions * SandboxCache::kSlotOverheadBytes);
+  EXPECT_EQ(cache.stats().patches, 0u);
+}
+
+TEST(SandboxCacheTest, ConcurrentChurnKeepsByteAccountingExact) {
+  // Workers racing unique loads (misses that evict) against repeated loads
+  // of one source (which move its slot to the front of the LRU list): every
+  // slot ever created is either live or counted as evicted, and the budget
+  // holds once the workers are done.
+  constexpr std::size_t kBudget = 16 << 10;
+  constexpr int kThreads = 4;
+  constexpr int kLoadsPerThread = 500;
+  SandboxCache cache(kBudget);
+  ptxpatcher::PatchOptions options;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kLoadsPerThread; ++i) {
+        (void)Load(cache, "u" + std::to_string(t) + "_" + std::to_string(i),
+                   options);
+        (void)Load(cache, "shared", options);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  // The unique sources plus "shared", which was created exactly once unless
+  // it was itself evicted and rebuilt: live + evicted counts every creation.
+  EXPECT_GE(cache.size() + cache.stats().evictions,
+            static_cast<std::uint64_t>(kThreads * kLoadsPerThread + 1));
+  EXPECT_LE(cache.bytes_in_use(), kBudget);
+  EXPECT_LE(cache.size(), kBudget / SandboxCache::kSlotOverheadBytes);
+}
+
+TEST(SandboxCacheTest, GetFunctionResolvesAgainstCompiledProgram) {
+  // Name resolution runs against the compiled program: an absent name is
+  // NotFound with the AST-era message, and a kernel that failed to compile
+  // still resolves — its launch then returns the compile error.
+  simcuda::Gpu gpu(simgpu::QuadroRtxA4000());
+  GrdManager manager(&gpu, ManagerOptions{});
+  LoopbackTransport transport(&manager);
+  auto lib = GrdLib::Connect(&transport, 1 << 20);
+  ASSERT_TRUE(lib.ok());
+
+  auto sample = lib->cuModuleLoadData(SamplePtx());
+  ASSERT_TRUE(sample.ok()) << sample.status();
+  EXPECT_TRUE(lib->cuModuleGetFunction(*sample, "copyk").ok());
+  auto absent = lib->cuModuleGetFunction(*sample, "nope");
+  ASSERT_FALSE(absent.ok());
+  EXPECT_EQ(absent.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(absent.status().message(), "kernel nope not in module");
+
+  auto wide = lib->cuModuleLoadData(TooManyRegistersPtx());
+  ASSERT_TRUE(wide.ok()) << wide.status();
+  auto fn = lib->cuModuleGetFunction(*wide, "wide");
+  ASSERT_TRUE(fn.ok()) << fn.status();
+  const Status launched =
+      lib->cudaLaunchKernel(*fn, simcuda::LaunchConfig{}, {KernelArg::U64(0)});
+  ASSERT_FALSE(launched.ok());
+  EXPECT_EQ(launched.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(launched.message().find("too many registers"), std::string::npos)
+      << launched;
 }
 
 TEST(SandboxCacheTest, HashPtxSourceIsStableAndDiscriminating) {
@@ -296,16 +463,14 @@ TEST(SandboxCacheTest, CompiledProgramCachedAlongsidePatch) {
   // or FuseKernel (compiles stays at 1).
   SandboxCache cache;
   const std::string source = SamplePtx();
-  auto parsed = ptx::Parse(source);
-  ASSERT_TRUE(parsed.ok());
   ptxpatcher::PatchOptions options;
 
-  auto first = cache.GetOrPatch(source, *parsed, options);
+  auto first = Load(cache, source, options);
   ASSERT_TRUE(first.ok()) << first.status();
   ASSERT_NE(first->compiled, nullptr);
   EXPECT_EQ(cache.stats().compiles, 1u);
 
-  auto second = cache.GetOrPatch(source, *parsed, options);
+  auto second = Load(cache, source, options);
   ASSERT_TRUE(second.ok());
   EXPECT_FALSE(second->patched_now);
   EXPECT_EQ(first->compiled.get(), second->compiled.get());
