@@ -3,7 +3,7 @@
 // Everything the request handlers share across sessions lives here: the
 // simulated GPU, the partition allocator, the bounds table, the sandbox
 // cache, the device scheduler and the cost counters. Each piece is guarded
-// separately so that a multi-worker server only serializes where the
+// separately so that concurrent requests only serialize where the
 // hardware model demands it:
 //  - `partition_mu` covers the partition allocator plus the paired bounds
 //    table updates (create/release/grow must be atomic with their bounds
@@ -176,11 +176,10 @@ struct ManagerStats {
   std::atomic<std::uint64_t> superinstructions_fused{0};
   std::atomic<std::uint64_t> tier_instructions[3] = {};
   // Shm-ring traffic served: requests consumed from / responses produced to
-  // client channels, counted by ManagerServer::ServeOne and the
-  // process-mode worker pump (including the supervisor's synthetic
-  // responses). Mirrors the per-ring ShmRing messages_read/messages_written
-  // words, aggregated pool-wide. Loopback transports never touch a ring, so
-  // both stay 0 there.
+  // client channels, counted by ManagerServer::ServeOne (and, for the
+  // supervisor's synthetic crash responses, by ProcessServer). Mirrors the
+  // per-ring ShmRing messages_read/messages_written words, aggregated
+  // pool-wide. Loopback transports never touch a ring, so both stay 0 there.
   std::atomic<std::uint64_t> ring_messages_read{0};
   std::atomic<std::uint64_t> ring_messages_written{0};
   // Multi-device fleet: sessions rebuilt from their shared-region journal

@@ -41,12 +41,6 @@ Status GrdManager::Migrate(ClientId client, std::uint32_t device) {
   return MigrateSession(exec_, sessions_, session, device);
 }
 
-protocol::PriorityClass GrdManager::SessionPriority(ClientId client) const {
-  auto found = sessions_.Find(client);
-  if (!found.ok()) return protocol::PriorityClass::kNormal;
-  return (*found)->default_priority.load(std::memory_order_relaxed);
-}
-
 ipc::Bytes GrdManager::HandleRequest(const Bytes& request) {
   Reader reader(request);
   auto header = protocol::ReadHeader(reader);

@@ -20,8 +20,8 @@
 //   session   — SessionRegistry / ClientSession (session.hpp)
 //   dispatch  — typed handler registry (dispatch.hpp, handlers.cpp)
 //   execution — shared GPU/partition/bounds state (execution.hpp)
-// HandleRequest is thread-safe: the multi-worker ManagerServer calls it
-// concurrently from several workers.
+// HandleRequest is thread-safe: several ManagerServer pumps, each on its
+// own thread and channels, may share one manager.
 #pragma once
 
 #include <cstdint>
@@ -79,7 +79,7 @@ class GrdManager {
 
   // Transport-layer accounting: one shm-ring message consumed / produced on
   // behalf of this manager. Counted at the ring read/write sites themselves
-  // (ManagerServer sweeps and the process-mode worker pump) so the shared
+  // (ManagerServer::ServeOne, which serves both deployments) so the shared
   // process-mode stats aggregate exactly, message by message. The write
   // counter is bumped BEFORE the ring publish: a client that consumed a
   // response (and whoever it then unblocks) must never observe the shared
@@ -87,12 +87,6 @@ class GrdManager {
   void NoteRingRead() noexcept { ++exec_.stats.ring_messages_read; }
   void NoteRingWritten() noexcept { ++exec_.stats.ring_messages_written; }
   void NoteRingWriteAborted() noexcept { --exec_.stats.ring_messages_written; }
-
-  // Session-scope priority class of `client` (kSetPriority scope 0), for the
-  // ManagerServer's session-priority channel scheduling: ring pumping and
-  // device admission share one notion of tenant priority. Unknown or
-  // unregistered clients rank kNormal.
-  protocol::PriorityClass SessionPriority(ClientId client) const;
 
   // Device memory the sharing layer itself consumes: exactly one context
   // regardless of client count (§2.2: 176 MB vs MPS's per-client growth).

@@ -116,7 +116,7 @@ void ProcessServer::WorkerMain(std::uint32_t index) {
     // Sticky claims: CAS our preferred channels; a channel claimed once is
     // pumped by this worker until it dies (the supervisor releases claims).
     std::vector<std::unique_ptr<ipc::Channel>> owned;
-    std::vector<std::uint32_t> owned_index;
+    ManagerServer pump(&manager);
     for (std::uint32_t i = 0; i < options_.channels; ++i) {
       if (state_->channel_slot(i).preferred.load(std::memory_order_acquire) !=
           index)
@@ -125,88 +125,9 @@ void ProcessServer::WorkerMain(std::uint32_t index) {
       owned.push_back(std::make_unique<ipc::Channel>(
           state_->channel_region(i), options_.layout.ring_bytes,
           /*initialize=*/false));
-      owned_index.push_back(i);
+      pump.AddChannel(owned.back().get());
     }
-
-    // Per-channel parked response: when a tenant stops draining its
-    // response ring (stalled reader), its response is parked and ONLY that
-    // channel skips new requests until the ring drains — one slow tenant
-    // cannot wedge the worker and starve its co-resident channels.
-    IdleBackoff backoff;
-    std::vector<ipc::Bytes> parked(owned.size());
-    std::size_t doorbell_rotor = 0;
-    const auto kResponsePark = std::chrono::milliseconds(2);
-    while (!state_->StopRequested()) {
-      std::size_t served = 0;
-      for (std::size_t c = 0; c < owned.size(); ++c) {
-        if (!parked[c].empty()) {
-          manager.NoteRingWritten();  // count-then-publish (see manager.hpp)
-          if (!owned[c]->response().TryWrite(parked[c]).ok()) {
-            manager.NoteRingWriteAborted();
-            continue;
-          }
-          parked[c].clear();
-          ++served;
-        }
-        auto request = owned[c]->request().TryRead();
-        if (!request.ok()) {
-          if (request.status().code() == StatusCode::kAborted) {
-            // Torn/garbage frame: the ring already repaired itself (head
-            // clamped to tail, frames_corrupt bumped). Fail fast for the
-            // client blocked on the consumed slot; the ring — and every
-            // other session — keeps going.
-            const ipc::Bytes error = protocol::EncodeError(Status(Aborted(
-                "corrupt request frame discarded; ring resynchronized")));
-            manager.NoteRingWritten();
-            if (!owned[c]->response().TryWrite(error).ok())
-              manager.NoteRingWriteAborted();
-            ++served;
-          }
-          continue;
-        }
-        ++served;
-        manager.NoteRingRead();
-        {
-          // Serving-policy hint mirrored into the region (threaded twin:
-          // ManagerServer::Entry::last_client).
-          ipc::Reader peek(*request);
-          auto header = protocol::ReadHeader(peek);
-          if (header.ok() && header->client != 0)
-            state_->channel_slot(owned_index[c])
-                .last_client.store(header->client, std::memory_order_relaxed);
-        }
-        const ipc::Bytes response = manager.HandleRequest(*request);
-        manager.NoteRingWritten();  // count-then-publish (see manager.hpp)
-        Status wrote = owned[c]->response().TryWrite(response);
-        if (!wrote.ok() && wrote.code() == StatusCode::kNotFound)
-          wrote = owned[c]->response().WriteWithDeadline(response,
-                                                         kResponsePark);
-        if (!wrote.ok()) {
-          manager.NoteRingWriteAborted();
-          if (wrote.code() == StatusCode::kDeadlineExceeded)
-            parked[c] = response;  // stalled tenant; retried next sweeps
-          else
-            manager.NoteDroppedResponse();
-        }
-      }
-      if (served > 0) {
-        backoff.Reset();
-        continue;
-      }
-      // Idle: block on a request-ring doorbell (rotating through owned
-      // channels) instead of spinning; the 500µs bound keeps the worker
-      // responsive to channels other than the one it waits on, to stop
-      // requests, and on platforms without the futex doorbell the wait
-      // returns immediately and the portable backoff paces the loop.
-      if (ipc::ShmRing::kFutexDoorbell && !owned.empty()) {
-        if (owned[doorbell_rotor++ % owned.size()]->request().WaitForMessage(
-                std::chrono::microseconds(500)))
-          backoff.Reset();  // a message (or close) arrived: sweep right away
-        // On timeout the wait itself paced the loop; no extra sleep.
-      } else {
-        backoff.Pause();
-      }
-    }
+    pump.Run(state_->stop_flag());
   }
   // Clean shutdown: scheduler joined and manager destroyed above; leave the
   // shared claims in place for the parent's teardown accounting.

@@ -19,9 +19,9 @@
 //  - Worker (forked child): constructs its own simulated GPU + GrdManager
 //    bound to the shared state (pool-unique client ids, shared bounds,
 //    shared ManagerStats), sticky-claims its preferred channels by CAS, and
-//    pumps them round-robin with the transport's idle backoff until the
-//    shared stop flag rises. A worker crash takes down only the sessions it
-//    owned: claims are sticky, so no other worker ever held state for them.
+//    runs one ManagerServer pump (transport.hpp) over them until the shared
+//    stop flag rises. A worker crash takes down only the sessions it owned:
+//    claims are sticky, so no other worker ever held state for them.
 //
 // Crash-containment contract (proven by tests/process_mode_test.cpp and
 // tests/adoption_test.cpp):

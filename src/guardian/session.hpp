@@ -83,9 +83,9 @@ struct ClientSession {
   // before the disconnect landed must not touch the released partition.
   bool disconnected = false;
   // kSetPriority session scope: class new streams inherit (existing streams
-  // are retagged by the handler at the same time). Atomic because the
-  // ManagerServer's session-priority sweep reads it without `mu` to order
-  // ring pumping by tenant class.
+  // are retagged by the handler at the same time). Atomic because session
+  // adoption stores it outside `mu`, after the restored session is already
+  // findable in the registry.
   std::atomic<protocol::PriorityClass> default_priority{
       protocol::PriorityClass::kNormal};
   // Device this session is placed on (multi-device fleet). Atomic because

@@ -1,8 +1,9 @@
 // SharedRegion-resident serving state for the process-mode manager.
 //
-// The threaded ManagerServer keeps its cross-worker state (session registry,
-// channel claims, stats) in plain process memory. The paper's deployment is
-// process isolation: grdManager workers in their own address spaces over shm
+// A threaded deployment keeps its serving state (session registry, stats)
+// in one GrdManager's process memory, and each channel belongs to the one
+// ManagerServer pump it was added to. The paper's deployment is process
+// isolation: grdManager workers in their own address spaces over shm
 // rings — so everything a worker pool must agree on moves here, into one
 // MAP_SHARED region laid out with fixed capacities and this-relative offsets
 // (no pointers cross a process boundary):
@@ -25,7 +26,7 @@
 //    channel's rings inside this same region;
 //  - worker slots: pid/generation records the parent supervisor maintains;
 //  - ManagerStats: one shared instance every worker's execution layer bumps,
-//    so counters aggregate across the pool exactly like the threaded server;
+//    so counters aggregate across the pool as they do in one GrdManager;
 //  - pool counters: registry/supervision accounting (registered, released,
 //    crash-failed, respawns, synthetic crash responses) whose sums the
 //    process-mode stress test holds consistent.
@@ -182,9 +183,6 @@ struct SharedChannelSlot {
   // keeps the initial distribution deterministic while the CAS still
   // excludes double service.
   std::atomic<std::uint32_t> preferred{kNoWorker};
-  // Client id last seen in a request header on this channel (serving-policy
-  // hint, mirrors ManagerServer::Entry::last_client into the region).
-  std::atomic<std::uint64_t> last_client{0};
   std::uint64_t region_offset = 0;  // channel rings, relative to state base
 };
 
@@ -330,10 +328,9 @@ class SharedServingState {
 
   // ---- pool control ----
 
-  void RequestStop() noexcept { stop_.store(1, std::memory_order_release); }
-  bool StopRequested() const noexcept {
-    return stop_.load(std::memory_order_acquire) != 0;
-  }
+  void RequestStop() noexcept { stop_.store(true, std::memory_order_release); }
+  // The flag every worker's ManagerServer::Run checks once per sweep.
+  const std::atomic<bool>& stop_flag() const noexcept { return stop_; }
 
  private:
   static constexpr std::uint64_t kMagic = 0x5247'4453'4852'4431ull;
@@ -341,7 +338,8 @@ class SharedServingState {
   // ring regions (observability).
   // v3: per-slot session journal + device/adoption fields, and the PTX
   // intern arena appended after the span arena (multi-device adoption).
-  static constexpr std::uint32_t kVersion = 3;
+  // v4: channel slots drop the last-client hint; the stop word is a bool.
+  static constexpr std::uint32_t kVersion = 4;
   static constexpr std::uint32_t kActiveRaw =
       static_cast<std::uint32_t>(SessionSlotState::kActive);
   static constexpr std::uint32_t kFailedRaw =
@@ -372,7 +370,7 @@ class SharedServingState {
 
   std::atomic<std::uint64_t> ptx_arena_used_{0};
   std::atomic<std::uint64_t> next_client_{1};
-  std::atomic<std::uint32_t> stop_{0};
+  std::atomic<bool> stop_{false};
   ipc::RobustMutex registry_mu_;
   ManagerStats stats_;
   SharedPoolCounters counters_;

@@ -1,4 +1,4 @@
-// Client-side transport abstractions and the manager's request server.
+// Client-side transport abstractions and the manager's ring pump.
 //
 // Deployment shapes:
 //  - LoopbackTransport: client and manager in one thread (unit tests,
@@ -9,24 +9,19 @@
 //    deployment (§4: applications and grdManager in different address
 //    spaces).
 //
-// ManagerServer serves client channels with one of three scheduling
-// policies (§4.2.4 — the paper uses round-robin and leaves richer policies
-// as future work) and, since the layered refactor, with a configurable
-// worker pool: `workers` threads pull requests concurrently, each channel
-// claimed by at most one worker at a time so per-session ordering is
-// preserved while different tenants' requests overlap.
-//
-// The fork-based sibling of this worker pool is ProcessServer
-// (process_server.hpp): N forked manager worker processes pumping rings
-// against the SharedRegion session registry with sticky cross-process
-// channel claims, supervised (reaped/repaired/respawned) by the parent.
+// ManagerServer is the only manager-side ring pump. It polls its channels
+// round robin, one request per channel per sweep (§4.2.4 — the paper's
+// policy; richer ones are left as future work). Each forked ProcessServer
+// worker (process_server.hpp) runs one over the channels it claimed; a
+// threaded deployment runs one per thread, and several pumps may share one
+// GrdManager (HandleRequest is thread-safe) as long as each channel belongs
+// to exactly one pump.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -111,9 +106,9 @@ class ChannelTransport final : public ClientTransport {
   std::uint64_t deadline_failures_ = 0;
 };
 
-// Bounded spin → yield → exponential-sleep backoff for idle polling loops,
-// so an idle manager worker does not burn a core while staying responsive
-// under load.
+// Bounded spin → yield → exponential-sleep backoff: ManagerServer::Run's
+// idle pacing on platforms without the futex doorbell, so an idle pump
+// does not burn a core while staying responsive under load.
 class IdleBackoff {
  public:
   void Pause() {
@@ -143,54 +138,29 @@ class IdleBackoff {
   std::uint64_t sleep_us_ = 0;
 };
 
-// Serves client channels. Scheduling policies:
-//  - kRoundRobin   : one request per channel per sweep (paper default);
-//  - kPriority     : strict priority — the highest-priority channel with a
-//                    pending request is served first each sweep;
-//  - kWeightedFair : deficit round robin — each sweep grants a channel
-//                    `weight` credits and serves up to that many requests;
-//  - kSessionPriority : each sweep visits channels in ascending session
-//                    priority-class order (kRealtime before kNormal before
-//                    kBatch, as set by the kSetPriority RPC), one request
-//                    per channel — so ring pumping and the device
-//                    scheduler's admission share one notion of tenant
-//                    priority instead of the transport static `priority`
-//                    integer. A channel's class is the one of the session
-//                    whose requests it last carried (kNormal until known).
+// Pumps client channels on one thread: read a request, HandleRequest it,
+// count it, write the response. A response the client's ring has no room
+// for is parked on its channel and delivered on a later sweep; until then
+// that channel's requests stay unread, so one stalled reader cannot wedge
+// the pump or its neighbors.
 class ManagerServer {
  public:
-  enum class Policy : std::uint8_t {
-    kRoundRobin,
-    kPriority,
-    kWeightedFair,
-    kSessionPriority,
-  };
-
-  explicit ManagerServer(GrdManager* manager,
-                         Policy policy = Policy::kRoundRobin,
-                         std::size_t workers = 1)
-      : manager_(manager),
-        policy_(policy),
-        workers_(workers == 0 ? 1 : workers) {}
-
+  explicit ManagerServer(GrdManager* manager) : manager_(manager) {}
   ~ManagerServer() { Stop(); }
 
   // Channels must be added before Run()/Start().
-  void AddChannel(ipc::Channel* channel, double weight = 1.0,
-                  int priority = 0);
+  void AddChannel(ipc::Channel* channel);
 
-  Policy policy() const noexcept { return policy_; }
-  std::size_t workers() const noexcept { return workers_; }
-
-  // One scheduling sweep on the calling thread; returns requests served.
-  // Channels currently claimed by another worker are skipped.
+  // One round-robin sweep on the calling thread; returns the channels that
+  // made progress (a request or corrupt frame answered, or a parked
+  // response delivered).
   std::size_t ServeOnce();
 
-  // Pump with `workers` threads (the calling thread counts as one) until
-  // `stop` becomes true and this worker's sweep finds all rings drained.
+  // Sweeps until `stop` is true, checked at every sweep boundary. An idle
+  // pump parks on a request ring's futex doorbell.
   void Run(const std::atomic<bool>& stop);
 
-  // Convenience: Run() on internally managed threads. Stop() joins them;
+  // Convenience: Run() on an internally managed thread. Stop() joins it;
   // it is also called by the destructor.
   void Start();
   void Stop();
@@ -198,43 +168,14 @@ class ManagerServer {
  private:
   struct Entry {
     ipc::Channel* channel = nullptr;
-    double weight = 1.0;
-    int priority = 0;
-    double deficit = 0.0;              // guarded by the busy claim
-    // Response awaiting a stalled client's ring to drain (guarded by the
-    // busy claim); while set, the channel's requests are not consumed so
-    // one slow reader cannot wedge a pump worker.
+    // Response awaiting a stalled client's ring to drain.
     ipc::Bytes parked;
-    std::atomic<bool> busy{false};     // one worker per channel at a time
-    // Client id observed in the channel's last request header (0 until a
-    // session-carrying request arrives); the session-priority sweep ranks
-    // the channel by that session's class.
-    std::atomic<std::uint64_t> last_client{0};
   };
 
-  // Claims `entry` for the calling worker; false when another worker has it.
-  static bool Claim(Entry& entry) noexcept {
-    bool expected = false;
-    return entry.busy.compare_exchange_strong(expected, true,
-                                              std::memory_order_acquire);
-  }
-  static void Release(Entry& entry) noexcept {
-    entry.busy.store(false, std::memory_order_release);
-  }
-
-  bool ServeOne(Entry& entry);  // requires the claim
-  std::size_t SweepRoundRobin();
-  std::size_t SweepPriority();
-  std::size_t SweepWeightedFair();
-  std::size_t SweepSessionPriority();
-  void WorkerLoop(const std::atomic<bool>& stop);
+  bool ServeOne(Entry& entry);
 
   GrdManager* manager_;
-  Policy policy_;
-  std::size_t workers_;
-  std::vector<std::unique_ptr<Entry>> channels_;
-  // Descending-priority view of channels_, maintained by AddChannel.
-  std::vector<Entry*> priority_order_;
+  std::vector<Entry> channels_;
 
   std::atomic<bool> self_stop_{false};
   std::thread self_runner_;

@@ -213,19 +213,18 @@ TEST_F(FullStackTest, ManyTenantsManyKernels) {
 
 TEST_F(FullStackTest, ConcurrentClientsOverThreadedChannels) {
   // Multi-threaded clients hammering one manager through real rings, served
-  // by a multi-worker pump (3 workers dispatching concurrently).
+  // by two pumps that split the channels and dispatch concurrently.
   constexpr int kClients = 4;
   constexpr int kOpsPerClient = 50;
   std::vector<std::unique_ptr<ipc::HeapChannel>> heaps;
-  guardian::ManagerServer server(&manager_,
-                                 guardian::ManagerServer::Policy::kRoundRobin,
-                                 /*workers=*/3);
+  guardian::ManagerServer even(&manager_), odd(&manager_);
   for (int i = 0; i < kClients; ++i) {
     heaps.push_back(std::make_unique<ipc::HeapChannel>());
-    server.AddChannel(&heaps.back()->channel());
+    (i % 2 == 0 ? even : odd).AddChannel(&heaps.back()->channel());
   }
   std::atomic<bool> stop{false};
-  std::thread pump([&] { server.Run(stop); });
+  std::thread pump_even([&] { even.Run(stop); });
+  std::thread pump_odd([&] { odd.Run(stop); });
 
   std::atomic<int> failures{0};
   std::vector<std::thread> clients;
@@ -252,7 +251,8 @@ TEST_F(FullStackTest, ConcurrentClientsOverThreadedChannels) {
   }
   for (auto& c : clients) c.join();
   stop.store(true);
-  pump.join();
+  pump_even.join();
+  pump_odd.join();
   EXPECT_EQ(failures.load(), 0);
 }
 

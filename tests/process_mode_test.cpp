@@ -314,18 +314,23 @@ TEST(ProcessModeTest, CrashAdoptsItsSessionsSurvivorsServeAndParentRespawns) {
   });
 
   // Survivor tenant on channel 1: keeps serving straight through the crash
-  // window until the test releases it.
+  // window until the test releases it. Its calls carry a deadline well under
+  // the child's alarm, and every step exits with its own code, so a call
+  // that blocks names itself instead of tripping the alarm.
   const pid_t survivor = ForkChild([&]() -> int {
-    ChannelTransport transport(&(*server)->channel(1));
+    ChannelTransport transport(&(*server)->channel(1),
+                               std::chrono::seconds(10));
     auto lib = GrdLib::Connect(&transport, 8 << 20);
     if (!lib.ok()) return 30;
     char go = 0;
     int rounds = 0;
     while (read(survivor_stop[0], &go, 1) != 1) {
-      if (RunHonestWorkload(*lib) != 0) return 31;
+      // RunHonestWorkload's failing step n (1..7) exits 30 + n.
+      if (const int step = RunHonestWorkload(*lib); step != 0)
+        return 30 + step;
       ++rounds;
     }
-    return rounds > 0 ? 0 : 32;
+    return rounds > 0 ? 0 : 38;
   });
 
   // Wait for the victim's signal, then for its worker to consume the spin
@@ -352,7 +357,8 @@ TEST(ProcessModeTest, CrashAdoptsItsSessionsSurvivorsServeAndParentRespawns) {
 
   EXPECT_EQ(WaitExit(victim), 0);
   ASSERT_EQ(write(survivor_stop[1], "Q", 1), 1);
-  EXPECT_EQ(WaitExit(survivor), 0);
+  EXPECT_EQ(WaitExit(survivor), 0)
+      << "30: connect; 31-37: RunHonestWorkload step 1-7; 38: no round";
 
   SharedServingState& state = (*server)->state();
   EXPECT_GE(state.counters().workers_respawned.load(), 1u);

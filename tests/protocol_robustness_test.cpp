@@ -259,7 +259,7 @@ class RingChaosTest : public ::testing::Test {
   RingChaosTest()
       : gpu_(simgpu::QuadroRtxA4000()),
         manager_(&gpu_, ManagerOptions{}),
-        server_(&manager_, ManagerServer::Policy::kRoundRobin, 2) {
+        server_(&manager_) {
     server_.AddChannel(&honest_.channel());
     server_.AddChannel(&chaotic_.channel());
     server_.Start();

@@ -1,6 +1,6 @@
-// ManagerServer coverage: scheduling policies under multiple loaded
-// channels, the multi-worker pump, idle backoff, and dropped-response
-// accounting.
+// ManagerServer coverage: round-robin fairness across loaded channels,
+// response parking for a stalled reader, dropped-response accounting, two
+// pumps sharing one manager, shutdown, and idle backoff.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -75,119 +75,6 @@ TEST_F(TransportTest, RoundRobinIsFairAcrossLoadedChannels) {
   EXPECT_EQ(Drain(c.channel()), 5u);
 }
 
-TEST_F(TransportTest, StrictPriorityDrainsHighBeforeLowerTiers) {
-  ipc::HeapChannel low, mid, high;
-  ManagerServer server(&manager_, ManagerServer::Policy::kPriority);
-  server.AddChannel(&low.channel(), 1.0, /*priority=*/0);
-  server.AddChannel(&mid.channel(), 1.0, /*priority=*/3);
-  server.AddChannel(&high.channel(), 1.0, /*priority=*/7);
-  const ClientId cl = Register(), cm = Register(), ch = Register();
-  EnqueueSyncs(low.channel(), cl, 2);
-  EnqueueSyncs(mid.channel(), cm, 2);
-  EnqueueSyncs(high.channel(), ch, 2);
-
-  // One request per sweep, highest pending priority first: the service
-  // order is high ×2, mid ×2, low ×2.
-  for (int i = 0; i < 2; ++i) EXPECT_EQ(server.ServeOnce(), 1u);
-  EXPECT_EQ(Drain(high.channel()), 2u);
-  EXPECT_EQ(Drain(mid.channel()), 0u);
-  EXPECT_EQ(Drain(low.channel()), 0u);
-  for (int i = 0; i < 2; ++i) EXPECT_EQ(server.ServeOnce(), 1u);
-  EXPECT_EQ(Drain(mid.channel()), 2u);
-  EXPECT_EQ(Drain(low.channel()), 0u);
-  for (int i = 0; i < 2; ++i) EXPECT_EQ(server.ServeOnce(), 1u);
-  EXPECT_EQ(Drain(low.channel()), 2u);
-  EXPECT_EQ(server.ServeOnce(), 0u);
-}
-
-TEST_F(TransportTest, WeightedFairServesProportionallyToWeights) {
-  ipc::HeapChannel heavy, medium, light;
-  ManagerServer server(&manager_, ManagerServer::Policy::kWeightedFair);
-  server.AddChannel(&heavy.channel(), /*weight=*/3.0);
-  server.AddChannel(&medium.channel(), /*weight=*/2.0);
-  server.AddChannel(&light.channel(), /*weight=*/1.0);
-  const ClientId ch = Register(), cm = Register(), cl = Register();
-  EnqueueSyncs(heavy.channel(), ch, 12);
-  EnqueueSyncs(medium.channel(), cm, 12);
-  EnqueueSyncs(light.channel(), cl, 12);
-
-  // Each sweep grants weight credits: service is 3:2:1 while all channels
-  // stay backlogged.
-  EXPECT_EQ(server.ServeOnce(), 6u);
-  EXPECT_EQ(Drain(heavy.channel()), 3u);
-  EXPECT_EQ(Drain(medium.channel()), 2u);
-  EXPECT_EQ(Drain(light.channel()), 1u);
-  (void)server.ServeOnce();
-  (void)server.ServeOnce();
-  EXPECT_EQ(Drain(heavy.channel()), 6u);
-  EXPECT_EQ(Drain(medium.channel()), 4u);
-  EXPECT_EQ(Drain(light.channel()), 2u);
-}
-
-TEST_F(TransportTest, SessionPrioritySweepVisitsRealtimeChannelsFirst) {
-  // Channel order deliberately favors the batch tenant; the session-priority
-  // policy must still visit the realtime tenant's channel first each sweep.
-  ipc::HeapChannel batch_chan, rt_chan;
-  ManagerServer server(&manager_, ManagerServer::Policy::kSessionPriority);
-  server.AddChannel(&batch_chan.channel());
-  server.AddChannel(&rt_chan.channel());
-  const ClientId batch_client = Register(), rt_client = Register();
-
-  // Teach each channel which session it carries (header peek on serve).
-  EnqueueSyncs(batch_chan.channel(), batch_client, 1);
-  EnqueueSyncs(rt_chan.channel(), rt_client, 1);
-  EXPECT_EQ(server.ServeOnce(), 2u);
-  EXPECT_EQ(Drain(batch_chan.channel()), 1u);
-  EXPECT_EQ(Drain(rt_chan.channel()), 1u);
-
-  // Tag the sessions through the wire protocol (kSetPriority scope 0).
-  const auto set_priority = [&](ClientId client, protocol::PriorityClass cls) {
-    ipc::Writer request;
-    protocol::WriteHeader(request, protocol::Op::kSetPriority, client);
-    request.Put<std::uint8_t>(0);
-    request.Put<std::uint64_t>(0);
-    request.Put<std::uint8_t>(static_cast<std::uint8_t>(cls));
-    auto decoded =
-        protocol::DecodeResponse(manager_.HandleRequest(std::move(request).Take()));
-    ASSERT_TRUE(decoded.ok()) << decoded.status();
-  };
-  set_priority(batch_client, protocol::PriorityClass::kBatch);
-  set_priority(rt_client, protocol::PriorityClass::kRealtime);
-  EXPECT_EQ(manager_.SessionPriority(rt_client),
-            protocol::PriorityClass::kRealtime);
-  EXPECT_EQ(manager_.SessionPriority(batch_client),
-            protocol::PriorityClass::kBatch);
-
-  // One sessionless registration queued per channel, batch channel first.
-  // Registration order is observable through the handed-out client ids, so
-  // the sweep's visit order is provable: the realtime channel's
-  // registration must happen first despite its channel being listed last.
-  const auto enqueue_register = [](ipc::Channel& channel) {
-    ipc::Writer request;
-    protocol::WriteHeader(request, protocol::Op::kRegisterClient, 0);
-    request.Put<std::uint64_t>(1 << 20);
-    ASSERT_TRUE(channel.request().Write(std::move(request).Take()).ok());
-  };
-  enqueue_register(batch_chan.channel());
-  enqueue_register(rt_chan.channel());
-  EXPECT_EQ(server.ServeOnce(), 2u);
-
-  const auto read_new_id = [](ipc::Channel& channel) -> std::uint64_t {
-    auto response = channel.response().TryRead();
-    if (!response.ok()) return 0;
-    auto reader = protocol::DecodeResponse(*response);
-    if (!reader.ok()) return 0;
-    auto id = reader->Get<std::uint64_t>();
-    return id.ok() ? *id : 0;
-  };
-  const std::uint64_t id_via_rt = read_new_id(rt_chan.channel());
-  const std::uint64_t id_via_batch = read_new_id(batch_chan.channel());
-  ASSERT_NE(id_via_rt, 0u);
-  ASSERT_NE(id_via_batch, 0u);
-  EXPECT_LT(id_via_rt, id_via_batch)
-      << "batch channel was served before the realtime channel";
-}
-
 TEST_F(TransportTest, DroppedResponseIsCountedNotSilent) {
   ipc::HeapChannel heap;
   ManagerServer server(&manager_);
@@ -200,18 +87,101 @@ TEST_F(TransportTest, DroppedResponseIsCountedNotSilent) {
   EXPECT_EQ(manager_.stats().responses_dropped, 1u);
 }
 
+TEST_F(TransportTest, StalledReaderParksOnlyItsChannel) {
+  // The tenant's 4096-byte response ring holds one 3000-byte read reply but
+  // not two, and the tenant reads no replies until told to below.
+  ipc::HeapChannel stalled(4096), neighbor;
+  ManagerServer server(&manager_);
+  server.AddChannel(&stalled.channel());
+  server.AddChannel(&neighbor.channel());
+  const ClientId tenant = Register(), other = Register();
+
+  ipc::Writer malloc_request;
+  protocol::WriteHeader(malloc_request, protocol::Op::kMalloc, tenant);
+  malloc_request.Put<std::uint64_t>(3000);
+  const ipc::Bytes malloc_reply =
+      manager_.HandleRequest(std::move(malloc_request).Take());
+  auto malloc_reader = protocol::DecodeResponse(malloc_reply);
+  ASSERT_TRUE(malloc_reader.ok()) << malloc_reader.status();
+  auto buffer = malloc_reader->Get<std::uint64_t>();
+  ASSERT_TRUE(buffer.ok());
+  for (int i = 0; i < 3; ++i) {
+    ipc::Writer read;
+    protocol::WriteHeader(read, protocol::Op::kMemcpyD2H, tenant);
+    read.Put<std::uint64_t>(*buffer);
+    read.Put<std::uint64_t>(3000);
+    ASSERT_TRUE(stalled.channel().request().Write(std::move(read).Take()).ok());
+  }
+  EnqueueSyncs(neighbor.channel(), other, 3);
+
+  ipc::ShmRing& requests = stalled.channel().request();
+  ipc::ShmRing& replies = stalled.channel().response();
+  const auto neighbor_replies = [&] {
+    return neighbor.channel().response().messages_written();
+  };
+  // Sweep 1 delivers reply 1; sweep 2 reads request 2 and parks its reply.
+  EXPECT_EQ(server.ServeOnce(), 2u);
+  EXPECT_EQ(neighbor_replies(), 1u);
+  EXPECT_EQ(server.ServeOnce(), 2u);
+  EXPECT_EQ(neighbor_replies(), 2u);
+  EXPECT_EQ(requests.messages_read(), 2u);
+  EXPECT_EQ(replies.messages_written(), 1u);
+  // Sweep 3: the parked reply still has no room, so request 3 stays unread
+  // while the neighbor is served as on every sweep.
+  EXPECT_EQ(server.ServeOnce(), 1u);
+  EXPECT_EQ(neighbor_replies(), 3u);
+  EXPECT_EQ(requests.messages_read(), 2u);
+  EXPECT_EQ(replies.messages_written(), 1u);
+
+  // The tenant drains one reply: the next sweep delivers the parked reply
+  // and reads nothing from that channel.
+  ASSERT_TRUE(replies.TryRead().ok());
+  EXPECT_EQ(server.ServeOnce(), 1u);
+  EXPECT_EQ(replies.messages_written(), 2u);
+  EXPECT_EQ(requests.messages_read(), 2u);
+
+  // Once drained again, request 3 is served like any other.
+  ASSERT_TRUE(replies.TryRead().ok());
+  EXPECT_EQ(server.ServeOnce(), 1u);
+  EXPECT_EQ(requests.messages_read(), 3u);
+  auto last = replies.TryRead();
+  ASSERT_TRUE(last.ok());
+  EXPECT_TRUE(protocol::DecodeResponse(*last).ok());
+  EXPECT_EQ(server.ServeOnce(), 0u);
+
+  EXPECT_EQ(manager_.stats().ring_messages_read,
+            requests.messages_read() +
+                neighbor.channel().request().messages_read());
+  EXPECT_EQ(manager_.stats().ring_messages_written,
+            replies.messages_written() + neighbor_replies());
+  EXPECT_EQ(manager_.stats().responses_dropped, 0u);
+}
+
+TEST_F(TransportTest, StopIsCheckedAtEverySweepBoundary) {
+  // Stop wins over a backlog: a tenant that keeps its ring full cannot hold
+  // shutdown open, because Run checks `stop` before every sweep.
+  ipc::HeapChannel heap;
+  ManagerServer server(&manager_);
+  server.AddChannel(&heap.channel());
+  EnqueueSyncs(heap.channel(), Register(), 50);
+  const std::atomic<bool> stop{true};
+  server.Run(stop);
+  EXPECT_EQ(heap.channel().request().messages_read(), 0u);
+}
+
 TEST_F(TransportTest, MultiWorkerServesConcurrentClientsCorrectly) {
+  // Two pumps share one manager, each owning half the channels, so
+  // HandleRequest runs on two threads at once.
   constexpr int kClients = 6;
   constexpr int kOpsPerClient = 40;
   std::vector<std::unique_ptr<ipc::HeapChannel>> heaps;
-  ManagerServer server(&manager_, ManagerServer::Policy::kRoundRobin,
-                       /*workers=*/4);
-  ASSERT_GE(server.workers(), 2u);
+  ManagerServer even(&manager_), odd(&manager_);
   for (int i = 0; i < kClients; ++i) {
     heaps.push_back(std::make_unique<ipc::HeapChannel>());
-    server.AddChannel(&heaps.back()->channel());
+    (i % 2 == 0 ? even : odd).AddChannel(&heaps.back()->channel());
   }
-  server.Start();
+  even.Start();
+  odd.Start();
 
   std::atomic<int> failures{0};
   std::vector<std::thread> clients;
@@ -238,18 +208,18 @@ TEST_F(TransportTest, MultiWorkerServesConcurrentClientsCorrectly) {
     });
   }
   for (auto& c : clients) c.join();
-  server.Stop();
+  even.Stop();
+  odd.Stop();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(manager_.active_clients(), 0u);
 }
 
-TEST_F(TransportTest, MultiWorkerPreservesPerSessionOrdering) {
-  // One channel hammered with sequenced writes to the same address: even
-  // with 4 workers, per-channel claims keep the session's requests in
-  // order, so the last write wins.
+TEST_F(TransportTest, PumpPreservesPerSessionOrdering) {
+  // One channel hammered with sequenced writes to the same address: the
+  // pump serves the session's requests in ring order, so the last write
+  // wins.
   ipc::HeapChannel heap;
-  ManagerServer server(&manager_, ManagerServer::Policy::kRoundRobin,
-                       /*workers=*/4);
+  ManagerServer server(&manager_);
   server.AddChannel(&heap.channel());
   server.Start();
 
@@ -269,18 +239,17 @@ TEST_F(TransportTest, MultiWorkerPreservesPerSessionOrdering) {
 
 TEST_F(TransportTest, IdleServerStopsPromptlyDespiteBackoff) {
   ipc::HeapChannel heap;
-  ManagerServer server(&manager_, ManagerServer::Policy::kRoundRobin,
-                       /*workers=*/2);
+  ManagerServer server(&manager_);
   server.AddChannel(&heap.channel());
   std::atomic<bool> stop{false};
   std::thread pump([&] { server.Run(stop); });
-  // Let the workers reach the deep end of the backoff (sleep phase).
+  // Let the pump go idle (doorbell waits, or the backoff's sleep phase).
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   const auto begin = std::chrono::steady_clock::now();
   stop.store(true);
   pump.join();
   const auto elapsed = std::chrono::steady_clock::now() - begin;
-  // Backoff sleeps are bounded (≤1 ms), so shutdown is fast.
+  // Idle waits are bounded (≤1 ms), so shutdown is fast.
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             500);
