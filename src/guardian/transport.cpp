@@ -66,23 +66,22 @@ std::size_t ManagerServer::ServeOnce() {
 
 void ManagerServer::Run(const std::atomic<bool>& stop) {
   IdleBackoff backoff;
-  std::size_t doorbell_rotor = 0;
+  std::vector<ipc::ShmRing*> idle_rings;
   while (!stop.load(std::memory_order_acquire)) {
     if (ServeOnce() > 0) {
       backoff.Reset();
       continue;
     }
-    // Idle: park on a request-ring doorbell, rotating across channels. The
-    // 500µs bound keeps the pump polling the channels it is not waiting on
-    // and noticing `stop`.
-    if (ipc::ShmRing::kFutexDoorbell && !channels_.empty()) {
-      if (channels_[doorbell_rotor++ % channels_.size()]
-              .channel->request()
-              .WaitForMessage(std::chrono::microseconds(500)))
-        backoff.Reset();
-    } else {
-      backoff.Pause();
+    // Idle: sleep on every request ring a publish could make servable.
+    idle_rings.clear();
+    for (Entry& entry : channels_) {
+      ipc::ShmRing& requests = entry.channel->request();
+      if (entry.parked.empty() && !requests.closed())
+        idle_rings.push_back(&requests);
     }
+    if (ipc::ShmRing::WaitForAny(idle_rings, kIdleSlice) ==
+        ipc::ShmRing::WaitResult::kNoDoorbell)
+      backoff.Pause();
   }
 }
 

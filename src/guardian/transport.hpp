@@ -11,9 +11,10 @@
 //
 // ManagerServer is the only manager-side ring pump. It polls its channels
 // round robin, one request per channel per sweep (§4.2.4 — the paper's
-// policy; richer ones are left as future work). Each forked ProcessServer
-// worker (process_server.hpp) runs one over the channels it claimed; a
-// threaded deployment runs one per thread, and several pumps may share one
+// policy; richer ones are left as future work), and when idle sleeps on all
+// of their request rings at once. Each forked ProcessServer worker
+// (process_server.hpp) runs one over the channels it claimed; a threaded
+// deployment runs one per thread, and several pumps may share one
 // GrdManager (HandleRequest is thread-safe) as long as each channel belongs
 // to exactly one pump.
 #pragma once
@@ -107,8 +108,8 @@ class ChannelTransport final : public ClientTransport {
 };
 
 // Bounded spin → yield → exponential-sleep backoff: ManagerServer::Run's
-// idle pacing on platforms without the futex doorbell, so an idle pump
-// does not burn a core while staying responsive under load.
+// idle pacing when ShmRing::WaitForAny reports no doorbell, so an idle
+// pump does not burn a core while staying responsive under load.
 class IdleBackoff {
  public:
   void Pause() {
@@ -148,7 +149,9 @@ class ManagerServer {
   explicit ManagerServer(GrdManager* manager) : manager_(manager) {}
   ~ManagerServer() { Stop(); }
 
-  // Channels must be added before Run()/Start().
+  // Channels must be added before Run()/Start(). The idle wait covers at
+  // most ShmRing::kMaxWaitRings (128) channels; a pump with more gets no
+  // doorbell and paces itself with IdleBackoff.
   void AddChannel(ipc::Channel* channel);
 
   // One round-robin sweep on the calling thread; returns the channels that
@@ -157,7 +160,12 @@ class ManagerServer {
   std::size_t ServeOnce();
 
   // Sweeps until `stop` is true, checked at every sweep boundary. An idle
-  // pump parks on a request ring's futex doorbell.
+  // pump sleeps in one ShmRing::WaitForAny over the request rings a publish
+  // could make servable: those that are open and have no parked response
+  // (a closed ring, or a stalled reader's buffered request, would end every
+  // wait at once and spin the pump). The sleep lasts at most kIdleSlice,
+  // which bounds how late `stop` is noticed and a parked response retried.
+  // Where the wait has no doorbell, IdleBackoff paces the loop instead.
   void Run(const std::atomic<bool>& stop);
 
   // Convenience: Run() on an internally managed thread. Stop() joins it;
@@ -171,6 +179,8 @@ class ManagerServer {
     // Response awaiting a stalled client's ring to drain.
     ipc::Bytes parked;
   };
+
+  static constexpr std::chrono::microseconds kIdleSlice{500};
 
   bool ServeOne(Entry& entry);
 

@@ -2,6 +2,7 @@
 
 #include <time.h>
 
+#include <array>
 #include <cerrno>
 #include <climits>
 #include <cstring>
@@ -76,6 +77,39 @@ void FutexWait(std::atomic<std::uint32_t>* doorbell, std::uint32_t expected,
             nullptr, 0);
 }
 
+// Set once futex_waitv has refused to wait (ENOSYS on a pre-5.16 kernel, or
+// a seccomp filter's error); every later multi-ring wait reports
+// kNoDoorbell without trying again.
+std::atomic<bool> futex_waitv_missing{false};
+
+// One futex_waitv over the doorbell words, each expected to still hold its
+// snapshot. FUTEX_32 without FUTEX_PRIVATE_FLAG, for the same MAP_SHARED
+// reason as FutexWait. Returns false when the call cannot wait at all.
+bool FutexWaitv(std::span<std::atomic<std::uint32_t>* const> doorbells,
+                const std::uint32_t* expected, const timespec& deadline) {
+#if defined(SYS_futex_waitv) && defined(FUTEX_WAITV_MAX)
+  static_assert(ShmRing::kMaxWaitRings == FUTEX_WAITV_MAX);
+  std::array<futex_waitv, FUTEX_WAITV_MAX> waiters{};
+  for (std::size_t i = 0; i < doorbells.size(); ++i) {
+    waiters[i].val = expected[i];
+    waiters[i].uaddr =
+        reinterpret_cast<std::uintptr_t>(FutexWord(doorbells[i]));
+    waiters[i].flags = FUTEX_32;
+  }
+  if (::syscall(SYS_futex_waitv, waiters.data(), doorbells.size(), 0,
+                &deadline, CLOCK_MONOTONIC) >= 0)
+    return true;
+  // EAGAIN (a word already moved), ETIMEDOUT and EINTR end a sleep the
+  // caller re-checks; any other error means this call can never sleep, and
+  // retrying it would turn the caller's idle loop into a spin.
+  if (errno == EAGAIN || errno == ETIMEDOUT || errno == EINTR) return true;
+#else
+  (void)doorbells, (void)expected, (void)deadline;
+#endif
+  futex_waitv_missing.store(true, std::memory_order_relaxed);
+  return false;
+}
+
 void FutexWakeAll(std::atomic<std::uint32_t>* doorbell) {
   ::syscall(SYS_futex, FutexWord(doorbell), FUTEX_WAKE, INT_MAX, nullptr,
             nullptr, 0);
@@ -138,9 +172,9 @@ void ShmRing::WakeDoorbell() {
   // Ring the doorbell for every publish (and close), even with no waiter
   // registered yet: a consumer that snapshots the sequence BEFORE its empty
   // check can then never miss a publish — any publish after the snapshot
-  // leaves the word != snapshot and its FUTEX_WAIT returns EAGAIN.
+  // leaves the word != snapshot and its futex sleep returns EAGAIN.
   header_->doorbell.fetch_add(1, std::memory_order_release);
-  // Store-buffer litmus with WaitForMessage: the doorbell bump (RMW above)
+  // Store-buffer litmus with WaitForAny: the doorbell bump (RMW above)
   // must be globally ordered before this waiters load, and the waiter's
   // registration (seq_cst RMW) before its doorbell re-check — otherwise
   // both sides could miss each other and the waiter sleeps through a
@@ -259,42 +293,79 @@ Result<Bytes> ShmRing::TryRead() {
   return message;
 }
 
-bool ShmRing::WaitForMessage(std::chrono::nanoseconds timeout) {
-#if defined(__linux__)
-  // Snapshot the doorbell BEFORE the emptiness check: any publish that
-  // lands after this load bumps the word away from `seq`, so the later
-  // FUTEX_WAIT(seq) returns EAGAIN instead of sleeping through it. (The
-  // previous scheme waited on the low 32 bits of the byte-counted tail,
-  // which aliases after a 4 GiB wrap of the write index.)
-  const std::uint32_t seq =
-      header_->doorbell.load(std::memory_order_acquire);
-  const std::uint64_t head = header_->head.load(std::memory_order_relaxed);
-  const std::uint64_t tail = header_->tail.load(std::memory_order_acquire);
-  if (tail != head || header_->closed.load(std::memory_order_acquire))
-    return true;
-  header_->waiters.fetch_add(1, std::memory_order_seq_cst);
-  // Re-check AFTER registering (pairs with WakeDoorbell's fence): either
-  // this load sees the new doorbell, or the producer sees our registration
-  // and wakes the futex.
-  bool ready = header_->doorbell.load(std::memory_order_seq_cst) != seq ||
-               header_->closed.load(std::memory_order_acquire) != 0;
-  if (!ready) {
-    timespec rel;
-    rel.tv_sec = timeout.count() / 1'000'000'000;
-    rel.tv_nsec = timeout.count() % 1'000'000'000;
-    // EINTR / EAGAIN / timeout all fall through to the re-check; the
-    // caller loops against its own absolute deadline, so an interrupted
-    // wait can only shorten this one slice, never a whole wait.
-    FutexWait(&header_->doorbell, seq, &rel);
-    ready = header_->doorbell.load(std::memory_order_acquire) != seq ||
-            header_->closed.load(std::memory_order_acquire) != 0;
+ShmRing::WaitResult ShmRing::WaitForAny(std::span<ShmRing* const> rings,
+                                        std::chrono::nanoseconds timeout) {
+  if (rings.size() > kMaxWaitRings) return WaitResult::kNoDoorbell;
+  // Snapshot each doorbell BEFORE its ring's emptiness check: any publish
+  // that lands after the load bumps the word away from the snapshot, so the
+  // sleep below returns EAGAIN instead of sleeping through it.
+  std::array<std::uint32_t, kMaxWaitRings> seq{};
+  for (std::size_t i = 0; i < rings.size(); ++i) {
+    const Header& h = *rings[i]->header_;
+    seq[i] = h.doorbell.load(std::memory_order_acquire);
+    if (h.tail.load(std::memory_order_acquire) !=
+            h.head.load(std::memory_order_relaxed) ||
+        h.closed.load(std::memory_order_acquire) != 0)
+      return WaitResult::kReady;
   }
-  header_->waiters.fetch_sub(1, std::memory_order_release);
-  return ready;
+  if (rings.empty()) {
+    const timespec deadline = DeadlineAfter(timeout);
+    while (clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME, &deadline,
+                           nullptr) == EINTR) {
+    }
+    return WaitResult::kTimedOut;
+  }
+#if defined(__linux__)
+  const bool one = rings.size() == 1;
+  if (!one && futex_waitv_missing.load(std::memory_order_relaxed))
+    return WaitResult::kNoDoorbell;
+  std::array<std::atomic<std::uint32_t>*, kMaxWaitRings> doorbells{};
+  for (std::size_t i = 0; i < rings.size(); ++i) {
+    rings[i]->header_->waiters.fetch_add(1, std::memory_order_seq_cst);
+    doorbells[i] = &rings[i]->header_->doorbell;
+  }
+  // Re-check AFTER registering (pairs with WakeDoorbell's fence): for every
+  // ring, either this load sees the new doorbell, or the producer sees our
+  // registration and wakes the futex.
+  const auto rang = [&] {
+    for (std::size_t i = 0; i < rings.size(); ++i) {
+      const Header& h = *rings[i]->header_;
+      if (h.doorbell.load(std::memory_order_seq_cst) != seq[i] ||
+          h.closed.load(std::memory_order_acquire) != 0)
+        return true;
+    }
+    return false;
+  };
+  WaitResult result = WaitResult::kReady;
+  if (!rang()) {
+    // EINTR / EAGAIN / timeout all fall through to the re-check; the
+    // caller loops against its own deadline, so an interrupted wait can
+    // only shorten this one slice, never a whole wait.
+    bool slept = true;
+    if (one) {
+      timespec rel;
+      rel.tv_sec = timeout.count() / 1'000'000'000;
+      rel.tv_nsec = timeout.count() % 1'000'000'000;
+      FutexWait(doorbells[0], seq[0], &rel);
+    } else {
+      slept = FutexWaitv({doorbells.data(), rings.size()}, seq.data(),
+                         DeadlineAfter(timeout));
+    }
+    result = !slept   ? WaitResult::kNoDoorbell
+             : rang() ? WaitResult::kReady
+                      : WaitResult::kTimedOut;
+  }
+  for (ShmRing* ring : rings)
+    ring->header_->waiters.fetch_sub(1, std::memory_order_release);
+  return result;
 #else
-  (void)timeout;
-  return false;
+  return WaitResult::kNoDoorbell;
 #endif
+}
+
+bool ShmRing::WaitForMessage(std::chrono::nanoseconds timeout) {
+  ShmRing* const self = this;
+  return WaitForAny({&self, 1}, timeout) == WaitResult::kReady;
 }
 
 Result<Bytes> ShmRing::ReadWithDeadline(std::chrono::nanoseconds timeout) {

@@ -32,7 +32,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "common/status.hpp"
 #include "ipc/serializer.hpp"
@@ -43,13 +45,22 @@ class ShmRing {
  public:
   // True when the platform supports the futex doorbell (Linux: the futex
   // word is a dedicated 32-bit publish-sequence counter, see Header).
-  // Elsewhere WaitForMessage returns false immediately and callers fall
-  // back to their spin/yield/sleep backoff.
+  // Elsewhere a wait reports kNoDoorbell at once and callers fall back to
+  // their spin/yield/sleep backoff.
 #if defined(__linux__)
   static constexpr bool kFutexDoorbell = true;
 #else
   static constexpr bool kFutexDoorbell = false;
 #endif
+
+  // The most rings one WaitForAny sleeps on (the kernel's FUTEX_WAITV_MAX).
+  static constexpr std::size_t kMaxWaitRings = 128;
+
+  enum class WaitResult {
+    kReady,       // some ring holds a message or is closed: poll it now
+    kTimedOut,    // nothing was published before the timeout
+    kNoDoorbell,  // cannot sleep on these rings; the caller backs off
+  };
 
   struct Header {
     std::atomic<std::uint64_t> head{0};  // consumer position
@@ -128,11 +139,24 @@ class ShmRing {
   // DeadlineExceeded (same guarantee on the write side).
   Result<Bytes> ReadWithDeadline(std::chrono::nanoseconds timeout);
 
-  // Futex doorbell (consumer side): block until the producer publishes a
-  // new tail, the ring closes, or `timeout` elapses. Returns true when the
-  // ring is worth polling again right now (data published or closed),
-  // false on timeout or when the platform has no doorbell — the caller
-  // decides how to back off. Never blocks when data is already buffered.
+  // Futex doorbell (consumer side): block until a producer publishes on any
+  // of `rings`, one of them closes, or `timeout` elapses. Returns kReady at
+  // once, registering nowhere, when a ring already holds a message or is
+  // closed. Otherwise it registers as a waiter on every ring, re-checks
+  // each doorbell and sleeps: FUTEX_WAIT for one ring, one futex_waitv
+  // (absolute CLOCK_MONOTONIC deadline) for several, so the sleeper wakes
+  // on the first publish anywhere. An empty span just sleeps out the
+  // timeout. kNoDoorbell means the caller must pace itself: the platform
+  // has no futex, or several rings were asked for and futex_waitv is
+  // missing (not in the build's headers, ENOSYS or a seccomp refusal at run
+  // time) or there are more than kMaxWaitRings of them. A signal can end
+  // the sleep early with kTimedOut; callers loop against their own clock.
+  static WaitResult WaitForAny(std::span<ShmRing* const> rings,
+                               std::chrono::nanoseconds timeout);
+
+  // WaitForAny on this ring alone: true when the ring is worth polling
+  // again right now (data published or closed), false on timeout or when
+  // the platform has no doorbell.
   bool WaitForMessage(std::chrono::nanoseconds timeout);
 
   // Chaos/testing hook: publishes `len` raw bytes at tail with NO framing —

@@ -2,12 +2,16 @@
 
 #include <pthread.h>
 #include <signal.h>
+#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <random>
 #include <thread>
+#include <vector>
 
 #include "ipc/channel.hpp"
 #include "ipc/serializer.hpp"
@@ -320,6 +324,159 @@ TEST(ShmRing, DoorbellSurvivesWriteIndexWrap) {
   }
   producer.join();
   EXPECT_GT(header->tail.load(std::memory_order_acquire), 1ull << 32);
+}
+
+// Rings on their own heap regions, the span WaitForAny takes, and each
+// ring's header for inspecting its waiter count.
+struct RingSet {
+  explicit RingSet(int n) {
+    regions.reserve(n);
+    rings.reserve(n);
+    for (int i = 0; i < n; ++i) {
+      regions.emplace_back(ShmRing::RegionSize(4096));
+      rings.emplace_back(regions.back().data(), 4096, /*initialize=*/true);
+      ptrs.push_back(&rings.back());
+    }
+  }
+  ShmRing::Header& header(int i) {
+    return *reinterpret_cast<ShmRing::Header*>(regions[i].data());
+  }
+
+  std::vector<std::vector<std::uint8_t>> regions;
+  std::vector<ShmRing> rings;
+  std::vector<ShmRing*> ptrs;
+};
+
+double Seconds(std::chrono::steady_clock::duration d) {
+  return std::chrono::duration<double>(d).count();
+}
+
+TEST(ShmRing, WaitForAnyReturnsAtOnceWithoutRegistering) {
+  // The first ring's region turns read-only once it is initialized, so
+  // registering on it (a write to Header::waiters) would fault: a message
+  // already buffered on the last ring must end the wait before any ring is
+  // registered on.
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  const std::size_t bytes =
+      (ShmRing::RegionSize(4096) + page - 1) / page * page;
+  void* locked = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(locked, MAP_FAILED);
+  ShmRing empty(locked, 4096, /*initialize=*/true);
+  ASSERT_EQ(mprotect(locked, bytes, PROT_READ), 0);
+  RingSet loaded(1);
+  ASSERT_TRUE(loaded.rings[0].Write(Bytes{1}).ok());
+
+  ShmRing* const rings[] = {&empty, &loaded.rings[0]};
+  const auto begin = std::chrono::steady_clock::now();
+  EXPECT_EQ(ShmRing::WaitForAny(rings, std::chrono::seconds(10)),
+            ShmRing::WaitResult::kReady);
+  EXPECT_LT(Seconds(std::chrono::steady_clock::now() - begin), 1.0);
+  EXPECT_EQ(loaded.header(0).waiters.load(), 0u);
+  munmap(locked, bytes);
+}
+
+TEST(ShmRing, WaitForAnyWakesOnAPublishToAnyRing) {
+  RingSet set(3);
+  std::thread producer([&] {
+    // Publish once the waiter is registered on the third ring (or after
+    // 5 s without it, which the elapsed check below then fails).
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (set.header(2).waiters.load() == 0 &&
+           std::chrono::steady_clock::now() < give_up)
+      std::this_thread::yield();
+    EXPECT_TRUE(set.rings[2].Write(Bytes{7}).ok());
+  });
+  const auto begin = std::chrono::steady_clock::now();
+  const auto woke = ShmRing::WaitForAny(set.ptrs, std::chrono::seconds(10));
+  const double waited = Seconds(std::chrono::steady_clock::now() - begin);
+  producer.join();
+  EXPECT_EQ(woke, ShmRing::WaitResult::kReady);
+  EXPECT_LT(waited, 5.0);
+  EXPECT_TRUE(set.rings[2].TryRead().ok());
+}
+
+TEST(ShmRing, WaitForAnyTimesOutAndDeregisters) {
+  RingSet set(3);
+  auto begin = std::chrono::steady_clock::now();
+  EXPECT_EQ(ShmRing::WaitForAny(set.ptrs, std::chrono::milliseconds(20)),
+            ShmRing::WaitResult::kTimedOut);
+  EXPECT_GE(Seconds(std::chrono::steady_clock::now() - begin), 0.020);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(set.header(i).waiters.load(), 0u);
+  // With no ring to wait on (a pump whose channels are all closed or
+  // parked), the wait still sleeps out its timeout instead of spinning.
+  begin = std::chrono::steady_clock::now();
+  EXPECT_EQ(ShmRing::WaitForAny({}, std::chrono::milliseconds(20)),
+            ShmRing::WaitResult::kTimedOut);
+  EXPECT_GE(Seconds(std::chrono::steady_clock::now() - begin), 0.020);
+}
+
+TEST(ShmRing, WaitForAnyPastTheLimitHasNoDoorbell) {
+  // futex_waitv takes at most FUTEX_WAITV_MAX words: past that the caller
+  // is told to pace itself, at once.
+  RingSet set(static_cast<int>(ShmRing::kMaxWaitRings) + 1);
+  const auto begin = std::chrono::steady_clock::now();
+  EXPECT_EQ(ShmRing::WaitForAny(set.ptrs, std::chrono::seconds(10)),
+            ShmRing::WaitResult::kNoDoorbell);
+  EXPECT_LT(Seconds(std::chrono::steady_clock::now() - begin), 1.0);
+  EXPECT_EQ(set.header(0).waiters.load(), 0u);
+}
+
+#if defined(__SANITIZE_THREAD__)
+constexpr int kWakeupStressMessages = 2000;
+#else
+constexpr int kWakeupStressMessages = 20000;
+#endif
+
+TEST(ShmRing, WaitForAnyLosesNoWakeup) {
+  // The producer publishes each message on a random one of four rings and
+  // spins until it is consumed, so every publish races a consumer that is
+  // asleep in WaitForAny or on its way there (a producer that slept between
+  // messages would mostly find the consumer already asleep). A lost wakeup
+  // leaves the consumer asleep until its 2 s timeout; the watchdog fails
+  // any single wait longer than 1 s.
+  RingSet set(4);
+  std::atomic<int> consumed{0};
+  std::atomic<bool> abandon{false};
+  std::thread producer([&] {
+    std::mt19937 rng(16);
+    for (int i = 0; i < kWakeupStressMessages; ++i) {
+      Bytes message(sizeof(int));
+      std::memcpy(message.data(), &i, sizeof(int));
+      if (!set.rings[rng() % 4].Write(message).ok()) return;
+      while (consumed.load(std::memory_order_acquire) <= i) {
+        if (abandon.load(std::memory_order_acquire)) return;
+        std::this_thread::yield();
+      }
+    }
+  });
+  int slow_waits = 0;
+  double longest = 0;
+  bool in_order = true;
+  while (consumed.load(std::memory_order_relaxed) < kWakeupStressMessages &&
+         slow_waits < 3 && in_order) {
+    const auto begin = std::chrono::steady_clock::now();
+    const auto woke = ShmRing::WaitForAny(set.ptrs, std::chrono::seconds(2));
+    const double waited = Seconds(std::chrono::steady_clock::now() - begin);
+    longest = std::max(longest, waited);
+    if (waited > 1.0 || woke == ShmRing::WaitResult::kNoDoorbell)
+      ++slow_waits;
+    for (ShmRing& ring : set.rings) {
+      for (auto out = ring.TryRead(); out.ok(); out = ring.TryRead()) {
+        int value = -1;
+        std::memcpy(&value, out->data(), sizeof(int));
+        in_order = in_order && value == consumed.load();
+        consumed.fetch_add(1, std::memory_order_release);
+      }
+    }
+  }
+  abandon.store(true, std::memory_order_release);
+  producer.join();
+  EXPECT_TRUE(in_order);
+  EXPECT_EQ(consumed.load(), kWakeupStressMessages);
+  EXPECT_EQ(slow_waits, 0) << "longest wait " << longest << " s";
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(set.header(i).waiters.load(), 0u);
 }
 
 TEST(Channel, CrossProcessViaForkAndSharedRegion) {

@@ -1,10 +1,13 @@
 // ManagerServer coverage: round-robin fairness across loaded channels,
 // response parking for a stalled reader, dropped-response accounting, two
-// pumps sharing one manager, shutdown, and idle backoff.
+// pumps sharing one manager, shutdown, the idle wait on every channel, and
+// idle backoff.
 #include <gtest/gtest.h>
+#include <time.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -42,6 +45,27 @@ class TransportTest : public ::testing::Test {
       ipc::Writer request;
       protocol::WriteHeader(request, protocol::Op::kDeviceSynchronize, client);
       ASSERT_TRUE(channel.request().Write(std::move(request).Take()).ok());
+    }
+  }
+
+  // Enqueues `n` reads of a fresh `bytes`-byte buffer of `client`'s.
+  void EnqueueReads(ipc::Channel& channel, ClientId client,
+                    std::uint64_t bytes, int n) {
+    ipc::Writer malloc_request;
+    protocol::WriteHeader(malloc_request, protocol::Op::kMalloc, client);
+    malloc_request.Put<std::uint64_t>(bytes);
+    const ipc::Bytes malloc_reply =
+        manager_.HandleRequest(std::move(malloc_request).Take());
+    auto malloc_reader = protocol::DecodeResponse(malloc_reply);
+    ASSERT_TRUE(malloc_reader.ok()) << malloc_reader.status();
+    auto buffer = malloc_reader->Get<std::uint64_t>();
+    ASSERT_TRUE(buffer.ok());
+    for (int i = 0; i < n; ++i) {
+      ipc::Writer read;
+      protocol::WriteHeader(read, protocol::Op::kMemcpyD2H, client);
+      read.Put<std::uint64_t>(*buffer);
+      read.Put<std::uint64_t>(bytes);
+      ASSERT_TRUE(channel.request().Write(std::move(read).Take()).ok());
     }
   }
 
@@ -95,23 +119,7 @@ TEST_F(TransportTest, StalledReaderParksOnlyItsChannel) {
   server.AddChannel(&stalled.channel());
   server.AddChannel(&neighbor.channel());
   const ClientId tenant = Register(), other = Register();
-
-  ipc::Writer malloc_request;
-  protocol::WriteHeader(malloc_request, protocol::Op::kMalloc, tenant);
-  malloc_request.Put<std::uint64_t>(3000);
-  const ipc::Bytes malloc_reply =
-      manager_.HandleRequest(std::move(malloc_request).Take());
-  auto malloc_reader = protocol::DecodeResponse(malloc_reply);
-  ASSERT_TRUE(malloc_reader.ok()) << malloc_reader.status();
-  auto buffer = malloc_reader->Get<std::uint64_t>();
-  ASSERT_TRUE(buffer.ok());
-  for (int i = 0; i < 3; ++i) {
-    ipc::Writer read;
-    protocol::WriteHeader(read, protocol::Op::kMemcpyD2H, tenant);
-    read.Put<std::uint64_t>(*buffer);
-    read.Put<std::uint64_t>(3000);
-    ASSERT_TRUE(stalled.channel().request().Write(std::move(read).Take()).ok());
-  }
+  EnqueueReads(stalled.channel(), tenant, 3000, 3);
   EnqueueSyncs(neighbor.channel(), other, 3);
 
   ipc::ShmRing& requests = stalled.channel().request();
@@ -253,6 +261,96 @@ TEST_F(TransportTest, IdleServerStopsPromptlyDespiteBackoff) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             500);
+}
+
+TEST_F(TransportTest, IdlePumpWaitsOnEveryChannel) {
+  // Channels on raw regions, so the test can read each request ring's
+  // header, as DoorbellSurvivesWriteIndexWrap does.
+  constexpr std::uint64_t kRingBytes = 1 << 16;
+  std::vector<std::vector<std::uint8_t>> regions;
+  std::vector<std::unique_ptr<ipc::Channel>> channels;
+  std::vector<ipc::ShmRing::Header*> requests;
+  ManagerServer server(&manager_);
+  for (int i = 0; i < 3; ++i) {
+    regions.emplace_back(ipc::Channel::RegionSize(kRingBytes));
+    channels.push_back(std::make_unique<ipc::Channel>(
+        regions.back().data(), kRingBytes, /*initialize=*/true));
+    requests.push_back(
+        reinterpret_cast<ipc::ShmRing::Header*>(regions.back().data()));
+    server.AddChannel(channels.back().get());
+  }
+  server.Start();
+
+  // The idle pump is registered on all three doorbells at the same time.
+  bool all_waited = false;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!all_waited && std::chrono::steady_clock::now() < give_up) {
+    all_waited = true;
+    for (ipc::ShmRing::Header* header : requests)
+      all_waited = all_waited && header->waiters.load() == 1;
+  }
+  EXPECT_TRUE(all_waited);
+
+  // A call on the third channel is answered.
+  ChannelTransport transport(channels[2].get());
+  auto lib = GrdLib::Connect(&transport, 1 << 20);
+  ASSERT_TRUE(lib.ok()) << lib.status();
+  DevicePtr p = 0;
+  EXPECT_TRUE(lib->cudaMalloc(&p, 64).ok());
+  EXPECT_TRUE(lib->Disconnect().ok());
+  server.Stop();
+}
+
+double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + ts.tv_nsec / 1e9;
+}
+
+TEST_F(TransportTest, ClosedOrStalledChannelDoesNotSpinThePump) {
+  // A closed request ring and a stalled reader's buffered request are both
+  // always "ready"; an idle pump that waited on either would never sleep.
+  ipc::HeapChannel closed, stalled(4096), neighbor;
+  ManagerServer server(&manager_);
+  server.AddChannel(&closed.channel());
+  server.AddChannel(&stalled.channel());
+  server.AddChannel(&neighbor.channel());
+  closed.channel().request().Close();
+  const ClientId tenant = Register(), other = Register();
+  // Sweep 1 delivers reply 1, sweep 2 parks reply 2; request 3 stays
+  // buffered (see StalledReaderParksOnlyItsChannel).
+  EnqueueReads(stalled.channel(), tenant, 3000, 3);
+  EXPECT_EQ(server.ServeOnce(), 1u);
+  EXPECT_EQ(server.ServeOnce(), 1u);
+  EXPECT_EQ(stalled.channel().request().messages_read(), 2u);
+
+  std::atomic<bool> stop{false}, running{false};
+  double cpu_s = 0, wall_s = 0;
+  std::thread pump([&] {
+    const double cpu_begin = ThreadCpuSeconds();
+    const auto wall_begin = std::chrono::steady_clock::now();
+    running.store(true);
+    server.Run(stop);
+    cpu_s = ThreadCpuSeconds() - cpu_begin;
+    wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           wall_begin)
+                 .count();
+  });
+  while (!running.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // The neighbor is still served.
+  EnqueueSyncs(neighbor.channel(), other, 1);
+  auto reply =
+      neighbor.channel().response().ReadWithDeadline(std::chrono::seconds(2));
+  stop.store(true);
+  pump.join();
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_TRUE(protocol::DecodeResponse(*reply).ok());
+  EXPECT_GE(wall_s, 0.2);
+  EXPECT_LT(cpu_s, wall_s / 4) << "pump CPU " << cpu_s << " s of " << wall_s
+                               << " s wall";
+  EXPECT_EQ(stalled.channel().request().messages_read(), 2u);
 }
 
 TEST(IdleBackoffTest, EscalatesAndResets) {
