@@ -24,8 +24,6 @@ void ManagerStats::BindTo(obs::MetricsRegistry* registry) const {
   registry->Counter("ptx_cache_hits", &ptx_cache_hits);
   registry->Counter("ptx_programs_compiled", &ptx_programs_compiled);
   registry->Counter("guards_elided", &guards_elided);
-  registry->Counter("guards_hoisted", &guards_hoisted);
-  registry->Counter("loop_range_checks", &loop_range_checks);
   registry->Counter("sandbox_cache_evictions", &sandbox_cache_evictions);
   registry->Counter("sandbox_cache_bytes_reclaimed",
                     &sandbox_cache_bytes_reclaimed);

@@ -53,10 +53,9 @@ struct ManagerOptions {
   // §2.2 extension: statically safe kernels (no protected accesses) are
   // not instrumented at all.
   bool skip_statically_safe = false;
-  // Guard elision (patcher CFG/loop analysis): elide fences dominated by an
-  // identical fence, hoist loop-invariant fences into preheaders, and
-  // version affine induction loops behind one preheader range check. Purely
-  // a patch-time rewrite with identical wrap/trap semantics, so it defaults
+  // Guard elision (PatchOptions::elision_enabled): an access reuses an
+  // identical fence computed earlier in its label-free span. Purely a
+  // patch-time rewrite with identical wrap/trap semantics, so it defaults
   // on; turn off to force the full per-access patching oracle.
   bool guard_elision_enabled = true;
   // TReM-style revocation [53]: kernels exceeding this per-thread
@@ -135,13 +134,10 @@ struct ManagerStats {
   // Cache hits reuse the stored program and leave this untouched — the gap
   // between loads and compiles is the compile cost the cache saved.
   std::atomic<std::uint64_t> ptx_programs_compiled{0};
-  // Guard elision totals across freshly patched modules (cache hits reuse
-  // the patched module and do not re-count): accesses left without an inline
-  // fence, fences hoisted into loop preheaders, and loops versioned behind a
-  // preheader range check.
+  // Guard elision total across freshly patched modules (cache hits reuse
+  // the patched module and do not re-count): accesses that reused an
+  // earlier fence instead of getting their own.
   std::atomic<std::uint64_t> guards_elided{0};
-  std::atomic<std::uint64_t> guards_hoisted{0};
-  std::atomic<std::uint64_t> loop_range_checks{0};
   std::atomic<std::uint64_t> sandbox_cache_evictions{0};
   std::atomic<std::uint64_t> sandbox_cache_bytes_reclaimed{0};
   // Device-scheduler traffic and occupancy (maintained by GpuScheduler and
@@ -196,8 +192,9 @@ struct ManagerStats {
   // Version of the exported key set. A key leaves the export only with a
   // bump; tools/check_metrics holds the required keys of the current
   // version. Version 2 retired the tier-promotion counters and the tier-0/1
-  // instruction counts.
-  static constexpr std::uint64_t kSchemaVersion = 2;
+  // instruction counts; version 3 retired guards_hoisted and
+  // loop_range_checks with loop versioning and fence hoisting.
+  static constexpr std::uint64_t kSchemaVersion = 3;
 
   // Registers every exported counter plus the per-class wait histograms
   // (group "wait_histograms") with `registry`, in the declaration order

@@ -481,9 +481,6 @@ Result<ClientModule> BuildClientModule(ExecutionContext& exec,
       // Guard-elision yield of this fresh patch (cache hits share the
       // already-counted module).
       exec.stats.guards_elided += cached.patch_stats.guards_elided;
-      exec.stats.guards_hoisted += cached.patch_stats.guards_hoisted;
-      exec.stats.loop_range_checks +=
-          cached.patch_stats.loop_range_checks;
     } else {
       ++exec.stats.ptx_cache_hits;
     }

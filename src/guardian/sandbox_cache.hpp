@@ -95,8 +95,8 @@ class SandboxCache {
     // directly.
     std::shared_ptr<const ptxexec::CompiledModule> compiled;
     // Aggregate patcher stats for the module, cached with it so the manager
-    // can mirror the guard-elision counters on the load that patched
-    // (patched_now) without re-running the patcher.
+    // can mirror guards_elided on the load that patched (patched_now)
+    // without re-running the patcher.
     ptxpatcher::PatchStats patch_stats;
     bool patched_now = false;  // false = served from cache
   };

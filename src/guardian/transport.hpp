@@ -129,6 +129,9 @@ class IdleBackoff {
     sleep_us_ = 0;
   }
 
+  // The last sleep's length; 0 until the spin and yield rounds are spent.
+  std::uint64_t sleep_us() const noexcept { return sleep_us_; }
+
  private:
   static constexpr std::uint32_t kSpinRounds = 64;
   static constexpr std::uint32_t kYieldRounds = 32;

@@ -495,7 +495,7 @@ Kernel MakePointerWalkKernel(std::string name, int rmw_pairs) {
   //   pend = p + iters*256
   //   do { rmw [p+0] (, [p+4]); p += 256; } while (p < pend);
   // Threads of a 32-wide block touch disjoint lanes, so the kernel is
-  // race-free; the latch matches the guard-elision affine pattern exactly.
+  // race-free.
   if (rmw_pairs < 1) rmw_pairs = 1;
   if (rmw_pairs > 2) rmw_pairs = 2;  // lane is 8 bytes -> offsets 0 and 4
   Kernel k;
@@ -538,8 +538,8 @@ Kernel MakePointerWalkKernel(std::string name, int rmw_pairs) {
 Kernel MakeRepeatedRmwKernel(std::string name, int pairs) {
   // Straight line: addr = data + (tid & 31)*16; then `pairs` ld/add/st
   // round-trips at offsets cycling over {0, 4, 8}. Every fence after the
-  // first per offset is dominated by an identical one on the same register
-  // with no redefinition in between — prime fodder for availability elision.
+  // first per offset repeats an earlier one on the same register with no
+  // redefinition in between, so guard elision reuses it.
   if (pairs < 1) pairs = 1;
   Kernel k;
   k.name = std::move(name);
@@ -611,8 +611,8 @@ Kernel MakeRandomLoopKernel(Rng& rng, std::string name) {
     }
   }
   if (invariant_access) {
-    // Loop-invariant base (%rd2): the hoisting rule's target in bitwise
-    // mode; stays fenced in-loop for the other modes.
+    // Loop-invariant base (%rd2): still fenced on every iteration, since
+    // the loop header's label ends every fence's reuse.
     const std::int64_t off = static_cast<std::int64_t>(rng.NextBelow(2)) * 4;
     if (rng.NextBool(0.5)) {
       k.body.emplace_back(

@@ -67,14 +67,13 @@ Kernel MakeRandomKernel(Rng& rng, std::string name, int ld_count,
 // `rmw_pairs` u32 cells (offsets 0 and 4) per iteration, then advances its
 // pointer by 256 bytes. Parameters: data base (u64) and iteration count
 // (u32, must be >= 1 — the loop is do-while). The whole walk spans
-// `256 * iters` bytes; the loop matches the guard-elision affine pattern,
-// so the patcher can version it behind one preheader range check.
+// `256 * iters` bytes.
 Kernel MakePointerWalkKernel(std::string name = "walk", int rmw_pairs = 1);
 
 // Straight-line RMW kernel: `pairs` ld/add/st round-trips through the same
 // per-thread address, offsets cycling over {0, 4, 8} within a 16-byte lane.
-// Repeated (base, offset) pairs make most fences dominated by an identical
-// earlier fence — the guard-elision availability rule removes them.
+// Repeated (base, offset) pairs make most fences repeat an identical
+// earlier fence in the same straight-line span, so guard elision reuses them.
 Kernel MakeRepeatedRmwKernel(std::string name = "rmw", int pairs = 4);
 
 // Random do-while loop kernel for elision parity fuzzing: a pointer walk

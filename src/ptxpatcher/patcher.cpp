@@ -3,16 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <variant>
 #include <vector>
 
 #include "common/bits.hpp"
 #include "ptxpatcher/analyzer.hpp"
-#include "ptxpatcher/cfg.hpp"
-#include "ptxpatcher/range_analysis.hpp"
 #include "ptxpatcher/regmodel.hpp"
 
 namespace grd::ptxpatcher {
@@ -30,17 +26,13 @@ using ptx::Type;
 // hold the two runtime parameters (Listing 1 line 15); `%grdtmp1` is the
 // temporary for the base+offset addressing mode (§4.3); `%grdidx` holds the
 // clamped brx.idx index; `%grdp` is the checking-mode predicate. Guard
-// elision additionally uses `%grdtmp2`/`%grdtmp3` as preheader range-check
-// scratch, `%grdtmp4`+ as dedicated fence temps shared across elided
-// accesses, and `%grdlp1` as the range-check predicate.
+// elision additionally uses `%grdtmp4`+ as dedicated fence temps that later
+// accesses reuse.
 constexpr const char* kRegBase = "%grdreg1";
 constexpr const char* kRegBound = "%grdreg2";
 constexpr const char* kRegTmp = "%grdtmp1";
 constexpr const char* kRegIdx = "%grdidx1";
 constexpr const char* kRegPred = "%grdp1";
-constexpr const char* kRegCheckLow = "%grdtmp2";
-constexpr const char* kRegCheckHigh = "%grdtmp3";
-constexpr const char* kRegLoopPred = "%grdlp1";
 
 Operand R(std::string name) { return Operand::Reg(std::move(name)); }
 
@@ -58,7 +50,7 @@ Instruction Inst(std::string opcode, std::vector<std::string> mods,
 // flow; we always write to the temp for single-assignment clarity).
 void EmitBoundsSequence(BoundsCheckMode mode, const std::string& addr_reg,
                         const std::string& out_reg,
-                        std::vector<Statement>& out, PatchStats& stats) {
+                        std::vector<Statement>& out) {
   switch (mode) {
     case BoundsCheckMode::kFencingBitwise:
       // Listing 1 lines 26-28: AND with the mask, OR with the base.
@@ -66,7 +58,6 @@ void EmitBoundsSequence(BoundsCheckMode mode, const std::string& addr_reg,
           Inst("and", {"b64"}, {R(out_reg), R(addr_reg), R(kRegBound)}));
       out.emplace_back(
           Inst("or", {"b64"}, {R(out_reg), R(out_reg), R(kRegBase)}));
-      stats.inserted_instructions += 2;
       break;
     case BoundsCheckMode::kFencingModulo:
       // fenced = base + ((addr - base) % size); inline three-instruction
@@ -78,15 +69,12 @@ void EmitBoundsSequence(BoundsCheckMode mode, const std::string& addr_reg,
           Inst("rem", {"u64"}, {R(out_reg), R(out_reg), R(kRegBound)}));
       out.emplace_back(
           Inst("add", {"s64"}, {R(out_reg), R(out_reg), R(kRegBase)}));
-      stats.inserted_instructions += 3;
       break;
     case BoundsCheckMode::kChecking: {
       // if (addr < base || addr >= end) trap; the trap surfaces as an
       // OUT_OF_RANGE device fault confined to this kernel's application.
-      if (out_reg != addr_reg) {
+      if (out_reg != addr_reg)
         out.emplace_back(Inst("mov", {"u64"}, {R(out_reg), R(addr_reg)}));
-        stats.inserted_instructions += 1;
-      }
       out.emplace_back(Inst("setp", {"lt", "u64"},
                             {R(kRegPred), R(out_reg), R(kRegBase)}));
       Instruction trap1 = Inst("trap", {}, {});
@@ -97,7 +85,6 @@ void EmitBoundsSequence(BoundsCheckMode mode, const std::string& addr_reg,
       Instruction trap2 = Inst("trap", {}, {});
       trap2.pred = ptx::Predicate{kRegPred, false};
       out.emplace_back(std::move(trap2));
-      stats.inserted_instructions += 4;
       break;
     }
   }
@@ -110,582 +97,76 @@ std::size_t CountInstructions(const std::vector<Statement>& body) {
   return n;
 }
 
-// ---------------------------------------------------------------------------
-// Guard elision (PatchOptions::elision_enabled)
-// ---------------------------------------------------------------------------
-
-// One loop selected for versioning: a preheader range check branches to
-// either the original (unfenced-affine) fast clone or a fully fenced slow
-// clone, so wrap-around/trap semantics are byte-identical to full patching
-// whenever the span cannot be proven inside the partition.
-struct VersionedLoop {
-  std::size_t lo = 0;  // statement span [lo, hi) in the input body
-  std::size_t hi = 0;
-  LoopAccessSummary summary;
-  std::unordered_set<std::size_t> affine_stmts;  // unfenced in the fast clone
-};
-
-// A fence expression: fence(value-of(root) + offset). Two accesses share a
-// fence iff they agree on (root, offset) and the root is not redefined in
-// between on any path — which is exactly the availability dataflow below.
+// A fence expression: the clamped address of value-of(root) + offset.
 struct FenceExpr {
   std::string root;
   std::int64_t offset = 0;
+  bool operator==(const FenceExpr&) const = default;
 };
 
-// One planned output statement. The plan is built first (loop versioning +
-// clone expansion), then analyzed (hoisting, availability), then emitted.
-struct Planned {
-  enum class Kind : std::uint8_t { kStmt, kHoist };
-  enum class Decision : std::uint8_t { kNone, kEmit, kElide, kUseHoist };
-
-  Kind kind = Kind::kStmt;
-  Statement stmt;
-  // kStmt protected-access flags:
-  bool fence = true;   // false: fast-clone affine access, emit unfenced
-  bool count = true;   // false: slow-clone copy (no patched_* counters)
-  int hoist_expr = -1; // >= 0: value-invariant access covered by this hoist
-  Decision decision = Decision::kNone;
-  // kHoist:
-  int expr = -1;
-};
-
-// Fixed-width bitset over fence expressions.
-class ExprSet {
- public:
-  explicit ExprSet(std::size_t bits = 0, bool full = false)
-      : words_((bits + 63) / 64, full ? ~std::uint64_t{0} : 0) {}
-  void Set(int i) { words_[i / 64] |= std::uint64_t{1} << (i % 64); }
-  void Reset(int i) { words_[i / 64] &= ~(std::uint64_t{1} << (i % 64)); }
-  bool Test(int i) const {
-    return (words_[i / 64] >> (i % 64)) & 1;
-  }
-  void IntersectWith(const ExprSet& o) {
-    for (std::size_t w = 0; w < words_.size(); ++w) words_[w] &= o.words_[w];
-  }
-  bool operator==(const ExprSet&) const = default;
-
- private:
-  std::vector<std::uint64_t> words_;
-};
-
-const Operand* MemOperand(const Instruction& inst) {
+// The fenced memory operand of a protected access, or null when the access
+// has none to fence (a symbol base is rejected when the body is emitted).
+const Operand* FencedOperand(const Instruction& inst) {
+  if (!inst.IsProtectedMemoryAccess()) return nullptr;
   const std::size_t mem_index = inst.IsLoad() ? 1 : 0;
   if (mem_index >= inst.operands.size()) return nullptr;
   const Operand& op = inst.operands[mem_index];
-  return op.kind == Operand::Kind::kMemory ? &op : nullptr;
+  return op.kind == Operand::Kind::kMemory && op.MemBaseIsRegister() ? &op
+                                                                     : nullptr;
 }
 
-bool IsPatchableAccess(const Statement& stmt) {
-  const auto* inst = std::get_if<Instruction>(&stmt);
-  return inst != nullptr && inst->IsProtectedMemoryAccess();
-}
-
-constexpr std::int64_t kMaxSpanMagnitude = std::int64_t{1} << 30;
-
-// Appends the preheader range check for `loop` to the plan, branching to
-// `slow_label` whenever the fast clone is not provably safe. All arithmetic
-// wrap cases route to the slow clone, so the check is sound for arbitrary
-// runtime grd args:
-//   M    = max(bound-1, iv)      upper bound on any iteration's IV value
-//   M+step wraps             -> slow  (IV progression could wrap past 2^64)
-//   high = M + max_off_plus_width; wraps -> slow
-//   low  = iv + min_offset;        wraps/borrows -> slow
-//   low < partition base           -> slow
-//   high > partition end           -> slow
-//   (bitwise) base & mask != 0     -> slow  (fence identity needs alignment)
-void EmitRangeCheck(const VersionedLoop& loop, BoundsCheckMode mode,
-                    const std::string& slow_label,
-                    std::vector<Planned>& plan) {
-  auto push = [&plan](Instruction inst) {
-    Planned p;
-    p.stmt = std::move(inst);
-    plan.push_back(std::move(p));
-  };
-  auto branch_slow = [&push, &slow_label]() {
-    Instruction bra = Inst("bra", {}, {Operand::Id(slow_label)});
-    bra.pred = ptx::Predicate{kRegLoopPred, false};
-    push(std::move(bra));
-  };
-
-  const LoopAccessSummary& s = loop.summary;
-  const Operand iv = R(s.iv_reg);
-
-  push(Inst("add", {"s64"}, {R(kRegCheckHigh), s.bound, Operand::Imm(-1)}));
-  push(Inst("max", {"u64"}, {R(kRegCheckHigh), R(kRegCheckHigh), iv}));
-  push(Inst("add", {"s64"},
-            {R(kRegCheckLow), R(kRegCheckHigh), Operand::Imm(s.iv_step)}));
-  push(Inst("setp", {"lt", "u64"},
-            {R(kRegLoopPred), R(kRegCheckLow), R(kRegCheckHigh)}));
-  branch_slow();
-  push(Inst("add", {"s64"}, {R(kRegCheckLow), R(kRegCheckHigh),
-                             Operand::Imm(s.max_offset_plus_width)}));
-  push(Inst("setp", {"lt", "u64"},
-            {R(kRegLoopPred), R(kRegCheckLow), R(kRegCheckHigh)}));
-  branch_slow();
-  push(Inst("mov", {"u64"}, {R(kRegCheckHigh), R(kRegCheckLow)}));
-  if (s.min_offset != 0) {
-    push(Inst("add", {"s64"},
-              {R(kRegCheckLow), iv, Operand::Imm(s.min_offset)}));
-    push(Inst("setp", {s.min_offset > 0 ? "lt" : "gt", "u64"},
-              {R(kRegLoopPred), R(kRegCheckLow), iv}));
-    branch_slow();
-  } else {
-    push(Inst("mov", {"u64"}, {R(kRegCheckLow), iv}));
-  }
-  push(Inst("setp", {"lt", "u64"},
-            {R(kRegLoopPred), R(kRegCheckLow), R(kRegBase)}));
-  branch_slow();
-  switch (mode) {
-    case BoundsCheckMode::kFencingBitwise:
-      push(Inst("add", {"s64"}, {R(kRegCheckLow), R(kRegBase), R(kRegBound)}));
-      push(Inst("add", {"s64"},
-                {R(kRegCheckLow), R(kRegCheckLow), Operand::Imm(1)}));
-      push(Inst("setp", {"gt", "u64"},
-                {R(kRegLoopPred), R(kRegCheckHigh), R(kRegCheckLow)}));
-      branch_slow();
-      // Bitwise fencing is the identity only when the partition base is
-      // aligned to mask+1; otherwise the slow clone's per-access fences
-      // reproduce full-patch wrap-around exactly.
-      push(Inst("and", {"b64"}, {R(kRegCheckLow), R(kRegBase), R(kRegBound)}));
-      push(Inst("setp", {"ne", "u64"},
-                {R(kRegLoopPred), R(kRegCheckLow), Operand::Imm(0)}));
-      branch_slow();
-      break;
-    case BoundsCheckMode::kFencingModulo:
-      push(Inst("add", {"s64"}, {R(kRegCheckLow), R(kRegBase), R(kRegBound)}));
-      push(Inst("setp", {"gt", "u64"},
-                {R(kRegLoopPred), R(kRegCheckHigh), R(kRegCheckLow)}));
-      branch_slow();
-      break;
-    case BoundsCheckMode::kChecking:
-      push(Inst("setp", {"gt", "u64"},
-                {R(kRegLoopPred), R(kRegCheckHigh), R(kRegBound)}));
-      branch_slow();
-      break;
-  }
-}
-
-// Selects the loops of `kernel` that can be versioned behind a preheader
-// range check. Conditions (each keeps the rewrite a pure control-flow
-// refinement of full patching):
-//  - textually contiguous block range starting at the header's label;
-//  - only instructions/labels inside (clones may not duplicate decls);
-//  - no bar (barrier divergence between clones), brx, or call inside;
-//  - no branch outside the span targets a label inside it (the inserted
-//    check is on the only entry path);
-//  - the range analysis proved the affine span (AnalyzeLoopAccesses);
-//  - offsets/step small enough that the span arithmetic stays exact.
-std::vector<VersionedLoop> SelectVersionedLoops(const Kernel& kernel,
-                                                const Cfg& cfg) {
-  std::vector<VersionedLoop> candidates;
-  for (const NaturalLoop& loop : cfg.loops()) {
-    const auto [min_it, max_it] =
-        std::minmax_element(loop.blocks.begin(), loop.blocks.end());
-    const int min_block = *min_it;
-    const int max_block = *max_it;
-    if (static_cast<int>(loop.blocks.size()) != max_block - min_block + 1 ||
-        loop.header != min_block) {
+// Guard elision: marks each access whose fence expression was already
+// computed earlier in the same label-free span, and returns the reused
+// expressions in order of first reuse. A statement that no label precedes is
+// reached only from the statement before it, so a fence computed earlier in
+// that span still holds the exact clamped address.
+std::vector<FenceExpr> FindReusedFences(const Kernel& kernel,
+                                        std::vector<bool>& reuse) {
+  std::vector<FenceExpr> reused;
+  std::vector<FenceExpr> available;
+  std::vector<std::string> reads, writes;
+  for (std::size_t i = 0; i < kernel.body.size(); ++i) {
+    if (std::holds_alternative<ptx::Label>(kernel.body[i])) {
+      available.clear();
       continue;
     }
-    const std::size_t lo = cfg.blocks()[min_block].first;
-    const std::size_t hi = cfg.blocks()[max_block].last;
-    if (!std::holds_alternative<ptx::Label>(kernel.body[lo])) continue;
-
-    bool ok = true;
-    std::unordered_set<std::string> inner_labels;
-    for (std::size_t i = lo; i < hi && ok; ++i) {
-      if (const auto* label = std::get_if<ptx::Label>(&kernel.body[i])) {
-        inner_labels.insert(label->name);
-      } else if (const auto* inst =
-                     std::get_if<Instruction>(&kernel.body[i])) {
-        if (inst->opcode == "bar" || inst->opcode == "brx" ||
-            inst->opcode == "call") {
-          ok = false;
-        }
+    const auto* inst = std::get_if<Instruction>(&kernel.body[i]);
+    if (inst == nullptr) continue;
+    if (const Operand* mem = FencedOperand(*inst)) {
+      FenceExpr expr{mem->name, mem->offset};
+      if (std::find(available.begin(), available.end(), expr) !=
+          available.end()) {
+        reuse[i] = true;
+        if (std::find(reused.begin(), reused.end(), expr) == reused.end())
+          reused.push_back(std::move(expr));
       } else {
-        ok = false;  // decls must not be cloned
+        available.push_back(std::move(expr));
       }
     }
-    if (!ok) continue;
-
-    for (std::size_t i = 0; i < kernel.body.size() && ok; ++i) {
-      if (const auto* table =
-              std::get_if<ptx::BranchTargetsDecl>(&kernel.body[i])) {
-        for (const auto& target : table->labels)
-          if (inner_labels.count(target)) ok = false;
-        continue;
-      }
-      if (i >= lo && i < hi) continue;
-      const auto* inst = std::get_if<Instruction>(&kernel.body[i]);
-      if (inst == nullptr || inst->opcode != "bra") continue;
-      if (!inst->operands.empty() && inner_labels.count(inst->operands[0].name))
-        ok = false;
-    }
-    if (!ok) continue;
-
-    LoopAccessSummary summary = AnalyzeLoopAccesses(kernel, cfg, loop);
-    if (!summary.analyzable || !summary.has_affine_access) continue;
-    if (summary.min_offset < -kMaxSpanMagnitude ||
-        summary.min_offset > kMaxSpanMagnitude ||
-        summary.max_offset_plus_width <= 0 ||
-        summary.max_offset_plus_width > kMaxSpanMagnitude ||
-        summary.iv_step > kMaxSpanMagnitude) {
-      continue;
-    }
-
-    VersionedLoop v;
-    v.lo = lo;
-    v.hi = hi;
-    for (const LoopAccess& access : summary.accesses)
-      if (access.is_affine) v.affine_stmts.insert(access.stmt);
-    v.summary = std::move(summary);
-    candidates.push_back(std::move(v));
+    if (available.empty()) continue;
+    reads.clear();
+    writes.clear();
+    CollectRegisterUses(*inst, &reads, &writes);
+    for (const std::string& w : writes)
+      std::erase_if(available,
+                    [&w](const FenceExpr& e) { return e.root == w; });
   }
-
-  // Innermost-first greedy selection of non-overlapping spans.
-  std::sort(candidates.begin(), candidates.end(),
-            [](const VersionedLoop& a, const VersionedLoop& b) {
-              return (a.hi - a.lo) < (b.hi - b.lo);
-            });
-  std::vector<VersionedLoop> chosen;
-  for (auto& c : candidates) {
-    bool overlaps = false;
-    for (const auto& o : chosen)
-      if (!(c.hi <= o.lo || o.hi <= c.lo)) overlaps = true;
-    if (!overlaps) chosen.push_back(std::move(c));
-  }
-  std::sort(chosen.begin(), chosen.end(),
-            [](const VersionedLoop& a, const VersionedLoop& b) {
-              return a.lo < b.lo;
-            });
-  return chosen;
+  return reused;
 }
 
-// The planned body as a plain statement list, for CFG/loop analysis. Hoist
-// markers become placeholder instructions with the same (non-branching)
-// control-flow shape as the fences they will expand into.
-std::vector<Statement> PlannedBody(const std::vector<Planned>& plan) {
-  std::vector<Statement> body;
-  body.reserve(plan.size());
-  for (const Planned& p : plan) {
-    if (p.kind == Planned::Kind::kHoist) {
-      body.emplace_back(Inst("mov", {"u64"}, {R(kRegTmp), R(kRegTmp)}));
-    } else {
-      body.push_back(p.stmt);
-    }
-  }
-  return body;
-}
+// Emits the patched body: the Guardian registers and parameter loads, then
+// every statement with its protected accesses fenced and its brx.idx
+// indices clamped. With elision, a reused expression's fences all write the
+// dedicated `%grdtmp<4+n>` and its reuses read it; every other fence goes
+// through `%grdtmp1`.
+Status EmitBody(const Kernel& kernel, const PatchOptions& options,
+                const std::string& p0, const std::string& p1, Kernel& out,
+                PatchStats& stats) {
+  std::vector<bool> reuse(kernel.body.size(), false);
+  const std::vector<FenceExpr> reused =
+      options.elision_enabled ? FindReusedFences(kernel, reuse)
+                              : std::vector<FenceExpr>{};
 
-class ExprTable {
- public:
-  int Intern(const std::string& root, std::int64_t offset) {
-    const std::string key = root + "+" + std::to_string(offset);
-    auto [it, inserted] = index_.try_emplace(key, exprs_.size());
-    if (inserted) exprs_.push_back(FenceExpr{root, offset});
-    return static_cast<int>(it->second);
-  }
-  const FenceExpr& operator[](int i) const { return exprs_[i]; }
-  std::size_t size() const { return exprs_.size(); }
-
- private:
-  std::vector<FenceExpr> exprs_;
-  std::unordered_map<std::string, std::size_t> index_;
-};
-
-Status EmitElidedBody(const Kernel& kernel, const PatchOptions& options,
-                      const std::string& p0, const std::string& p1,
-                      Kernel& out, PatchStats& stats) {
-  const Cfg cfg = Cfg::Build(kernel);
-  std::unordered_set<std::string> all_labels;
-  for (const Statement& stmt : kernel.body)
-    if (const auto* label = std::get_if<ptx::Label>(&stmt))
-      all_labels.insert(label->name);
-
-  std::vector<VersionedLoop> versioned = SelectVersionedLoops(kernel, cfg);
-
-  // Drop loops whose generated label names would collide with the input.
-  {
-    std::vector<VersionedLoop> kept;
-    for (std::size_t k = 0; k < versioned.size(); ++k) {
-      const std::string tag = std::to_string(k);
-      bool collides = all_labels.count("GRD_SLOW_" + tag) ||
-                      all_labels.count("GRD_DONE_" + tag);
-      const std::string suffix = "_grdslow" + tag;
-      for (std::size_t i = versioned[k].lo; i < versioned[k].hi && !collides;
-           ++i) {
-        if (const auto* label = std::get_if<ptx::Label>(&kernel.body[i]))
-          collides = all_labels.count(label->name + suffix) != 0;
-      }
-      if (!collides) kept.push_back(std::move(versioned[k]));
-    }
-    versioned = std::move(kept);
-  }
-
-  // -- Plan: expand versioned loops into check + fast clone + slow clone. --
-  std::vector<Planned> plan;
-  plan.reserve(kernel.body.size() + versioned.size() * 32);
-  std::size_t next_loop = 0;
-  for (std::size_t i = 0; i < kernel.body.size();) {
-    if (next_loop < versioned.size() && i == versioned[next_loop].lo) {
-      const VersionedLoop& v = versioned[next_loop];
-      const std::string tag = std::to_string(next_loop);
-      const std::string slow_label = "GRD_SLOW_" + tag;
-      const std::string done_label = "GRD_DONE_" + tag;
-      const std::string suffix = "_grdslow" + tag;
-
-      EmitRangeCheck(v, options.mode, slow_label, plan);
-      for (std::size_t j = v.lo; j < v.hi; ++j) {  // fast clone
-        Planned p;
-        p.stmt = kernel.body[j];
-        if (v.affine_stmts.count(j)) p.fence = false;
-        plan.push_back(std::move(p));
-      }
-      {
-        Planned p;
-        p.stmt = Inst("bra", {}, {Operand::Id(done_label)});
-        plan.push_back(std::move(p));
-        Planned l;
-        l.stmt = ptx::Label{slow_label};
-        plan.push_back(std::move(l));
-      }
-      std::unordered_map<std::string, std::string> rename;
-      for (std::size_t j = v.lo; j < v.hi; ++j) {
-        if (const auto* label = std::get_if<ptx::Label>(&kernel.body[j]))
-          rename[label->name] = label->name + suffix;
-      }
-      for (std::size_t j = v.lo; j < v.hi; ++j) {  // slow clone, fully fenced
-        Statement stmt = kernel.body[j];
-        if (auto* label = std::get_if<ptx::Label>(&stmt)) {
-          label->name = rename[label->name];
-        } else if (auto* inst = std::get_if<Instruction>(&stmt)) {
-          if (inst->opcode == "bra" && !inst->operands.empty()) {
-            auto it = rename.find(inst->operands[0].name);
-            if (it != rename.end()) inst->operands[0].name = it->second;
-          }
-        }
-        Planned p;
-        p.stmt = std::move(stmt);
-        p.count = false;
-        plan.push_back(std::move(p));
-      }
-      {
-        Planned l;
-        l.stmt = ptx::Label{done_label};
-        plan.push_back(std::move(l));
-      }
-      ++stats.loop_range_checks;
-      i = v.hi;
-      ++next_loop;
-      continue;
-    }
-    Planned p;
-    p.stmt = kernel.body[i];
-    plan.push_back(std::move(p));
-    ++i;
-  }
-
-  ExprTable exprs;
-  std::unordered_set<int> hoisted_exprs;
-
-  // -- Hoist value-invariant fences into loop preheaders (bitwise mode: the
-  // speculative and/or pair cannot fault; modulo's rem and checking's trap
-  // must keep their original execution conditions). --
-  if (options.mode == BoundsCheckMode::kFencingBitwise) {
-    Kernel probe;
-    probe.body = PlannedBody(plan);
-    const Cfg pcfg = Cfg::Build(probe);
-    // (insertion position, expr) pairs, applied in one rebuild below.
-    std::vector<std::pair<std::size_t, int>> inserts;
-    for (const NaturalLoop& loop : pcfg.loops()) {
-      const BasicBlock& header = pcfg.blocks()[loop.header];
-      if (header.first >= header.last ||
-          !std::holds_alternative<ptx::Label>(probe.body[header.first])) {
-        continue;
-      }
-      std::unordered_set<std::string> inner_labels;
-      for (const int b : loop.blocks) {
-        const BasicBlock& bb = pcfg.blocks()[b];
-        for (std::size_t i = bb.first; i < bb.last; ++i)
-          if (const auto* label = std::get_if<ptx::Label>(&probe.body[i]))
-            inner_labels.insert(label->name);
-      }
-      bool safe = true;
-      for (std::size_t i = 0; i < probe.body.size() && safe; ++i) {
-        if (const auto* table =
-                std::get_if<ptx::BranchTargetsDecl>(&probe.body[i])) {
-          for (const auto& target : table->labels)
-            if (inner_labels.count(target)) safe = false;
-          continue;
-        }
-        const int block = pcfg.BlockOf(i);
-        if (block >= 0 && loop.Contains(block)) continue;
-        const auto* inst = std::get_if<Instruction>(&probe.body[i]);
-        if (inst == nullptr || inst->opcode != "bra") continue;
-        if (!inst->operands.empty() &&
-            inner_labels.count(inst->operands[0].name)) {
-          safe = false;
-        }
-      }
-      if (!safe) continue;
-
-      std::unordered_set<int> loop_exprs;
-      for (const int b : loop.blocks) {
-        const BasicBlock& bb = pcfg.blocks()[b];
-        for (std::size_t i = bb.first; i < bb.last; ++i) {
-          Planned& p = plan[i];
-          if (p.kind != Planned::Kind::kStmt || !p.fence ||
-              p.hoist_expr >= 0 || !IsPatchableAccess(p.stmt)) {
-            continue;
-          }
-          const auto inv = ResolveInvariantAddress(probe, pcfg, loop, i);
-          if (!inv || inv->offset < -kMaxSpanMagnitude ||
-              inv->offset > kMaxSpanMagnitude) {
-            continue;
-          }
-          const int e = exprs.Intern(inv->root, inv->offset);
-          p.hoist_expr = e;
-          if (loop_exprs.insert(e).second)
-            inserts.emplace_back(header.first, e);
-        }
-      }
-    }
-    if (!inserts.empty()) {
-      std::stable_sort(inserts.begin(), inserts.end(),
-                       [](const auto& a, const auto& b) {
-                         return a.first < b.first;
-                       });
-      std::vector<Planned> with_hoists;
-      with_hoists.reserve(plan.size() + inserts.size());
-      std::size_t next = 0;
-      for (std::size_t i = 0; i < plan.size(); ++i) {
-        while (next < inserts.size() && inserts[next].first == i) {
-          Planned h;
-          h.kind = Planned::Kind::kHoist;
-          h.expr = inserts[next].second;
-          hoisted_exprs.insert(h.expr);
-          with_hoists.push_back(std::move(h));
-          ++next;
-        }
-        with_hoists.push_back(std::move(plan[i]));
-      }
-      plan = std::move(with_hoists);
-    }
-  }
-
-  // -- Availability: forward must-analysis over fence expressions. An
-  // access's fence is elided when the same (root, offset) fence reaches it
-  // on every path with no intervening redefinition of the root — rule (a),
-  // classic available-expressions specialized to Guardian fences. --
-  std::vector<int> literal_expr(plan.size(), -1);
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    Planned& p = plan[i];
-    if (p.kind != Planned::Kind::kStmt || !p.fence || p.hoist_expr >= 0 ||
-        !IsPatchableAccess(p.stmt)) {
-      continue;
-    }
-    const auto* inst = std::get_if<Instruction>(&p.stmt);
-    const Operand* mem = MemOperand(*inst);
-    if (mem == nullptr || !mem->MemBaseIsRegister()) continue;  // error later
-    literal_expr[i] = exprs.Intern(mem->name, mem->offset);
-  }
-
-  const std::size_t ne = exprs.size();
-  std::vector<ExprSet> block_in;
-  Kernel probe2;
-  probe2.body = PlannedBody(plan);
-  const Cfg acfg = Cfg::Build(probe2);
-  if (ne > 0) {
-    const std::size_t nb = acfg.blocks().size();
-    // Per-statement transfer applied to a running set; `universe` start plus
-    // intersection over predecessors is the standard optimistic fixpoint.
-    auto apply_kills = [&](const Instruction& inst, ExprSet& set) {
-      std::vector<std::string> reads;
-      std::vector<std::string> writes;
-      CollectRegisterUses(inst, &reads, &writes);
-      for (const auto& w : writes)
-        for (std::size_t e = 0; e < ne; ++e)
-          if (exprs[static_cast<int>(e)].root == w)
-            set.Reset(static_cast<int>(e));
-    };
-    auto transfer = [&](std::size_t i, ExprSet& set) {
-      const Planned& p = plan[i];
-      if (p.kind == Planned::Kind::kHoist) {
-        set.Set(p.expr);
-        return;
-      }
-      const auto* inst = std::get_if<Instruction>(&p.stmt);
-      if (inst == nullptr) return;
-      if (literal_expr[i] >= 0) set.Set(literal_expr[i]);
-      apply_kills(*inst, set);
-    };
-
-    std::vector<ExprSet> block_out(nb, ExprSet(ne, true));
-    block_in.assign(nb, ExprSet(ne, false));
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (std::size_t b = 0; b < nb; ++b) {
-        ExprSet in(ne, true);
-        const auto& preds = acfg.blocks()[b].preds;
-        if (preds.empty()) {
-          in = ExprSet(ne, false);
-        } else {
-          for (const int p : preds) in.IntersectWith(block_out[p]);
-        }
-        block_in[b] = in;
-        ExprSet out = in;
-        for (std::size_t i = acfg.blocks()[b].first;
-             i < acfg.blocks()[b].last; ++i) {
-          transfer(i, out);
-        }
-        if (!(out == block_out[b])) {
-          block_out[b] = std::move(out);
-          changed = true;
-        }
-      }
-    }
-
-    // Decision walk: replay each block from its fixpoint in-set.
-    for (std::size_t b = 0; b < nb; ++b) {
-      ExprSet set = block_in[b];
-      for (std::size_t i = acfg.blocks()[b].first; i < acfg.blocks()[b].last;
-           ++i) {
-        Planned& p = plan[i];
-        if (p.kind == Planned::Kind::kStmt && p.fence &&
-            IsPatchableAccess(p.stmt)) {
-          if (p.hoist_expr >= 0) {
-            p.decision = Planned::Decision::kUseHoist;
-          } else if (literal_expr[i] >= 0) {
-            p.decision = set.Test(literal_expr[i])
-                             ? Planned::Decision::kElide
-                             : Planned::Decision::kEmit;
-          }
-        }
-        transfer(i, set);
-      }
-    }
-  }
-
-  // Dedicated temps: every hoisted expression and every expression elided at
-  // least once gets its own register so providers and consumers agree.
-  std::vector<int> slot(ne, -1);
-  int num_slots = 0;
-  for (const int e : hoisted_exprs)
-    if (slot[e] < 0) slot[e] = num_slots++;
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    if (plan[i].decision == Planned::Decision::kElide &&
-        slot[literal_expr[i]] < 0) {
-      slot[literal_expr[i]] = num_slots++;
-    }
-  }
-  auto temp_name = [&slot](int e) {
-    return slot[e] >= 0 ? "%grdtmp" + std::to_string(4 + slot[e])
-                        : std::string(kRegTmp);
-  };
-
-  // -- Emission. --
   RegDecl grd_regs;
   grd_regs.type = Type::kB64;
   grd_regs.is_range = true;
@@ -696,157 +177,7 @@ Status EmitElidedBody(const Kernel& kernel, const PatchOptions& options,
   tmp_reg.type = Type::kB64;
   tmp_reg.is_range = true;
   tmp_reg.prefix = "%grdtmp";
-  tmp_reg.count = (versioned.empty() && num_slots == 0) ? 2 : 4 + num_slots;
-  out.body.emplace_back(std::move(tmp_reg));
-  if (options.mode == BoundsCheckMode::kChecking) {
-    RegDecl pred_reg;
-    pred_reg.type = Type::kPred;
-    pred_reg.is_range = true;
-    pred_reg.prefix = "%grdp";
-    pred_reg.count = 2;
-    out.body.emplace_back(std::move(pred_reg));
-  }
-  if (!versioned.empty()) {
-    RegDecl loop_pred;
-    loop_pred.type = Type::kPred;
-    loop_pred.is_range = true;
-    loop_pred.prefix = "%grdlp";
-    loop_pred.count = 2;
-    out.body.emplace_back(std::move(loop_pred));
-  }
-  out.body.emplace_back(
-      Inst("ld", {"param", "u64"}, {R(kRegBase), Operand::Mem(p0)}));
-  out.body.emplace_back(
-      Inst("ld", {"param", "u64"}, {R(kRegBound), Operand::Mem(p1)}));
-
-  bool needs_idx_reg = false;
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    Planned& p = plan[i];
-    if (p.kind == Planned::Kind::kHoist) {
-      const FenceExpr& expr = exprs[p.expr];
-      const std::string temp = temp_name(p.expr);
-      if (expr.offset != 0) {
-        out.body.emplace_back(Inst(
-            "add", {"s64"},
-            {R(temp), R(expr.root), Operand::Imm(expr.offset)}));
-        EmitBoundsSequence(options.mode, temp, temp, out.body, stats);
-      } else {
-        EmitBoundsSequence(options.mode, expr.root, temp, out.body, stats);
-      }
-      ++stats.guards_hoisted;
-      continue;
-    }
-
-    const auto* inst = std::get_if<Instruction>(&p.stmt);
-    if (inst == nullptr) {
-      out.body.push_back(p.stmt);
-      continue;
-    }
-
-    if (options.protect_indirect_branches && inst->opcode == "brx" &&
-        inst->HasModifier("idx") && inst->operands.size() == 2) {
-      std::size_t table_size = 0;
-      for (const Statement& s2 : kernel.body) {
-        if (const auto* table = std::get_if<ptx::BranchTargetsDecl>(&s2)) {
-          if (table->name == inst->operands[1].name)
-            table_size = table->labels.size();
-        }
-      }
-      if (table_size == 0)
-        return Status(NotFound("brx.idx table " + inst->operands[1].name +
-                               " not declared in kernel " + kernel.name));
-      needs_idx_reg = true;
-      out.body.emplace_back(Inst(
-          "min", {"u32"},
-          {R(kRegIdx), inst->operands[0],
-           Operand::Imm(static_cast<std::int64_t>(table_size - 1))}));
-      Instruction patched = *inst;
-      patched.operands[0] = R(kRegIdx);
-      out.body.emplace_back(std::move(patched));
-      ++stats.patched_indirect_branches;
-      continue;
-    }
-
-    if (!inst->IsProtectedMemoryAccess()) {
-      out.body.push_back(p.stmt);
-      continue;
-    }
-
-    const std::size_t mem_index = inst->IsLoad() ? 1 : 0;
-    const Operand& mem = inst->operands[mem_index];
-    if (!mem.MemBaseIsRegister()) {
-      return Status(Unimplemented(
-          "protected access through symbol base in kernel " + kernel.name));
-    }
-    auto bump_access = [&]() {
-      if (!p.count) return;
-      if (inst->IsLoad()) {
-        ++stats.patched_loads;
-      } else {
-        ++stats.patched_stores;
-      }
-    };
-
-    if (!p.fence) {
-      // Fast-clone affine access: covered by the preheader range check.
-      out.body.push_back(p.stmt);
-      bump_access();
-      if (p.count) ++stats.guards_elided;
-      continue;
-    }
-
-    Instruction patched = *inst;
-    if (p.decision == Planned::Decision::kUseHoist) {
-      patched.operands[mem_index] = Operand::Mem(temp_name(p.hoist_expr), 0);
-      if (p.count) ++stats.guards_elided;
-    } else if (p.decision == Planned::Decision::kElide) {
-      patched.operands[mem_index] =
-          Operand::Mem(temp_name(literal_expr[i]), 0);
-      if (p.count) ++stats.guards_elided;
-    } else {
-      const std::string temp =
-          literal_expr[i] >= 0 ? temp_name(literal_expr[i]) : kRegTmp;
-      if (mem.offset == 0) {
-        EmitBoundsSequence(options.mode, mem.name, temp, out.body, stats);
-      } else {
-        out.body.emplace_back(Inst(
-            "add", {"s64"},
-            {R(temp), R(mem.name), Operand::Imm(mem.offset)}));
-        EmitBoundsSequence(options.mode, temp, temp, out.body, stats);
-        if (p.count) ++stats.patched_offset_accesses;
-      }
-      patched.operands[mem_index] = Operand::Mem(temp, 0);
-    }
-    out.body.push_back(std::move(patched));
-    bump_access();
-  }
-
-  if (needs_idx_reg) {
-    RegDecl idx_reg;
-    idx_reg.type = Type::kB32;
-    idx_reg.is_range = true;
-    idx_reg.prefix = "%grdidx";
-    idx_reg.count = 2;
-    out.body.insert(out.body.begin(), Statement{std::move(idx_reg)});
-  }
-  return OkStatus();
-}
-
-// Full per-access patching, the parity/fuzz oracle (elision_enabled=false).
-Status EmitFullBody(const Kernel& kernel, const PatchOptions& options,
-                    const std::string& p0, const std::string& p1, Kernel& out,
-                    PatchStats& stats) {
-  RegDecl grd_regs;
-  grd_regs.type = Type::kB64;
-  grd_regs.is_range = true;
-  grd_regs.prefix = "%grdreg";
-  grd_regs.count = 3;
-  out.body.emplace_back(std::move(grd_regs));
-  RegDecl tmp_reg;
-  tmp_reg.type = Type::kB64;
-  tmp_reg.is_range = true;
-  tmp_reg.prefix = "%grdtmp";
-  tmp_reg.count = 2;
+  tmp_reg.count = reused.empty() ? 2 : 4 + static_cast<int>(reused.size());
   out.body.emplace_back(std::move(tmp_reg));
   if (options.mode == BoundsCheckMode::kChecking) {
     RegDecl pred_reg;
@@ -862,8 +193,8 @@ Status EmitFullBody(const Kernel& kernel, const PatchOptions& options,
       Inst("ld", {"param", "u64"}, {R(kRegBound), Operand::Mem(p1)}));
 
   bool needs_idx_reg = false;
-
-  for (const Statement& stmt : kernel.body) {
+  for (std::size_t i = 0; i < kernel.body.size(); ++i) {
+    const Statement& stmt = kernel.body[i];
     const auto* inst = std::get_if<Instruction>(&stmt);
     if (inst == nullptr) {
       out.body.push_back(stmt);
@@ -911,22 +242,28 @@ Status EmitFullBody(const Kernel& kernel, const PatchOptions& options,
           "protected access through symbol base in kernel " + kernel.name));
     }
 
-    Instruction patched = *inst;
-    if (mem.offset == 0) {
+    const auto slot = std::find(reused.begin(), reused.end(),
+                                FenceExpr{mem.name, mem.offset});
+    const std::string temp =
+        slot == reused.end()
+            ? std::string(kRegTmp)
+            : "%grdtmp" + std::to_string(4 + (slot - reused.begin()));
+    if (reuse[i]) {
+      ++stats.guards_elided;
+    } else if (mem.offset == 0) {
       // First addressing mode: fence the base register into the temp and
       // redirect the access through it.
-      EmitBoundsSequence(options.mode, mem.name, kRegTmp, out.body, stats);
-      patched.operands[mem_index] = Operand::Mem(kRegTmp, 0);
+      EmitBoundsSequence(options.mode, mem.name, temp, out.body);
     } else {
       // Second addressing mode (§4.3): materialize base+offset into the
       // temp register, fence the temp, and drop the displacement.
-      out.body.emplace_back(Inst("add", {"s64"},
-                                 {R(kRegTmp), R(mem.name),
-                                  Operand::Imm(mem.offset)}));
-      EmitBoundsSequence(options.mode, kRegTmp, kRegTmp, out.body, stats);
-      patched.operands[mem_index] = Operand::Mem(kRegTmp, 0);
+      out.body.emplace_back(Inst(
+          "add", {"s64"}, {R(temp), R(mem.name), Operand::Imm(mem.offset)}));
+      EmitBoundsSequence(options.mode, temp, temp, out.body);
       ++stats.patched_offset_accesses;
     }
+    Instruction patched = *inst;
+    patched.operands[mem_index] = Operand::Mem(temp, 0);
     out.body.push_back(std::move(patched));
     if (inst->IsLoad()) {
       ++stats.patched_loads;
@@ -1016,15 +353,11 @@ Result<PatchedKernel> PatchKernel(const ptx::Kernel& kernel,
   out.params.push_back(bound_param);
   stats.extra_params = 2;
 
-  const Status body_status =
-      options.elision_enabled
-          ? EmitElidedBody(kernel, options, p0, p1, out, stats)
-          : EmitFullBody(kernel, options, p0, p1, out, stats);
-  if (!body_status.ok()) return body_status;
+  GRD_RETURN_IF_ERROR(EmitBody(kernel, options, p0, p1, out, stats));
 
   // The counter is defined as the exact emitted-body delta; computing it
-  // from the final bodies keeps it honest for loop clones, preheader checks
-  // and offset materializations alike.
+  // from the final bodies keeps it honest for fences, elided fences and
+  // offset materializations alike.
   stats.inserted_instructions =
       CountInstructions(out.body) - CountInstructions(kernel.body);
   return result;

@@ -43,14 +43,11 @@ struct PatchOptions {
   // incur zero overhead and need no launch-time argument augmentation.
   bool skip_statically_safe = false;
   // Guard elision (§2.2's "checks can be turned off on demand", done
-  // statically): a patch-time CFG/dominator/loop analysis (cfg.hpp,
-  // range_analysis.hpp) that (a) elides fences dominated by an identical
-  // fence with no intervening redefinition, (b) hoists loop-invariant
-  // fences into the preheader (bitwise mode), and (c) versions affine
-  // induction loops behind a single preheader range check so the hot clone
-  // runs unfenced. Off by default: full per-access patching is the
-  // parity/fuzz oracle, and wrap-around/trap semantics are identical in
-  // both settings.
+  // statically): an access reuses the clamped address of an identical fence
+  // (same base register, same offset) computed earlier in its label-free
+  // span, unless the base register was written in between. Off by default:
+  // full per-access patching is the parity/fuzz oracle, and wrap-around/trap
+  // semantics are identical in both settings.
   bool elision_enabled = false;
 };
 
@@ -66,14 +63,12 @@ struct PatchStats {
   std::size_t patched_indirect_branches = 0;
   // Exact emitted-body instruction delta: instructions in the patched body
   // minus instructions in the input body (fences, base+offset
-  // materializations, ld.param preamble, brx clamps, and — with elision —
-  // preheader checks and loop clones).
+  // materializations, ld.param preamble and brx clamps).
   std::size_t inserted_instructions = 0;
   std::size_t skipped_safe_kernels = 0;
-  // Guard-elision counters (zero unless PatchOptions::elision_enabled):
-  std::size_t guards_elided = 0;     // accesses that got no inline fence
-  std::size_t guards_hoisted = 0;    // fences emitted in loop preheaders
-  std::size_t loop_range_checks = 0; // loops versioned behind a range check
+  // Accesses that reused an earlier fence instead of getting their own
+  // (zero unless PatchOptions::elision_enabled).
+  std::size_t guards_elided = 0;
   int extra_params = 0;
 
   PatchStats& operator+=(const PatchStats& other) {
@@ -84,8 +79,6 @@ struct PatchStats {
     inserted_instructions += other.inserted_instructions;
     skipped_safe_kernels += other.skipped_safe_kernels;
     guards_elided += other.guards_elided;
-    guards_hoisted += other.guards_hoisted;
-    loop_range_checks += other.loop_range_checks;
     extra_params += other.extra_params;
     return *this;
   }

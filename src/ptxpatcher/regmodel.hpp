@@ -34,8 +34,8 @@ RegisterUsage EstimateRegisterUsage(const ptx::Kernel& kernel);
 // are all sources. Vector destinations (`ld.v2 {%r1,%r2}, [..]`) report each
 // element as a write. Memory-operand base registers and the guard predicate
 // are reads. Special registers (%tid.x, ...) are never reported as writes.
-// Shared by the register-pressure model and the guard-elision passes (cfg/
-// range_analysis), whose kill sets need exact writes.
+// Shared by the register-pressure model and guard elision, which drops an
+// available fence on any write to its base register.
 void CollectRegisterUses(const ptx::Instruction& inst,
                          std::vector<std::string>* reads,
                          std::vector<std::string>* writes);

@@ -144,11 +144,13 @@ TEST(ManagerStatsTest, JsonKeepsHistoricalKeyOrderAndRingCounters) {
   EXPECT_LT(json.find("\"realtime\":{", hist), json.find("\"normal\":{", hist));
   EXPECT_LT(json.find("\"normal\":{", hist), json.find("\"batch\":{", hist));
   // The schema version closes the object; retired keys stay out.
-  const std::string tail = ",\"schema_version\":2}";
+  const std::string tail = ",\"schema_version\":3}";
   ASSERT_GE(json.size(), tail.size());
   EXPECT_EQ(json.compare(json.size() - tail.size(), tail.size(), tail), 0)
       << json;
   EXPECT_EQ(json.find("\"tier0_instructions\""), std::string::npos);
+  EXPECT_EQ(json.find("\"guards_hoisted\""), std::string::npos);
+  EXPECT_EQ(json.find("\"loop_range_checks\""), std::string::npos);
 
   const std::string prom = stats.ToPrometheus();
   EXPECT_NE(prom.find("grd_launches 3\n"), std::string::npos);

@@ -363,38 +363,62 @@ class EscapeRecorder final : public simgpu::AccessPolicy {
 };
 
 // The sweep: random straight-line and loop kernels, all three modes, guard
-// elision on and off, and the kernel's data pointer honest or hostile. The
-// fencing modes must complete (their fences wrap every address into the
-// partition); checking mode may stop, but only with its bounds-check trap.
-// A misaligned data pointer may stop every mode, but only with the engine's
-// misaligned-access fault (or checking mode's trap). No mode may ever touch
-// memory outside the partition.
+// elision on and off, and eleven setups of the data pointer, the access
+// offsets and the partition. The fencing modes must complete (their fences
+// wrap every address into the partition); checking mode may stop, but only
+// with its bounds-check trap. A misaligned data pointer may stop every mode,
+// but only with the engine's misaligned-access fault (or checking mode's
+// trap). No mode may ever touch memory outside the partition.
 class PatchedRandomKernels
     : public ::testing::TestWithParam<std::tuple<int, int, bool, bool, int>> {
 };
 
 TEST_P(PatchedRandomKernels, NeverEscapesPartition) {
-  const auto [seed, mode_index, elision, loop_shape, pointer_index] =
+  const auto [seed, mode_index, elision, loop_shape, setup_index] =
       GetParam();
   Rng rng(seed * 104729 + 7);
   const auto mode = static_cast<BoundsCheckMode>(mode_index);
 
+  struct Setup {
+    std::uint64_t data;          // the kernel's data pointer
+    std::int64_t displacement;   // added to every access's immediate offset
+    std::uint64_t size;          // the partition's size
+  };
   const std::uint64_t base = 1ull << 20;
-  const std::uint64_t size = 1ull << 20;
-  // Honest, then hostile: the last word, one past the end, another tenant's
-  // memory, a pointer whose offsets wrap around zero, null, and a misaligned
-  // pointer whose fenced 4-byte accesses would straddle the partition end.
-  const std::uint64_t kDataPointers[] = {
-      base, base + size - 4, base + size, 4ull << 20, 0xFFFFFFFFFFFFFFF0ull,
-      0,    base + size - 2};
-  const std::uint64_t data = kDataPointers[pointer_index];
+  const std::uint64_t mib = 1ull << 20;
+  // Honest, then hostile pointers: the last word, one past the end, another
+  // tenant's memory, a pointer whose offsets wrap around zero, null, and a
+  // misaligned pointer whose fenced 4-byte accesses would straddle the
+  // partition end. Then the honest pointer with every access displaced 2^32
+  // and 2^40 bytes past it and 4096 bytes below the partition, and with a
+  // 64-byte partition, smaller than the 192 bytes a random kernel touches.
+  const Setup kSetups[] = {
+      {base, 0, mib},
+      {base + mib - 4, 0, mib},
+      {base + mib, 0, mib},
+      {4ull << 20, 0, mib},
+      {0xFFFFFFFFFFFFFFF0ull, 0, mib},
+      {0, 0, mib},
+      {base + mib - 2, 0, mib},
+      {base, std::int64_t{1} << 32, mib},
+      {base, std::int64_t{1} << 40, mib},
+      {base, -4096, mib},
+      {base, 0, 64}};
+  const Setup& setup = kSetups[setup_index];
+  const std::uint64_t data = setup.data;
+  const std::uint64_t size = setup.size;
 
-  const Kernel kernel =
+  Kernel kernel =
       loop_shape ? ptx::MakeRandomLoopKernel(rng, "rk")
                  : ptx::MakeRandomKernel(
                        rng, "rk", static_cast<int>(rng.NextInRange(1, 24)),
                        static_cast<int>(rng.NextInRange(1, 12)),
                        rng.NextBool(0.5));
+  for (ptx::Statement& stmt : kernel.body) {
+    auto* inst = std::get_if<ptx::Instruction>(&stmt);
+    if (inst != nullptr && inst->IsProtectedMemoryAccess())
+      inst->operands[inst->IsLoad() ? 1 : 0].offset += setup.displacement;
+  }
   PatchOptions options;
   options.mode = mode;
   options.elision_enabled = elision;
@@ -436,7 +460,8 @@ TEST_P(PatchedRandomKernels, NeverEscapesPartition) {
     }
     return;
   }
-  if (mode == BoundsCheckMode::kChecking && data != base) {
+  // Every setup but the honest first one may trip checking mode's trap.
+  if (mode == BoundsCheckMode::kChecking && setup_index != 0) {
     if (!stats.ok()) {
       EXPECT_EQ(stats.status().code(), StatusCode::kOutOfRange);
       EXPECT_NE(stats.status().message().find("bounds check trap"),
@@ -454,7 +479,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PatchedRandomKernels,
                                             ::testing::Values(0, 1, 2),
                                             ::testing::Bool(),
                                             ::testing::Bool(),
-                                            ::testing::Range(0, 7)));
+                                            ::testing::Range(0, 11)));
 
 // ---- Register model (Figure 9) ----------------------------------------
 
@@ -493,7 +518,7 @@ TEST(RegModel, OptimizedDeltaSmallerThanNoOptDelta) {
   EXPECT_LT(sum_opt_delta, sum_noopt_delta);
 }
 
-// ---- Guard elision (CFG/loop analysis) ----------------------------------
+// ---- Guard elision --------------------------------------------------------
 
 std::size_t BodyInstructionCount(const Kernel& k) {
   std::size_t n = 0;
@@ -503,8 +528,8 @@ std::size_t BodyInstructionCount(const Kernel& k) {
 }
 
 // Counter loop over a loop-invariant pointer: the only in-loop access reads
-// [%rd2+4] where %rd2 never changes — the hoisting rule's minimal target.
-// The latch guard is a u32 setp, so the loop is deliberately NOT versionable.
+// [%rd2+4] where %rd2 never changes. The loop header's label ends every
+// fence's reuse, so the load is fenced inside the loop on every iteration.
 Kernel MakeHoistKernel(std::string name = "hoistk") {
   using ptx::Operand;
   auto inst = [](std::string op, std::vector<std::string> mods,
@@ -572,9 +597,9 @@ std::vector<Kernel> ElisionCorpus() {
   return kernels;
 }
 
-// Satellite: inserted_instructions must equal the exact emitted-body delta
-// for every kernel, every mode, elision on and off — including base+offset
-// materialization temporaries, preheader checks, and loop clones.
+// inserted_instructions must equal the exact emitted-body delta for every
+// kernel, every mode, elision on and off — including base+offset
+// materialization temporaries.
 TEST(GuardElision, InsertedInstructionsAreExactBodyDelta) {
   for (const Kernel& k : ElisionCorpus()) {
     for (const auto mode :
@@ -603,8 +628,6 @@ TEST(GuardElision, OffByDefaultMatchesLegacyOutput) {
     auto patched = PatchKernel(k, legacy);
     ASSERT_TRUE(patched.ok()) << patched.status();
     EXPECT_EQ(patched->stats.guards_elided, 0u);
-    EXPECT_EQ(patched->stats.guards_hoisted, 0u);
-    EXPECT_EQ(patched->stats.loop_range_checks, 0u);
   }
 }
 
@@ -631,55 +654,6 @@ TEST(GuardElision, DominatedFencesElided) {
   EXPECT_NE(text.find("%grdtmp4"), std::string::npos) << text;
 }
 
-TEST(GuardElision, LoopVersionedBehindRangeCheck) {
-  PatchOptions options;
-  options.elision_enabled = true;
-  auto patched = PatchKernel(ptx::MakePointerWalkKernel("walk", 1), options);
-  ASSERT_TRUE(patched.ok()) << patched.status();
-  EXPECT_EQ(patched->stats.loop_range_checks, 1u);
-  // Both in-loop accesses run unfenced in the fast clone.
-  EXPECT_EQ(patched->stats.guards_elided, 2u);
-  EXPECT_EQ(patched->stats.patched_loads, 1u);
-  EXPECT_EQ(patched->stats.patched_stores, 1u);
-  const std::string text = ptx::Print(patched->kernel);
-  EXPECT_NE(text.find("GRD_SLOW_0:"), std::string::npos) << text;
-  EXPECT_NE(text.find("bra GRD_DONE_0;"), std::string::npos) << text;
-  EXPECT_NE(text.find("WALK_TOP_grdslow0:"), std::string::npos) << text;
-  EXPECT_NE(text.find("max.u64"), std::string::npos) << text;
-}
-
-TEST(GuardElision, InvariantFenceHoistedInBitwiseModeOnly) {
-  PatchOptions options;
-  options.elision_enabled = true;
-  auto patched = PatchKernel(MakeHoistKernel(), options);
-  ASSERT_TRUE(patched.ok()) << patched.status();
-  EXPECT_EQ(patched->stats.guards_hoisted, 1u);
-  EXPECT_EQ(patched->stats.guards_elided, 1u);
-  EXPECT_EQ(patched->stats.loop_range_checks, 0u);
-  const std::string text = ptx::Print(patched->kernel);
-  // The hoisted fence (add + and/or into the slot register) sits before the
-  // loop header label; the in-loop load reads the slot.
-  const auto hoist_pos = text.find("and.b64 %grdtmp4");
-  const auto label_pos = text.find("HLOOP:");
-  ASSERT_NE(hoist_pos, std::string::npos) << text;
-  ASSERT_NE(label_pos, std::string::npos);
-  EXPECT_LT(hoist_pos, label_pos);
-  EXPECT_NE(text.find("ld.global.u32 %r3, [%grdtmp4];"), std::string::npos)
-      << text;
-
-  // Modulo's rem and checking's trap must keep their execution conditions:
-  // no hoisting outside bitwise mode.
-  for (const auto mode :
-       {BoundsCheckMode::kFencingModulo, BoundsCheckMode::kChecking}) {
-    PatchOptions o;
-    o.mode = mode;
-    o.elision_enabled = true;
-    auto p = PatchKernel(MakeHoistKernel(), o);
-    ASSERT_TRUE(p.ok()) << p.status();
-    EXPECT_EQ(p->stats.guards_hoisted, 0u) << BoundsCheckModeName(mode);
-  }
-}
-
 TEST(GuardElision, ElidedKernelsReparse) {
   for (const Kernel& k : ElisionCorpus()) {
     for (const auto mode :
@@ -702,9 +676,8 @@ TEST(GuardElision, ElidedKernelsReparse) {
 }
 
 // Elided and full patching must be observationally identical — including the
-// wrap-around (bitwise/modulo) and trap (checking) OOB semantics — on both
-// the fast path (walk fits the partition) and the slow path (walk exceeds
-// it, so the preheader check routes to the fenced clone).
+// wrap-around (bitwise/modulo) and trap (checking) OOB semantics — both when
+// the walk fits the partition and when it exceeds it.
 TEST(GuardElision, WrapParityFullVsElided) {
   const Kernel kernel = ptx::MakePointerWalkKernel("walk", 2);
   const std::uint64_t base = 1ull << 20;
@@ -721,7 +694,6 @@ TEST(GuardElision, WrapParityFullVsElided) {
     options.elision_enabled = elision;
     auto patched = PatchKernel(kernel, options);
     EXPECT_TRUE(patched.ok()) << patched.status();
-    if (elision) EXPECT_EQ(patched->stats.loop_range_checks, 1u);
     ptx::Module m;
     m.kernels.push_back(patched->kernel);
     simgpu::GlobalMemory memory(16ull << 20);
@@ -746,8 +718,8 @@ TEST(GuardElision, WrapParityFullVsElided) {
   for (const auto mode :
        {BoundsCheckMode::kFencingBitwise, BoundsCheckMode::kFencingModulo,
         BoundsCheckMode::kChecking}) {
-    // 4 iterations spans 1 KiB (in bounds, fast clone); 32 spans 8 KiB (OOB:
-    // wrap-around for the fencing modes, trap for checking).
+    // 4 iterations spans 1 KiB (in bounds); 32 spans 8 KiB (OOB: wrap-around
+    // for the fencing modes, trap for checking).
     for (const std::uint32_t iters : {4u, 32u}) {
       const Run full = run(mode, false, iters);
       const Run elided = run(mode, true, iters);
@@ -757,6 +729,131 @@ TEST(GuardElision, WrapParityFullVsElided) {
           << BoundsCheckModeName(mode) << " iters=" << iters;
     }
   }
+}
+
+// guardbench's library is the cuRAND row of Table 3 at seed 1, loaded as
+// printed PTX; pin what elision removes from it in each mode.
+TEST(GuardElision, ServedLibraryYield) {
+  ptx::Module library;
+  for (const ptx::LibraryCorpusSpec& spec : ptx::Table3Corpora())
+    if (spec.name.rfind("cuRAND", 0) == 0)
+      ptx::GenerateCorpus(spec, 1, [&library](const Kernel& kernel) {
+        library.kernels.push_back(kernel);
+      });
+  auto served = ptx::Parse(ptx::Print(library));
+  ASSERT_TRUE(served.ok()) << served.status();
+  ASSERT_EQ(served->kernels.size(), 204u);
+
+  const std::pair<BoundsCheckMode, std::size_t> kInserted[] = {
+      {BoundsCheckMode::kFencingBitwise, 3414},
+      {BoundsCheckMode::kFencingModulo, 4483},
+      {BoundsCheckMode::kChecking, 5753}};
+  for (const auto& [mode, inserted] : kInserted) {
+    PatchOptions options;
+    options.mode = mode;
+    options.elision_enabled = true;
+    PatchStats stats;
+    ASSERT_TRUE(PatchModule(*served, options, &stats).ok());
+    EXPECT_EQ(stats.inserted_instructions, inserted)
+        << BoundsCheckModeName(mode);
+    EXPECT_EQ(stats.guards_elided, 7490u) << BoundsCheckModeName(mode);
+  }
+}
+
+// A fence is available on the edge into RLOOP from above but not on the back
+// edge, which advanced %rd2: the load after the label must fence again, and
+// only the store after it reuses a fence.
+TEST(GuardElision, ReuseStopsAtLabels) {
+  auto module = ptx::Parse(R"(
+.version 7.7
+.target sm_86
+.address_size 64
+.visible .entry relabel(.param .u64 relabel_param_0,
+                        .param .u32 relabel_param_1)
+{
+    .reg .pred %p<2>;
+    .reg .b32 %r<5>;
+    .reg .b64 %rd<3>;
+    ld.param.u64 %rd1, [relabel_param_0];
+    ld.param.u32 %r1, [relabel_param_1];
+    cvta.to.global.u64 %rd2, %rd1;
+    ld.global.u32 %r2, [%rd2];
+    mov.u32 %r3, 0;
+RLOOP:
+    ld.global.u32 %r4, [%rd2];
+    add.s32 %r4, %r4, %r2;
+    st.global.u32 [%rd2], %r4;
+    add.s64 %rd2, %rd2, 4;
+    add.s32 %r3, %r3, 1;
+    setp.lt.u32 %p1, %r3, %r1;
+    @%p1 bra RLOOP;
+    ret;
+}
+)");
+  ASSERT_TRUE(module.ok()) << module.status();
+  const Kernel& kernel = module->kernels[0];
+  const std::uint64_t base = 1ull << 20;
+  const std::uint64_t size = 64;
+
+  auto run = [&](BoundsCheckMode mode, bool elision, std::uint32_t iters,
+                 Status* status) {
+    PatchOptions options;
+    options.mode = mode;
+    options.elision_enabled = elision;
+    std::vector<std::uint32_t> partition;
+    auto patched = PatchKernel(kernel, options);
+    if (!patched.ok()) {
+      ADD_FAILURE() << patched.status();
+      return partition;
+    }
+    if (elision) {
+      EXPECT_EQ(patched->stats.guards_elided, 1u) << BoundsCheckModeName(mode);
+    }
+    ptx::Module m;
+    m.kernels.push_back(patched->kernel);
+    simgpu::GlobalMemory memory(4ull << 20);
+    for (std::uint64_t i = 0; i < size / 4; ++i)
+      EXPECT_TRUE(memory.Store<std::uint32_t>(base + 4 * i, 100 + 7 * i).ok());
+    simgpu::AllowAllPolicy allow;
+    Interpreter interp(&memory, &allow, 1);
+    const GrdArgs grd = ComputeGrdArgs(mode, base, size);
+    LaunchParams params;
+    params.args = {KernelArg::U64(base), KernelArg::U32(iters),
+                   KernelArg::U64(grd.arg0), KernelArg::U64(grd.arg1)};
+    auto stats = interp.Execute(m, kernel.name, params);
+    *status = stats.ok() ? OkStatus() : stats.status();
+    for (std::uint64_t a = base; a < base + size; a += 4) {
+      auto v = memory.Load<std::uint32_t>(a);
+      EXPECT_TRUE(v.ok());
+      partition.push_back(v.ok() ? *v : 0);
+    }
+    return partition;
+  };
+
+  for (const auto mode :
+       {BoundsCheckMode::kFencingBitwise, BoundsCheckMode::kFencingModulo,
+        BoundsCheckMode::kChecking}) {
+    // 8 iterations stay in the 16-word partition; 40 wrap around it (the
+    // fencing modes) or trap (checking).
+    for (const std::uint32_t iters : {8u, 40u}) {
+      Status full_status, elided_status;
+      const auto full = run(mode, false, iters, &full_status);
+      const auto elided = run(mode, true, iters, &elided_status);
+      EXPECT_EQ(full_status.code(), elided_status.code())
+          << BoundsCheckModeName(mode) << " iters=" << iters;
+      EXPECT_EQ(full, elided)
+          << BoundsCheckModeName(mode) << " iters=" << iters;
+    }
+  }
+
+  PatchOptions options;
+  options.elision_enabled = true;
+  auto patched = PatchKernel(kernel, options);
+  ASSERT_TRUE(patched.ok()) << patched.status();
+  const std::string text = ptx::Print(patched->kernel);
+  EXPECT_NE(text.find("RLOOP:\n    and.b64 %grdtmp4, %rd2, %grdreg2;"),
+            std::string::npos)
+      << text;
 }
 
 // Golden corpus: the exact elided output for a fixed kernel set is committed

@@ -355,26 +355,25 @@ TEST_F(TransportTest, ClosedOrStalledChannelDoesNotSpinThePump) {
 
 TEST(IdleBackoffTest, EscalatesAndResets) {
   IdleBackoff backoff;
-  // Spin + yield phases consume no wall-clock worth measuring.
-  const auto begin = std::chrono::steady_clock::now();
-  for (int i = 0; i < 96; ++i) backoff.Pause();
-  const auto hot = std::chrono::steady_clock::now() - begin;
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(hot).count(),
-            100);
+  // The spin and yield phases never sleep.
+  for (int i = 0; i < 96; ++i) {
+    backoff.Pause();
+    ASSERT_EQ(backoff.sleep_us(), 0u) << "pause " << i;
+  }
   // The sleep phase actually sleeps.
   const auto sleep_begin = std::chrono::steady_clock::now();
   for (int i = 0; i < 8; ++i) backoff.Pause();
   const auto slept = std::chrono::steady_clock::now() - sleep_begin;
+  EXPECT_GT(backoff.sleep_us(), 0u);
   EXPECT_GT(std::chrono::duration_cast<std::chrono::microseconds>(slept)
                 .count(),
             300);
   backoff.Reset();  // back to the hot phase
-  const auto reset_begin = std::chrono::steady_clock::now();
-  for (int i = 0; i < 32; ++i) backoff.Pause();
-  const auto after_reset = std::chrono::steady_clock::now() - reset_begin;
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(after_reset)
-                .count(),
-            100);
+  EXPECT_EQ(backoff.sleep_us(), 0u);
+  for (int i = 0; i < 32; ++i) {
+    backoff.Pause();
+    ASSERT_EQ(backoff.sleep_us(), 0u) << "pause " << i << " after Reset";
+  }
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 //                                      recovered)
 //   check_metrics stats FILE...        MANAGER_STATS objects (raw JSON, or a
 //                                      log whose "MANAGER_STATS {...}" lines
-//                                      are extracted): schema_version 2, its
+//                                      are extracted): schema_version 3, its
 //                                      required counter keys, and per-class
 //                                      wait histograms
 //   check_metrics trace FILE [MIN]     Chrome trace-event JSON: traceEvents
@@ -326,8 +326,9 @@ int CheckFleet(const char* path) {
 // The ManagerStats schema version this tool validates, and the counters
 // every export of that version must carry. A key leaves the export only
 // with a version bump; version 2 retired the tier-promotion counters and
-// the tier-0/1 instruction counts (docs/metrics.md).
-constexpr double kStatsSchemaVersion = 2;
+// the tier-0/1 instruction counts, version 3 retired guards_hoisted and
+// loop_range_checks (docs/metrics.md).
+constexpr double kStatsSchemaVersion = 3;
 constexpr const char* kRequiredStatsKeys[] = {
     "launches",           "sandboxed_launches",    "native_launches",
     "transfers_checked",  "faults_contained",      "responses_dropped",
@@ -347,7 +348,7 @@ int CheckStatsObject(const char* path, const std::string& text) {
   const JsonValue* version = root.Find("schema_version");
   if (version == nullptr || version->kind != JsonValue::Kind::kNumber ||
       version->number != kStatsSchemaVersion)
-    return Complain(path, "schema_version is not 2");
+    return Complain(path, "schema_version is not 3");
   for (const char* key : kRequiredStatsKeys) {
     const JsonValue* value = root.Find(key);
     if (value == nullptr)
