@@ -1,8 +1,12 @@
 // Kernel-execution hot path on the one engine, plus cold vs cached launch
 // latency through the grdManager's compiled-program cache.
 //
-//  phase 1 — Minstr/s on an ALU-heavy loop kernel and on a patched (fenced)
-//            memory-copy kernel, three ways:
+//  phase 1 — Minstr/s on an ALU-heavy loop kernel, on a patched (fenced)
+//            memory-copy kernel, and on the two kernels guardbench's
+//            tenants launch most, patched and run as the manager runs them
+//            (bitwise fencing with guard elision, AllowAllPolicy): cuBLAS
+//            grd_sgemm at 32x32x32 and saxpy over 1024 floats. Each runs
+//            three ways:
 //              cold     — the seed string-map reference engine
 //              unfused  — the engine on CompileKernel output: one dispatch
 //                         per instruction
@@ -18,14 +22,15 @@
 //            queue wait and execution segment), as interleaved off/on pairs;
 //            the median on/off ratio must stay within 5%.
 //
-// Exits non-zero unless the engine is >= 3x the reference on both
-// workloads, fusion is >= 1.5x the unfused program on the hot ALU loop
-// (>= 0.9x on the memory copy — fencing is load/store bound), the cold load
-// compiled exactly one fused program (superinstructions counted) whose
+// Exits non-zero unless the engine is >= 3x the reference on the ALU loop
+// and the fenced copy, fusion is >= 1.5x the unfused program on the hot ALU
+// loop (>= 0.9x on the memory copy — fencing is load/store bound), the cold
+// load compiled exactly one fused program (superinstructions counted) whose
 // first launch retired every instruction in the engine's slot, the cache
 // hits compiled nothing and cost at most 0.15x the cold load, and tracing
-// stays within 5%. Writes the machine-readable line to stdout AND to
-// ./BENCH_interpreter.json.
+// stays within 5%. The served kernels carry no gate: their rates are wall
+// time, and their instruction counts are reported for comparison. Writes
+// the machine-readable line to stdout AND to ./BENCH_interpreter.json.
 // GRD_BENCH_QUICK=1 shrinks the workload for CI smoke runs.
 #include <algorithm>
 #include <chrono>
@@ -43,8 +48,10 @@
 #include "ptx/parser.hpp"
 #include "ptx/printer.hpp"
 #include "ptxexec/interpreter.hpp"
+#include "ptxexec/reference.hpp"
 #include "ptxpatcher/patcher.hpp"
 #include "simgpu/device_spec.hpp"
+#include "simlibs/kernels_ptx.hpp"
 
 namespace {
 
@@ -121,11 +128,12 @@ EngineScores Race(const ptx::Module& module, const std::string& kernel,
   simgpu::GlobalMemory memory(16ull << 20);
   simgpu::AllowAllPolicy allow;
   ptxexec::Interpreter interp(&memory, &allow, 1);
+  ptxexec::ReferenceInterpreter reference(&memory, &allow, 1);
   EngineScores out;
 
   for (int rep = 0; rep < reps; ++rep) {
     KeepBest(&out.cold, [&] {
-      auto stats = interp.ExecuteReference(module, kernel, params);
+      auto stats = reference.Execute(module, kernel, params);
       if (!stats.ok()) {
         std::printf("reference run failed: %s\n",
                     stats.status().ToString().c_str());
@@ -251,6 +259,45 @@ int main() {
                      KernelArg::U64(grd_args.arg1)};
   const EngineScores mem = Race(*patched, "copyk", mem_params, reps);
 
+  // The served kernels, patched as the manager patches them by default.
+  ptxpatcher::PatchOptions served_options;
+  served_options.elision_enabled = true;
+  const auto served_grd = ptxpatcher::ComputeGrdArgs(served_options.mode,
+                                                     base, 1ull << 20);
+  auto cublas = ptx::Parse(std::string(simlibs::CublasPtx()));
+  ptx::Module saxpy_native;
+  saxpy_native.kernels.push_back(ptx::MakeSaxpyKernel("saxpy"));
+  if (!cublas.ok()) {
+    std::printf("parse failed: %s\n", cublas.status().ToString().c_str());
+    return 1;
+  }
+  auto served_sgemm = ptxpatcher::PatchModule(*cublas, served_options);
+  auto served_saxpy = ptxpatcher::PatchModule(saxpy_native, served_options);
+  if (!served_sgemm.ok() || !served_saxpy.ok()) {
+    std::printf("patch of the served kernels failed\n");
+    return 1;
+  }
+  constexpr std::uint32_t kGemm = 32;  // m = n = k, guardbench's size
+  LaunchParams sgemm_params;
+  sgemm_params.grid = {kGemm * kGemm / 128, 1, 1};
+  sgemm_params.block = {128, 1, 1};
+  sgemm_params.args = {KernelArg::U64(base), KernelArg::U64(base + 0x1000),
+                       KernelArg::U64(base + 0x2000), KernelArg::U32(kGemm),
+                       KernelArg::U32(kGemm), KernelArg::U32(kGemm),
+                       KernelArg::U64(served_grd.arg0),
+                       KernelArg::U64(served_grd.arg1)};
+  const EngineScores sgemm =
+      Race(*served_sgemm, "grd_sgemm", sgemm_params, reps);
+  constexpr std::uint32_t kVector = 1024;
+  LaunchParams saxpy_params;
+  saxpy_params.grid = {kVector / 256, 1, 1};
+  saxpy_params.block = {256, 1, 1};
+  saxpy_params.args = {KernelArg::U64(base), KernelArg::U64(base + 0x1000),
+                       KernelArg::F32(1.5f), KernelArg::U32(kVector),
+                       KernelArg::U64(served_grd.arg0),
+                       KernelArg::U64(served_grd.arg1)};
+  const EngineScores saxpy = Race(*served_saxpy, "saxpy", saxpy_params, reps);
+
   const auto ratio = [](double num, double den) {
     return den > 0.0 ? num / den : 0.0;
   };
@@ -268,8 +315,20 @@ int main() {
   std::printf("%-22s %-11.1f %-11.1f %-11.1f %-9.1fx %-8.2fx\n",
               "fenced copy", mem.cold.mips, mem.unfused.mips, mem.engine.mips,
               mem_speedup, mem_fusion_speedup);
-  std::printf("superinstructions: alu %u, fenced copy %u\n",
-              alu.superinstructions, mem.superinstructions);
+  const auto served_row = [&](const char* name, const EngineScores& e) {
+    std::printf("%-22s %-11.1f %-11.1f %-11.1f %-9.1fx %-8.2fx\n", name,
+                e.cold.mips, e.unfused.mips, e.engine.mips,
+                ratio(e.engine.mips, e.cold.mips),
+                ratio(e.engine.mips, e.unfused.mips));
+  };
+  served_row("served sgemm 32^3", sgemm);
+  served_row("served saxpy 1024", saxpy);
+  std::printf("superinstructions: alu %u, fenced copy %u, sgemm %u, saxpy "
+              "%u; instructions per launch: sgemm %llu, saxpy %llu\n",
+              alu.superinstructions, mem.superinstructions,
+              sgemm.superinstructions, saxpy.superinstructions,
+              static_cast<unsigned long long>(sgemm.engine.instructions),
+              static_cast<unsigned long long>(saxpy.engine.instructions));
 
   // ---- phase 2: cold vs cached launch -------------------------------------
   simcuda::Gpu gpu(simgpu::QuadroRtxA4000());
@@ -425,7 +484,21 @@ int main() {
       .Add("tracing_on_mips", tracing_on_mips, 2)
       .Add("tracing_overhead_ratio", tracing_ratio, 3)
       .Add("quick", quick)
-      .Add("schema_version", std::uint64_t{2});
+      .Add("schema_version", std::uint64_t{2})
+      .Add("sgemm_cold_mips", sgemm.cold.mips, 2)
+      .Add("sgemm_unfused_mips", sgemm.unfused.mips, 2)
+      .Add("sgemm_engine_mips", sgemm.engine.mips, 2)
+      .Add("sgemm_speedup", ratio(sgemm.engine.mips, sgemm.cold.mips), 2)
+      .Add("sgemm_fusion_speedup",
+           ratio(sgemm.engine.mips, sgemm.unfused.mips), 2)
+      .Add("sgemm_instructions", sgemm.engine.instructions)
+      .Add("saxpy_cold_mips", saxpy.cold.mips, 2)
+      .Add("saxpy_unfused_mips", saxpy.unfused.mips, 2)
+      .Add("saxpy_engine_mips", saxpy.engine.mips, 2)
+      .Add("saxpy_speedup", ratio(saxpy.engine.mips, saxpy.cold.mips), 2)
+      .Add("saxpy_fusion_speedup",
+           ratio(saxpy.engine.mips, saxpy.unfused.mips), 2)
+      .Add("saxpy_instructions", saxpy.engine.instructions);
   json.Emit("interpreter");
 
   bool ok = true;

@@ -18,18 +18,19 @@
 //    which encode the masking / sign-extension / div-by-zero / shift-count
 //    conventions;
 //  - BlockExec, the per-block machine state (flat register file, shared
-//    segment, operand reads, sized loads/stores through the access policy,
-//    fault recording, preemption-poll bookkeeping) and the dispatch loop;
+//    segment, operand reads, the one load/store path through the access
+//    policy, fault recording, preemption-poll bookkeeping) and the dispatch
+//    loop;
 //  - Interpreter::Execute, the grid walk (checkpoint skip/resume, per-block
 //    stats deltas, block-boundary safe points).
-// A superinstruction executes component by component through the same
-// evaluators, charging stats, instruction budget and the preemption-poll
-// countdown per component, so fusion cannot drift from the oracle.
+// A superinstruction executes its micro ops back to back. Each micro op is
+// the bit-identical inline form of one evaluator or handler, and the run
+// charges stats and instruction budget exactly where an unfused run would,
+// so fusion cannot drift from the oracle.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -52,10 +53,12 @@ using scalar::F64Bits;
 using scalar::MaskToWidth;
 using scalar::SignExtend;
 
-// The label table in BlockExec::RunThread is indexed by COp and must cover
-// the enum exactly.
+// The label tables in BlockExec::RunThread are indexed by COp and MicroOp
+// and must cover the enums exactly.
 static_assert(static_cast<unsigned>(COp::kFused) == 16,
               "COp changed: update the RunThread label table");
+static_assert(static_cast<unsigned>(MicroOp::kBra) == 25,
+              "MicroOp changed: update the RunThread micro label table");
 
 // ---- scalar evaluators ------------------------------------------------------
 
@@ -108,9 +111,11 @@ inline std::uint64_t EvalBinary(const CompiledInst& inst, std::uint64_t a,
     }
     out = f64 ? F64Bits(r) : F32Bits(static_cast<float>(r));
   } else if (alu == BinAlu::kMulWide) {
+    // Unsigned arithmetic: a 64-bit signed product may overflow, and the
+    // low 64 bits are the same either way.
     out = inst.is_signed
-              ? static_cast<std::uint64_t>(SignExtend(a, width) *
-                                           SignExtend(b, width))
+              ? static_cast<std::uint64_t>(SignExtend(a, width)) *
+                    static_cast<std::uint64_t>(SignExtend(b, width))
               : MaskToWidth(a, width) * MaskToWidth(b, width);
   } else if (alu == BinAlu::kMulHi) {
     const unsigned __int128 prod =
@@ -126,15 +131,19 @@ inline std::uint64_t EvalBinary(const CompiledInst& inst, std::uint64_t a,
       case BinAlu::kAdd: out = ua + ub; break;
       case BinAlu::kSub: out = ua - ub; break;
       case BinAlu::kMul: out = ua * ub; break;  // .lo
+      // A signed divisor of -1 wraps like the hardware: INT_MIN / -1 is
+      // INT_MIN and INT_MIN % -1 is 0 (the host's idiv would trap).
       case BinAlu::kDiv:
-        out = ub == 0 ? 0
-              : inst.is_signed ? static_cast<std::uint64_t>(sa / sb)
-                               : ua / ub;
+        out = ub == 0            ? 0
+              : !inst.is_signed  ? ua / ub
+              : sb == -1         ? 0 - ua
+                                 : static_cast<std::uint64_t>(sa / sb);
         break;
       case BinAlu::kRem:
-        out = ub == 0 ? 0
-              : inst.is_signed ? static_cast<std::uint64_t>(sa % sb)
-                               : ua % ub;
+        out = ub == 0            ? 0
+              : !inst.is_signed  ? ua % ub
+              : sb == -1         ? 0
+                                 : static_cast<std::uint64_t>(sa % sb);
         break;
       case BinAlu::kMin:
         out = inst.is_signed ? static_cast<std::uint64_t>(std::min(sa, sb))
@@ -169,9 +178,9 @@ inline std::uint64_t EvalMad(const CompiledInst& inst, std::uint64_t a,
     const double r = (f64 ? AsF64(a) : AsF32(a)) * (f64 ? AsF64(b) : AsF32(b)) +
                      (f64 ? AsF64(c) : AsF32(c));
     out = f64 ? F64Bits(r) : F32Bits(static_cast<float>(r));
-  } else if (inst.sub == 1) {  // wide
-    out = static_cast<std::uint64_t>(SignExtend(a, width) *
-                                     SignExtend(b, width)) +
+  } else if (inst.sub == 1) {  // wide, in unsigned arithmetic like kMulWide
+    out = static_cast<std::uint64_t>(SignExtend(a, width)) *
+              static_cast<std::uint64_t>(SignExtend(b, width)) +
           c;
   } else {
     out = MaskToWidth(
@@ -196,15 +205,14 @@ inline std::uint64_t EvalUnary(const CompiledInst& inst, std::uint64_t a) {
     }
     out = f64 ? F64Bits(r) : F32Bits(static_cast<float>(r));
   } else {
+    // In unsigned arithmetic, so the most negative value negates to itself.
+    const std::int64_t sa = SignExtend(a, width);
+    const std::uint64_t neg = 0 - static_cast<std::uint64_t>(sa);
     switch (static_cast<UnAlu>(inst.sub)) {
-      case UnAlu::kNeg:
-        out = MaskToWidth(static_cast<std::uint64_t>(-SignExtend(a, width)),
-                          width);
-        break;
+      case UnAlu::kNeg: out = MaskToWidth(neg, width); break;
       case UnAlu::kAbs:
-        out = MaskToWidth(
-            static_cast<std::uint64_t>(std::llabs(SignExtend(a, width))),
-            width);
+        out = MaskToWidth(sa < 0 ? neg : static_cast<std::uint64_t>(sa),
+                          width);
         break;
       case UnAlu::kNot: out = MaskToWidth(~a, width); break;
       default: break;  // unreachable
@@ -328,24 +336,29 @@ class BlockExec {
     return 0;
   }
 
-  Result<std::uint64_t> LoadSized(std::uint64_t addr, std::size_t bytes) {
+  // The one path every ld/st lane takes, top-level or fused: the block's
+  // shared segment for a tagged address, else the tenant access policy and
+  // then GlobalMemory's in-page access. Alignment is checked by the caller,
+  // once per instruction. Forced inline: as calls out of RunThread the
+  // served sgemm ran about 5% slower (5 of 6 pairs).
+  [[gnu::always_inline]] Status Load(std::uint64_t addr, std::size_t bytes,
+                                     std::uint64_t* bits) {
     if (addr & scalar::kSharedTag) {
       const std::uint64_t off = addr & ~scalar::kSharedTag;
       if (off + bytes > shared_.size())
-        return Status(OutOfRange("shared access beyond block allocation"));
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, shared_.data() + off, bytes);
+        return OutOfRange("shared access beyond block allocation");
+      std::memcpy(bits, shared_.data() + off, bytes);
       ++stats_->shared_accesses;
-      return bits;
+      return OkStatus();
     }
     GRD_RETURN_IF_ERROR(policy_->CheckAccess(client_, addr, bytes, false));
-    std::uint64_t bits = 0;
-    GRD_RETURN_IF_ERROR(memory_->Read(addr, &bits, bytes));
+    GRD_RETURN_IF_ERROR(memory_->ReadInPage(addr, bits, bytes));
     ++stats_->global_loads;
-    return bits;
+    return OkStatus();
   }
 
-  Status StoreSized(std::uint64_t addr, std::uint64_t bits, std::size_t bytes) {
+  [[gnu::always_inline]] Status Store(std::uint64_t addr, std::uint64_t bits,
+                                      std::size_t bytes) {
     if (addr & scalar::kSharedTag) {
       const std::uint64_t off = addr & ~scalar::kSharedTag;
       if (off + bytes > shared_.size())
@@ -355,33 +368,58 @@ class BlockExec {
       return OkStatus();
     }
     GRD_RETURN_IF_ERROR(policy_->CheckAccess(client_, addr, bytes, true));
-    GRD_RETURN_IF_ERROR(memory_->Write(addr, &bits, bytes));
+    GRD_RETURN_IF_ERROR(memory_->WriteInPage(addr, &bits, bytes));
     ++stats_->global_stores;
     return OkStatus();
   }
 
-  // ld/st shared by the top-level handlers and the fused-component loop.
-  // Neither advances the pc; faults are recorded via Fault().
+  // A scalar ld/st: the alignment check, then Load/Store. `*bits` holds the
+  // loaded bytes zero-extended; a fault is recorded at `addr`.
+  [[gnu::always_inline]] Status LdScalar(const CThread& t, std::uint64_t addr,
+                                         std::size_t bytes,
+                                         std::uint64_t* bits) {
+    Status s = scalar::MisalignedGlobal(addr, bytes)
+                   ? scalar::MisalignedAccess(addr, bytes, false)
+                   : Load(addr, bytes, bits);
+    if (!s.ok()) [[unlikely]]
+      return Fault(std::move(s), addr, t);
+    return s;
+  }
+
+  [[gnu::always_inline]] Status StScalar(const CThread& t, std::uint64_t addr,
+                                         std::uint64_t bits,
+                                         std::size_t bytes) {
+    Status s = scalar::MisalignedGlobal(addr, bytes)
+                   ? scalar::MisalignedAccess(addr, bytes, true)
+                   : Store(addr, MaskToWidth(bits, bytes), bytes);
+    if (!s.ok()) [[unlikely]]
+      return Fault(std::move(s), addr, t);
+    return s;
+  }
+
+  // Top-level ld/st, scalar or v2/v4. Neither advances the pc; faults are
+  // recorded via Fault().
   Status DoLd(CThread& t, std::uint64_t* regs, const CompiledInst& inst) {
     const std::size_t width = inst.width;
     const std::uint64_t addr = ReadOp(t, regs, inst.a) +
                                static_cast<std::uint64_t>(inst.mem_offset);
+    if (inst.sub == 1) {
+      std::uint64_t bits = 0;
+      GRD_RETURN_IF_ERROR(LdScalar(t, addr, width, &bits));
+      // Sign-extend signed sub-64-bit loads so later s64 arithmetic works.
+      regs[inst.dst] =
+          inst.is_signed ? static_cast<std::uint64_t>(SignExtend(bits, width))
+                         : bits;
+      return OkStatus();
+    }
     if (scalar::MisalignedGlobal(addr, width * inst.sub)) [[unlikely]]
       return Fault(scalar::MisalignedAccess(addr, width * inst.sub, false),
                    addr, t);
-    if (inst.sub > 1) {
-      for (int lane = 0; lane < inst.sub; ++lane) {
-        auto bits = LoadSized(addr + lane * width, width);
-        if (!bits.ok()) return Fault(bits.status(), addr, t);
-        regs[inst.vec[lane]] = *bits;
-      }
-    } else {
-      auto bits = LoadSized(addr, width);
-      if (!bits.ok()) return Fault(bits.status(), addr, t);
-      // Sign-extend signed sub-64-bit loads so later s64 arithmetic works.
-      regs[inst.dst] =
-          inst.is_signed ? static_cast<std::uint64_t>(SignExtend(*bits, width))
-                         : *bits;
+    for (int lane = 0; lane < inst.sub; ++lane) {
+      std::uint64_t bits = 0;
+      Status s = Load(addr + lane * width, width, &bits);
+      if (!s.ok()) return Fault(std::move(s), addr, t);
+      regs[inst.vec[lane]] = bits;
     }
     return OkStatus();
   }
@@ -390,22 +428,22 @@ class BlockExec {
     const std::size_t width = inst.width;
     const std::uint64_t addr = ReadOp(t, regs, inst.a) +
                                static_cast<std::uint64_t>(inst.mem_offset);
+    if (inst.sub == 1) return StScalar(t, addr, ReadOp(t, regs, inst.b), width);
     if (scalar::MisalignedGlobal(addr, width * inst.sub)) [[unlikely]]
       return Fault(scalar::MisalignedAccess(addr, width * inst.sub, true),
                    addr, t);
-    if (inst.sub > 1) {
-      for (int lane = 0; lane < inst.sub; ++lane) {
-        const Status s =
-            StoreSized(addr + lane * width,
+    for (int lane = 0; lane < inst.sub; ++lane) {
+      Status s = Store(addr + lane * width,
                        MaskToWidth(regs[inst.vec[lane]], width), width);
-        if (!s.ok()) return Fault(s, addr, t);
-      }
-    } else {
-      const Status s = StoreSized(
-          addr, MaskToWidth(ReadOp(t, regs, inst.b), width), width);
-      if (!s.ok()) return Fault(s, addr, t);
+      if (!s.ok()) return Fault(std::move(s), addr, t);
     }
     return OkStatus();
+  }
+
+  Status MissingArgument(const CThread& t, std::uint32_t name_string) {
+    return Fault(InvalidArgument("missing argument for parameter " +
+                                 prog_.strings[name_string]),
+                 0, t);
   }
 
   Status Fault(Status status, std::uint64_t addr, const CThread& t) {
@@ -426,8 +464,8 @@ class BlockExec {
   }
 
   // Polls the preemption flag, resetting the every-N-instructions countdown.
-  // Called once per dispatched instruction (a superinstruction bulk-charges
-  // its remaining components through SpendCountdown).
+  // Called once per dispatched instruction (a superinstruction charges its
+  // remaining components through SpendCountdown).
   void PollPreempt() {
     if (preempt_ != nullptr && !preempt_latched_ &&
         --preempt_countdown_ == 0) {
@@ -521,12 +559,32 @@ Status BlockExec::RunBlock(std::uint32_t bx, std::uint32_t by,
     }                                                     \
   }
 
+// Superinstruction micro ops are threaded like the top level: each handler
+// reads the next component's sources and jumps through the micro label
+// table, or to fused_done after the run's last component. On the served
+// sgemm and saxpy this ran 4-10% faster than one switch in a loop.
+#define GRD_MICRO_DISPATCH()                    \
+  va = (m->src_imm & 1) ? m->a : regs[m->a];    \
+  vb = (m->src_imm & 2) ? m->b : regs[m->b];    \
+  goto* kMicroLabels[static_cast<unsigned>(m->op)]
+#define GRD_NEXT_MICRO()              \
+  if (++m == m_end) goto fused_done; \
+  GRD_MICRO_DISPATCH()
+#define GRD_MICRO_C() ((m->src_imm & 4) ? m->c : regs[m->c])
+
 Status BlockExec::RunThread(CThread& t, std::uint64_t* regs,
                             bool* thread_done) {
   const CompiledInst* const code = prog_.code.data();
   const std::uint64_t code_size = prog_.code.size();
   const CompiledInst* ip = nullptr;
   std::uint64_t budget = max_instructions_;
+  // Superinstruction state: the current and end component, the sources of
+  // the current one, the components that run and the pc after the run.
+  const FusedComp* m = nullptr;
+  const FusedComp* m_end = nullptr;
+  std::uint64_t va = 0, vb = 0;
+  unsigned run = 0;
+  std::uint32_t next_pc = 0;
 
   // Indexed by COp; order must match the enum (static_assert above).
   static const void* const kLabels[] = {
@@ -535,6 +593,17 @@ Status BlockExec::RunThread(CThread& t, std::uint64_t* regs,
       &&op_kSetp,    &&op_kSelp,    &&op_kBra,    &&op_kBrx,
       &&op_kBar,     &&op_kRetExit, &&op_kTrap,   &&op_kError,
       &&op_kFused};
+  // Indexed by MicroOp; order must match the enum (static_assert above).
+  static const void* const kMicroLabels[] = {
+      &&micro_kMov,     &&micro_kMovSpecial, &&micro_kLdParam,
+      &&micro_kAdd,     &&micro_kSub,        &&micro_kMulLo,
+      &&micro_kMulWide, &&micro_kAnd,        &&micro_kOr,
+      &&micro_kXor,     &&micro_kShl,        &&micro_kShr,
+      &&micro_kMad,     &&micro_kSetp,       &&micro_kSelp,
+      &&micro_kAddF32,  &&micro_kSubF32,     &&micro_kMulF32,
+      &&micro_kMadF32,  &&micro_kAddF64,     &&micro_kSubF64,
+      &&micro_kMulF64,  &&micro_kMadF64,     &&micro_kLd,
+      &&micro_kSt,      &&micro_kBra};
 
 dispatch:
   if (budget-- == 0) return BudgetFault(t);
@@ -549,9 +618,7 @@ dispatch:
 op_kLdParam : {
   GRD_GUARD();
   if (ip->param_index >= params_.args.size())
-    return Fault(InvalidArgument("missing argument for parameter " +
-                                 prog_.strings[ip->target]),
-                 0, t);
+    return MissingArgument(t, ip->target);
   regs[ip->dst] = MaskToWidth(params_.args[ip->param_index].bits, ip->width);
   ++t.pc;
   goto dispatch;
@@ -682,161 +749,170 @@ op_kError : {
 }
 
 op_kFused : {
-  // One dispatch retires the whole run. The preamble already charged budget
-  // and poll for component 0; later components charge budget here and the
-  // poll countdown in bulk below. Each component bumps the instruction count
-  // before executing, so a fault (or budget trip) mid-run reports the
-  // identical stats an unfused run would. Only a terminal kBra may carry a
-  // guard predicate; when the guard is false the branch simply doesn't
-  // retire, like a skipped instruction.
-  //
-  // Components run off the pre-decoded micro array: hot integer ops execute
-  // with fusion-time-resolved operands and width masks; the kGeneric case
-  // replays the original CompiledInst through the same evaluators the
-  // top-level handlers use.
-  const std::uint32_t base = ip->target;
+  // One dispatch retires the whole run. The preamble charged budget and poll
+  // for component 0. When the budget covers the rest, the run charges it and
+  // the instruction count once; otherwise only the components before the
+  // trip run, and the trip is reported where an unfused run reports it. The
+  // poll countdown is charged in bulk after the run. A fault mid-run ends
+  // the launch and its stats are discarded, so the count charged for the
+  // components after it is never read.
   const unsigned count = ip->sub;
-  std::uint32_t next_pc = t.pc + count;
-  bool taken = false;
-  for (unsigned j = 0; j < count && !taken; ++j) {
-    if (j != 0 && budget-- == 0) return BudgetFault(t);
-    ++stats_->instructions;
-    const FusedComp& m = prog_.fused_micro[base + j];
-    const std::uint64_t va = (m.src_imm & 1) ? m.a : regs[m.a];
-    const std::uint64_t vb = (m.src_imm & 2) ? m.b : regs[m.b];
-    switch (m.op) {
-      case MicroOp::kMov:
-        regs[m.dst] = va;
-        break;
-      case MicroOp::kAdd:
-        regs[m.dst] = (va + vb) & m.mask;
-        break;
-      case MicroOp::kSub:
-        regs[m.dst] = (va - vb) & m.mask;
-        break;
-      case MicroOp::kMulLo:
-        regs[m.dst] = (va * vb) & m.mask;
-        break;
-      case MicroOp::kAnd:
-        regs[m.dst] = va & vb & m.mask;
-        break;
-      case MicroOp::kOr:
-        regs[m.dst] = (va | vb) & m.mask;
-        break;
-      case MicroOp::kXor:
-        regs[m.dst] = (va ^ vb) & m.mask;
-        break;
-      case MicroOp::kShl:
-        regs[m.dst] = (va << (vb & m.shmask)) & m.mask;
-        break;
-      case MicroOp::kShr:
-        regs[m.dst] =
-            (m.is_signed ? static_cast<std::uint64_t>(MicroSext(va, m.sx) >>
-                                                      (vb & m.shmask))
-                         : (va & m.mask) >> (vb & m.shmask)) &
-            m.mask;
-        break;
-      case MicroOp::kMad:
-        regs[m.dst] =
-            (va * vb + ((m.src_imm & 4) ? m.c : regs[m.c])) & m.mask;
-        break;
-      case MicroOp::kSetp:
-        regs[m.dst] =
-            (m.is_signed
-                 ? Compare<std::int64_t>(static_cast<CmpOp>(m.cmp),
-                                         MicroSext(va, m.sx),
-                                         MicroSext(vb, m.sx))
-                 : Compare<std::uint64_t>(static_cast<CmpOp>(m.cmp),
-                                          va & m.mask, vb & m.mask))
-                ? 1
-                : 0;
-        break;
-      case MicroOp::kSelp:
-        regs[m.dst] = (((m.src_imm & 4) ? m.c : regs[m.c]) & 1) ? va : vb;
-        break;
-      case MicroOp::kBra:
-        if (m.pred_slot != kNoPredSlot &&
-            ((regs[m.pred_slot] & 1) != 0) == m.pred_negated)
-          break;  // guard false: the branch simply doesn't retire
-        next_pc = m.target;
-        taken = true;
-        break;
-      case MicroOp::kGeneric: {
-        const CompiledInst* comp = &prog_.fused_code[base + j];
-        if (comp->pred_slot != kNoPredSlot) {
-          const bool value = (regs[comp->pred_slot] & 1) != 0;
-          if (value == comp->pred_negated) continue;
-        }
-        switch (comp->op) {
-          case COp::kLdParam:
-            if (comp->param_index >= params_.args.size())
-              return Fault(InvalidArgument("missing argument for parameter " +
-                                           prog_.strings[comp->target]),
-                           0, t);
-            regs[comp->dst] =
-                MaskToWidth(params_.args[comp->param_index].bits, comp->width);
-            break;
-          case COp::kLd: {
-            const Status s = DoLd(t, regs, *comp);
-            if (!s.ok()) return s;
-            break;
-          }
-          case COp::kSt: {
-            const Status s = DoSt(t, regs, *comp);
-            if (!s.ok()) return s;
-            break;
-          }
-          case COp::kMov:
-            regs[comp->dst] = ReadOp(t, regs, comp->a);
-            break;
-          case COp::kCvt:
-            regs[comp->dst] = EvalCvt(comp->type, comp->src_type,
-                                      ReadOp(t, regs, comp->a));
-            break;
-          case COp::kBinary:
-            regs[comp->dst] = EvalBinary(*comp, ReadOp(t, regs, comp->a),
-                                         ReadOp(t, regs, comp->b));
-            break;
-          case COp::kMad:
-            regs[comp->dst] =
-                EvalMad(*comp, ReadOp(t, regs, comp->a),
-                        ReadOp(t, regs, comp->b), ReadOp(t, regs, comp->c));
-            break;
-          case COp::kUnary:
-            regs[comp->dst] = EvalUnary(*comp, ReadOp(t, regs, comp->a));
-            break;
-          case COp::kSetp:
-            regs[comp->dst] = EvalSetp(*comp, ReadOp(t, regs, comp->a),
-                                       ReadOp(t, regs, comp->b))
-                                  ? 1
-                                  : 0;
-            break;
-          case COp::kSelp: {
-            const std::uint64_t a = ReadOp(t, regs, comp->a);
-            const std::uint64_t b = ReadOp(t, regs, comp->b);
-            const std::uint64_t p = ReadOp(t, regs, comp->c);
-            regs[comp->dst] = (p & 1) ? a : b;
-            break;
-          }
-          case COp::kBra:
-            next_pc = comp->target;
-            taken = true;
-            break;
-          default:
-            return Fault(Internal("unfuseable op inside superinstruction of " +
-                                  prog_.name),
-                         0, t);
-        }
-        break;
-      }
-    }
-  }
-  t.pc = next_pc;
-  SpendCountdown(count - 1);
-  goto dispatch;
-}
+  run = budget >= count - 1 ? count : static_cast<unsigned>(budget) + 1;
+  budget -= run - 1;
+  stats_->instructions += run;
+  next_pc = t.pc + count;
+  m = &prog_.fused_micro[ip->target];
+  m_end = m + run;
+  GRD_MICRO_DISPATCH();
 }
 
+fused_done:
+  if (run < ip->sub) return BudgetFault(t);
+  t.pc = next_pc;
+  SpendCountdown(ip->sub - 1);
+  goto dispatch;
+
+micro_kMov:
+  regs[m->dst] = va;
+  GRD_NEXT_MICRO();
+
+micro_kMovSpecial:
+  regs[m->dst] = Special(t, static_cast<SpecialReg>(m->a));
+  GRD_NEXT_MICRO();
+
+micro_kLdParam:
+  if (m->a >= params_.args.size()) [[unlikely]]
+    return MissingArgument(t, m->target);
+  regs[m->dst] = params_.args[m->a].bits & m->mask;
+  GRD_NEXT_MICRO();
+
+micro_kAdd:
+  regs[m->dst] = (va + vb) & m->mask;
+  GRD_NEXT_MICRO();
+
+micro_kSub:
+  regs[m->dst] = (va - vb) & m->mask;
+  GRD_NEXT_MICRO();
+
+micro_kMulLo:
+  regs[m->dst] = (va * vb) & m->mask;
+  GRD_NEXT_MICRO();
+
+micro_kMulWide:
+  regs[m->dst] = m->is_signed
+                     ? static_cast<std::uint64_t>(MicroSext(va, m->sx)) *
+                           static_cast<std::uint64_t>(MicroSext(vb, m->sx))
+                     : (va & m->mask) * (vb & m->mask);
+  GRD_NEXT_MICRO();
+
+micro_kAnd:
+  regs[m->dst] = va & vb & m->mask;
+  GRD_NEXT_MICRO();
+
+micro_kOr:
+  regs[m->dst] = (va | vb) & m->mask;
+  GRD_NEXT_MICRO();
+
+micro_kXor:
+  regs[m->dst] = (va ^ vb) & m->mask;
+  GRD_NEXT_MICRO();
+
+micro_kShl:
+  regs[m->dst] = (va << (vb & m->shmask)) & m->mask;
+  GRD_NEXT_MICRO();
+
+micro_kShr:
+  regs[m->dst] = (m->is_signed ? static_cast<std::uint64_t>(
+                                     MicroSext(va, m->sx) >> (vb & m->shmask))
+                               : (va & m->mask) >> (vb & m->shmask)) &
+                 m->mask;
+  GRD_NEXT_MICRO();
+
+micro_kMad:
+  regs[m->dst] = (va * vb + GRD_MICRO_C()) & m->mask;
+  GRD_NEXT_MICRO();
+
+micro_kSetp:
+  regs[m->dst] =
+      (m->is_signed ? Compare<std::int64_t>(static_cast<CmpOp>(m->cmp),
+                                            MicroSext(va, m->sx),
+                                            MicroSext(vb, m->sx))
+                    : Compare<std::uint64_t>(static_cast<CmpOp>(m->cmp),
+                                             va & m->mask, vb & m->mask))
+          ? 1
+          : 0;
+  GRD_NEXT_MICRO();
+
+micro_kSelp:
+  regs[m->dst] = (GRD_MICRO_C() & 1) ? va : vb;
+  GRD_NEXT_MICRO();
+
+micro_kAddF32:
+  regs[m->dst] = F32Bits(static_cast<float>(static_cast<double>(AsF32(va)) +
+                                            static_cast<double>(AsF32(vb))));
+  GRD_NEXT_MICRO();
+
+micro_kSubF32:
+  regs[m->dst] = F32Bits(static_cast<float>(static_cast<double>(AsF32(va)) -
+                                            static_cast<double>(AsF32(vb))));
+  GRD_NEXT_MICRO();
+
+micro_kMulF32:
+  regs[m->dst] = F32Bits(static_cast<float>(static_cast<double>(AsF32(va)) *
+                                            static_cast<double>(AsF32(vb))));
+  GRD_NEXT_MICRO();
+
+micro_kMadF32:
+  regs[m->dst] = F32Bits(static_cast<float>(
+      static_cast<double>(AsF32(va)) * static_cast<double>(AsF32(vb)) +
+      static_cast<double>(AsF32(GRD_MICRO_C()))));
+  GRD_NEXT_MICRO();
+
+micro_kAddF64:
+  regs[m->dst] = F64Bits(AsF64(va) + AsF64(vb));
+  GRD_NEXT_MICRO();
+
+micro_kSubF64:
+  regs[m->dst] = F64Bits(AsF64(va) - AsF64(vb));
+  GRD_NEXT_MICRO();
+
+micro_kMulF64:
+  regs[m->dst] = F64Bits(AsF64(va) * AsF64(vb));
+  GRD_NEXT_MICRO();
+
+micro_kMadF64:
+  regs[m->dst] = F64Bits(AsF64(va) * AsF64(vb) + AsF64(GRD_MICRO_C()));
+  GRD_NEXT_MICRO();
+
+micro_kLd : {
+  std::uint64_t bits = 0;
+  const Status s = LdScalar(t, va + m->c, m->width, &bits);
+  if (!s.ok()) [[unlikely]]
+    return s;
+  regs[m->dst] =
+      m->is_signed ? static_cast<std::uint64_t>(MicroSext(bits, m->sx)) : bits;
+}
+  GRD_NEXT_MICRO();
+
+micro_kSt : {
+  const Status s = StScalar(t, va + m->c, vb, m->width);
+  if (!s.ok()) [[unlikely]]
+    return s;
+}
+  GRD_NEXT_MICRO();
+
+micro_kBra:
+  // Only a run's terminal component; when its guard is false the branch
+  // simply doesn't retire, like a skipped instruction.
+  if (m->pred_slot == kNoPredSlot ||
+      ((regs[m->pred_slot] & 1) != 0) != m->pred_negated)
+    next_pc = m->target;
+  GRD_NEXT_MICRO();
+}
+
+#undef GRD_NEXT_MICRO
+#undef GRD_MICRO_DISPATCH
+#undef GRD_MICRO_C
 #undef GRD_GUARD
 
 }  // namespace

@@ -7,18 +7,14 @@
 // wrap-around semantics of Figure 4 are produced by actually executing the
 // AND/OR, not by special-casing.
 //
-// Two engines share the launch/fault/preemption semantics:
-//  - the ENGINE (engine.cpp, the production hot path): kernels are lowered
-//    once by ptxexec::CompileKernel (program.hpp) into dense bytecode — enum
-//    opcodes, interned register slots, pre-resolved branches/params/shared
-//    offsets — fused into superinstructions by FuseKernel, and executed
-//    against flat arrays by one computed-goto dispatch loop with zero
-//    per-step string work;
-//  - the REFERENCE engine (ExecuteReference): the original string-map
-//    interpreter, kept as the parity oracle and the bench_interpreter
-//    baseline. Every std::string-keyed lookup it performs on the step path
-//    bumps exec_debug::HotPathStringLookups(), which is how tests assert the
-//    engine performs none.
+// The engine (engine.cpp) lowers kernels once with ptxexec::CompileKernel
+// (program.hpp) into dense bytecode — enum opcodes, interned register
+// slots, pre-resolved branches/params/shared offsets — fuses them into
+// superinstructions with FuseKernel, and executes them against flat arrays
+// in one computed-goto dispatch loop with zero per-step string work. The
+// seed string-map interpreter survives only as the parity oracle in the
+// test-support header reference.hpp, with the same launch, fault and
+// preemption semantics.
 //
 // Supported subset: the full instruction vocabulary produced by ptx/generator
 // and ptxpatcher (ld/st over param/global/local/shared/generic incl. v2/v4,
@@ -111,18 +107,6 @@ class Interpreter {
                             const LaunchParams& params,
                             const ExecControls& controls);
 
-  // The seed string-map engine, kept as the parity oracle for the engine
-  // and as bench_interpreter's baseline. Semantically identical to
-  // Execute (same stats, faults, checkpoints); every per-step string lookup
-  // it performs is counted by exec_debug::HotPathStringLookups().
-  Result<ExecStats> ExecuteReference(const ptx::Module& module,
-                                     std::string_view kernel_name,
-                                     const LaunchParams& params);
-  Result<ExecStats> ExecuteReference(const ptx::Module& module,
-                                     std::string_view kernel_name,
-                                     const LaunchParams& params,
-                                     const ExecControls& controls);
-
   const DeviceFault& last_fault() const noexcept { return last_fault_; }
 
   // Safety valve for runaway kernels (paper §4.3 mentions TReM-style
@@ -138,19 +122,5 @@ class Interpreter {
   DeviceFault last_fault_;
   std::uint64_t max_instructions_per_thread_ = 10'000'000;
 };
-
-namespace exec_debug {
-
-// Process-wide count of std::string-keyed lookups (map finds, name hashing,
-// special-register name scans) performed on the per-step execution path.
-// Only the reference engine bumps it; the regression suite snapshots it
-// around an engine run and asserts the delta is zero, so any future
-// change that sneaks a string lookup back onto the hot path — and routes it
-// through the instrumented helpers, as the reference engine does — fails
-// loudly instead of silently eating the compile win back.
-std::uint64_t HotPathStringLookups() noexcept;
-void BumpHotPathStringLookup() noexcept;
-
-}  // namespace exec_debug
 
 }  // namespace grd::ptxexec

@@ -6,11 +6,12 @@
 // holds even for kernels with dead broken code.
 //
 // FuseKernel is a peephole pass over the compiled bytecode. It scans for
-// maximal straight-line runs of unpredicated pure/memory instructions
-// (optionally closed by a branch, predicated or not), stops at every branch
-// target, and replaces the run's FIRST slot with a kFused instruction whose
-// components live in CompiledKernel::fused_code. The covered originals stay
-// in place behind the super, which buys three invariants for free:
+// maximal straight-line runs of unpredicated instructions that lower to
+// micro ops (optionally closed by a branch, predicated or not), stops at
+// every branch target, and replaces the run's FIRST slot with a kFused
+// instruction whose micro ops live in CompiledKernel::fused_micro. The
+// covered originals stay in place behind the super, which buys three
+// invariants for free:
 //  - branches into the middle of a run execute the originals individually;
 //  - branch tables and kBra targets never need remapping;
 //  - the program length is unchanged, so checkpoints, pcs and the budget
@@ -535,21 +536,21 @@ Result<CompiledKernel> KernelCompiler::Compile() {
 
 // ---- superinstruction fusion ----------------------------------------------
 
-// Pre-decodes one fused component into its micro op. Anything outside the
-// hot integer set — floats, div/rem (trap-free zero semantics), wide/hi
-// multiplies, memory ops, cvt, special-register sources — stays kGeneric
-// and executes the original CompiledInst, so micro lowering can never
-// change semantics, only skip decode work.
-FusedComp LowerComp(const CompiledInst& inst) {
-  FusedComp m;  // defaults: kGeneric, all sources immediate 0
+// Pre-decodes one instruction into the micro op a superinstruction runs in
+// its place, or nothing when the instruction has none and must run through
+// its top-level handler (which also ends the run). Only a run's terminal
+// kBra may be predicated.
+std::optional<FusedComp> LowerComp(const CompiledInst& inst) {
+  FusedComp m;  // defaults: all sources immediate 0
   const std::size_t width = inst.width;
+  m.width = inst.width;
   m.mask = width >= 8 ? ~0ull : ((1ull << (width * 8)) - 1);
   m.sx = static_cast<std::uint8_t>(64 - width * 8);
   m.shmask = static_cast<std::uint8_t>(width * 8 - 1);
   m.dst = inst.dst;
   m.is_signed = inst.is_signed;
-  // Resolves a source to slot-or-immediate; special registers (thread/block
-  // ids) keep the component generic.
+  // Resolves a source to slot-or-immediate; a special-register source has
+  // neither, so the instruction keeps its top-level handler.
   const auto src = [&m](unsigned idx, const OperandDesc& desc,
                         std::uint64_t* out) {
     switch (desc.kind) {
@@ -565,77 +566,90 @@ FusedComp LowerComp(const CompiledInst& inst) {
     }
     return false;
   };
+  // Emits `op` when every listed source resolved.
+  const auto lowered = [&m](MicroOp op, bool sources_ok) {
+    m.op = op;
+    return sources_ok ? std::optional<FusedComp>(m) : std::nullopt;
+  };
 
-  // Only a run's terminal kBra may be predicated (FusableInterior).
-  if (inst.pred_slot != kNoPredSlot && inst.op != COp::kBra) return m;
+  if (inst.pred_slot != kNoPredSlot && inst.op != COp::kBra)
+    return std::nullopt;
 
   switch (inst.op) {
+    case COp::kLdParam:
+      m.a = inst.param_index;
+      m.target = inst.target;
+      return lowered(MicroOp::kLdParam, true);
     case COp::kMov:
-      if (src(0, inst.a, &m.a)) m.op = MicroOp::kMov;
-      break;
-    case COp::kBinary: {
-      if (inst.is_float) break;
-      MicroOp op;
-      switch (static_cast<BinAlu>(inst.sub)) {
-        case BinAlu::kAdd: op = MicroOp::kAdd; break;
-        case BinAlu::kSub: op = MicroOp::kSub; break;
-        case BinAlu::kMul: op = MicroOp::kMulLo; break;
-        case BinAlu::kAnd: op = MicroOp::kAnd; break;
-        case BinAlu::kOr: op = MicroOp::kOr; break;
-        case BinAlu::kXor: op = MicroOp::kXor; break;
-        case BinAlu::kShl: op = MicroOp::kShl; break;
-        case BinAlu::kShr: op = MicroOp::kShr; break;
-        default: return m;  // div/rem/min/max/wide/hi: generic
+      if (inst.a.kind == OperandDesc::Kind::kSpecial) {
+        m.a = static_cast<std::uint64_t>(inst.a.sreg);
+        return lowered(MicroOp::kMovSpecial, true);
       }
-      if (src(0, inst.a, &m.a) && src(1, inst.b, &m.b)) m.op = op;
-      break;
+      return lowered(MicroOp::kMov, src(0, inst.a, &m.a));
+    case COp::kLd:
+    case COp::kSt:
+      if (inst.sub != 1) return std::nullopt;  // v2/v4: top-level handler
+      m.c = static_cast<std::uint64_t>(inst.mem_offset);
+      return lowered(inst.op == COp::kLd ? MicroOp::kLd : MicroOp::kSt,
+                     src(0, inst.a, &m.a) &&
+                         (inst.op == COp::kLd || src(1, inst.b, &m.b)));
+    case COp::kBinary: {
+      MicroOp op;
+      if (inst.is_float) {
+        const bool f64 = inst.type == ptx::Type::kF64;
+        switch (static_cast<BinAlu>(inst.sub)) {
+          case BinAlu::kAdd:
+            op = f64 ? MicroOp::kAddF64 : MicroOp::kAddF32;
+            break;
+          case BinAlu::kSub:
+            op = f64 ? MicroOp::kSubF64 : MicroOp::kSubF32;
+            break;
+          case BinAlu::kMul:
+            op = f64 ? MicroOp::kMulF64 : MicroOp::kMulF32;
+            break;
+          default: return std::nullopt;  // div/min/max
+        }
+      } else {
+        switch (static_cast<BinAlu>(inst.sub)) {
+          case BinAlu::kAdd: op = MicroOp::kAdd; break;
+          case BinAlu::kSub: op = MicroOp::kSub; break;
+          case BinAlu::kMul: op = MicroOp::kMulLo; break;
+          case BinAlu::kMulWide: op = MicroOp::kMulWide; break;
+          case BinAlu::kAnd: op = MicroOp::kAnd; break;
+          case BinAlu::kOr: op = MicroOp::kOr; break;
+          case BinAlu::kXor: op = MicroOp::kXor; break;
+          case BinAlu::kShl: op = MicroOp::kShl; break;
+          case BinAlu::kShr: op = MicroOp::kShr; break;
+          default: return std::nullopt;  // div/rem/min/max/hi
+        }
+      }
+      return lowered(op, src(0, inst.a, &m.a) && src(1, inst.b, &m.b));
     }
-    case COp::kMad:
-      if (inst.is_float || inst.sub != 0) break;  // wide/float mad: generic
-      if (src(0, inst.a, &m.a) && src(1, inst.b, &m.b) &&
-          src(2, inst.c, &m.c))
-        m.op = MicroOp::kMad;
-      break;
+    case COp::kMad: {
+      MicroOp op = MicroOp::kMad;
+      if (inst.is_float)
+        op = inst.type == ptx::Type::kF64 ? MicroOp::kMadF64 : MicroOp::kMadF32;
+      else if (inst.sub != 0)
+        return std::nullopt;  // mad.wide
+      return lowered(op, src(0, inst.a, &m.a) && src(1, inst.b, &m.b) &&
+                             src(2, inst.c, &m.c));
+    }
     case COp::kSetp:
-      if (inst.is_float) break;
+      if (inst.is_float) return std::nullopt;
       m.cmp = inst.sub;
-      if (src(0, inst.a, &m.a) && src(1, inst.b, &m.b)) m.op = MicroOp::kSetp;
-      break;
+      return lowered(MicroOp::kSetp,
+                     src(0, inst.a, &m.a) && src(1, inst.b, &m.b));
     case COp::kSelp:
-      if (src(0, inst.a, &m.a) && src(1, inst.b, &m.b) &&
-          src(2, inst.c, &m.c))
-        m.op = MicroOp::kSelp;
-      break;
+      return lowered(MicroOp::kSelp, src(0, inst.a, &m.a) &&
+                                         src(1, inst.b, &m.b) &&
+                                         src(2, inst.c, &m.c));
     case COp::kBra:
-      m.op = MicroOp::kBra;
       m.target = inst.target;
       m.pred_slot = inst.pred_slot;
       m.pred_negated = inst.pred_negated;
-      break;
+      return lowered(MicroOp::kBra, true);
     default:
-      break;  // ld/st/ldparam/cvt/unary: generic
-  }
-  return m;
-}
-
-// An instruction that may sit anywhere in a fused run: unpredicated, pure or
-// memory, never a control transfer / barrier / trap / deferred error.
-bool FusableInterior(const CompiledInst& inst) {
-  if (inst.pred_slot != kNoPredSlot) return false;
-  switch (inst.op) {
-    case COp::kLdParam:
-    case COp::kLd:
-    case COp::kSt:
-    case COp::kMov:
-    case COp::kCvt:
-    case COp::kBinary:
-    case COp::kMad:
-    case COp::kUnary:
-    case COp::kSetp:
-    case COp::kSelp:
-      return true;
-    default:
-      return false;
+      return std::nullopt;  // cvt, unary, control flow, barriers, errors
   }
 }
 
@@ -660,37 +674,35 @@ CompiledKernel FuseKernel(CompiledKernel out) {
     for (const std::uint32_t pc : table.pcs)
       if (pc != BranchTable::kUnresolved && pc <= n) is_target[pc] = true;
 
+  std::vector<FusedComp> run;
   for (std::size_t pc = 0; pc < n;) {
-    if (!FusableInterior(out.code[pc])) {
-      ++pc;
-      continue;
+    // Grow the run while instructions lower to micro ops. A branch closes
+    // it (predicated or not): the setp + @%p bra loop tail retires in the
+    // same dispatch, and a backward branch to the run's own head re-enters
+    // the superinstruction directly — one dispatch per loop iteration. A
+    // run cannot begin with a branch, which gains nothing from fusion.
+    run.clear();
+    std::size_t end = pc;
+    while (end < n && run.size() < kMaxFusedRun &&
+           (end == pc || !is_target[end])) {
+      std::optional<FusedComp> comp = LowerComp(out.code[end]);
+      if (!comp || (end == pc && comp->op == MicroOp::kBra)) break;
+      run.push_back(*comp);
+      ++end;
+      if (run.back().op == MicroOp::kBra) break;
     }
-    std::size_t end = pc + 1;
-    while (end < n && end - pc < kMaxFusedRun && !is_target[end] &&
-           FusableInterior(out.code[end]))
-      ++end;
-    // A trailing branch (predicated or not) joins the run: the setp + @%p bra
-    // loop tail retires in the same dispatch, and a backward branch to the
-    // run's own head re-enters the superinstruction directly — one dispatch
-    // per loop iteration.
-    if (end < n && end - pc < kMaxFusedRun && !is_target[end] &&
-        out.code[end].op == COp::kBra)
-      ++end;
-    const std::size_t count = end - pc;
-    if (count >= 2) {
+    if (run.size() >= 2) {
       CompiledInst super;
       super.op = COp::kFused;
-      super.sub = static_cast<std::uint8_t>(count);
-      super.target = static_cast<std::uint32_t>(out.fused_code.size());
-      for (std::size_t j = pc; j < end; ++j) {
-        out.fused_code.push_back(out.code[j]);
-        out.fused_micro.push_back(LowerComp(out.code[j]));
-      }
+      super.sub = static_cast<std::uint8_t>(run.size());
+      super.target = static_cast<std::uint32_t>(out.fused_micro.size());
+      out.fused_micro.insert(out.fused_micro.end(), run.begin(), run.end());
       out.code[pc] = super;
       ++out.super_count;
-      out.fused_instructions += static_cast<std::uint32_t>(count);
+      out.fused_instructions += static_cast<std::uint32_t>(run.size());
     }
-    pc = end;  // covered originals stay in place; scan resumes after the run
+    // Covered originals stay in place; the scan resumes after the run.
+    pc = run.empty() ? pc + 1 : end;
   }
   return out;
 }
@@ -705,8 +717,7 @@ std::uint64_t VectorBytes(const std::vector<T>& v) {
 std::uint64_t KernelBytes(const CompiledKernel& k) {
   std::uint64_t bytes = sizeof(CompiledKernel) + k.name.capacity() +
                         VectorBytes(k.code) + VectorBytes(k.branch_tables) +
-                        VectorBytes(k.strings) + VectorBytes(k.fused_code) +
-                        VectorBytes(k.fused_micro);
+                        VectorBytes(k.strings) + VectorBytes(k.fused_micro);
   for (const BranchTable& table : k.branch_tables)
     bytes += VectorBytes(table.pcs) + VectorBytes(table.label_strings);
   for (const std::string& s : k.strings) bytes += s.capacity();

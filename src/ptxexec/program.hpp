@@ -79,7 +79,7 @@ enum class COp : std::uint8_t {
   kRetExit,   // thread done
   kTrap,      // bounds-check trap: device fault
   kError,     // reproduces a reference-engine step-time error when reached
-  kFused,     // superinstruction: executes fused_code[target .. target+sub)
+  kFused,     // superinstruction: executes fused_micro[target .. target+sub)
 };
 
 enum class BinAlu : std::uint8_t {
@@ -126,47 +126,64 @@ struct CompiledInst {
 };
 
 // Micro-opcode of one superinstruction component, pre-decoded by FuseKernel.
-// The generic bytecode switch pays (opcode dispatch + operand-kind switch +
+// The top-level bytecode pays (opcode dispatch + operand-kind switch +
 // evaluator width/signedness dispatch) per instruction; a micro op folds all
-// of that into one case with width masks and sign-extension shifts computed
-// at fusion time. Anything outside the hot integer set (floats, div/rem,
-// wide multiplies, memory, cvt, specials) lowers to kGeneric and executes
-// the original CompiledInst through the full component switch — bit-for-bit
-// the same semantics, just slower.
+// of that into one handler with width masks and sign-extension shifts
+// computed at fusion time. Every component of a superinstruction is a micro op: an
+// instruction without one (cvt, div/rem, min/max, mul.hi, mad.wide, unary
+// ops, float setp/div/min/max, vector ld/st, sources other than a register
+// or an immediate) ends the run and executes through its top-level handler.
+// Each is bit-identical to the evaluator or handler it replaces.
 enum class MicroOp : std::uint8_t {
-  kGeneric,  // run fused_code[i] through the generic component switch
-  kMov,      // dst = a                       (unmasked, like COp::kMov)
-  kAdd,      // dst = (a + b) & mask
-  kSub,      // dst = (a - b) & mask
-  kMulLo,    // dst = (a * b) & mask
-  kAnd,      // dst = (a & b) & mask
-  kOr,       // dst = (a | b) & mask
-  kXor,      // dst = (a ^ b) & mask
-  kShl,      // dst = ((a & mask) << (b & shmask)) & mask
-  kShr,      // dst = (a' >> (b & shmask)) & mask   (a' per signedness)
-  kMad,      // dst = (a * b + c) & mask            (mad.lo)
-  kSetp,     // dst = compare(a, b) per cmp/signedness, as 0/1
-  kSelp,     // dst = (c & 1) ? a : b               (unmasked, like kSelp)
-  kBra,      // next_pc = target (honoring the guard predicate); terminal
+  kMov,         // dst = a                       (unmasked, like COp::kMov)
+  kMovSpecial,  // dst = special register a      (a holds the SpecialReg)
+  kLdParam,     // dst = args[a] & mask; faults when the launch lacks arg a
+  kAdd,         // dst = (a + b) & mask
+  kSub,         // dst = (a - b) & mask
+  kMulLo,       // dst = (a * b) & mask
+  kMulWide,     // dst = a' * b', a'/b' sign- or zero-extended from width
+  kAnd,         // dst = (a & b) & mask
+  kOr,          // dst = (a | b) & mask
+  kXor,         // dst = (a ^ b) & mask
+  kShl,         // dst = ((a & mask) << (b & shmask)) & mask
+  kShr,         // dst = (a' >> (b & shmask)) & mask   (a' per signedness)
+  kMad,         // dst = (a * b + c) & mask            (mad.lo)
+  kSetp,        // dst = compare(a, b) per cmp/signedness, as 0/1
+  kSelp,        // dst = (c & 1) ? a : b               (unmasked, like kSelp)
+  kAddF32,      // f32/f64 add, sub, mul and mad/fma: evaluated in double,
+  kSubF32,      // rounded once to the destination type (EvalBinary and
+  kMulF32,      // EvalMad exactly)
+  kMadF32,
+  kAddF64,
+  kSubF64,
+  kMulF64,
+  kMadF64,
+  kLd,          // dst = width bytes at a + c, sign-extended when is_signed
+  kSt,          // width bytes at a + c = b
+  kBra,         // next_pc = target (honoring the guard predicate); terminal
 };
 
 // One pre-decoded superinstruction component. Sources are resolved at fusion
 // time: `a/b/c` holds either a raw immediate bit pattern or a register slot,
 // selected by the matching bit in `src_imm` (unused sources are immediate 0,
-// so the executor never reads the register file for them).
+// so the executor never reads the register file for them). ld/st keep their
+// address displacement in `c` and kLdParam its parameter index in `a`, both
+// as immediates.
 struct FusedComp {
-  MicroOp op = MicroOp::kGeneric;
+  MicroOp op = MicroOp::kMov;
   std::uint8_t cmp = 0;        // kSetp: CmpOp
   std::uint8_t src_imm = 0x7;  // bit 0/1/2: a/b/c is an immediate
-  bool is_signed = false;      // kShr / kSetp signed variants
-  std::uint16_t dst = 0;
-  std::uint16_t pred_slot = kNoPredSlot;  // kBra guard
-  bool pred_negated = false;
+  bool is_signed = false;      // kShr / kSetp / kMulWide / kLd signed variants
+  std::uint8_t width = 8;      // kLd / kSt: access size in bytes
   std::uint8_t sx = 0;         // 64 - width*8: sign-extension shift
   std::uint8_t shmask = 63;    // width*8 - 1: shift-amount mask
+  bool pred_negated = false;
+  std::uint16_t dst = 0;
+  std::uint16_t pred_slot = kNoPredSlot;  // kBra guard
+  // kBra: target pc. kLdParam: strings index of the parameter name.
+  std::uint32_t target = 0;
   std::uint64_t mask = ~0ull;  // MaskToWidth(x, width) precomputed
   std::uint64_t a = 0, b = 0, c = 0;  // register slot or immediate bits
-  std::uint32_t target = 0;    // kBra target pc
 };
 
 // brx.idx target table with labels resolved to pcs. An entry whose label did
@@ -191,14 +208,11 @@ struct CompiledKernel {
   std::uint64_t shared_size = 0;     // per-block shared segment, bytes
 
   // Fused programs only (FuseKernel). A kFused instruction at pc replaces
-  // the first instruction of a fused run and executes the components
-  // fused_code[target .. target+sub) back to back; the covered originals at
-  // pc+1 .. pc+sub-1 stay in place, so a branch into the middle of a fused
-  // region still executes them individually and no branch target ever
-  // needs remapping.
-  std::vector<CompiledInst> fused_code;
-  // Parallel to fused_code: the pre-decoded micro op per component (kGeneric
-  // entries fall back to the CompiledInst above).
+  // the first instruction of a fused run and executes the micro ops
+  // fused_micro[target .. target+sub) back to back; the covered originals
+  // at pc+1 .. pc+sub-1 stay in place, so a branch into the middle of a
+  // fused region still executes them individually and no branch target
+  // ever needs remapping.
   std::vector<FusedComp> fused_micro;
   std::uint32_t super_count = 0;         // kFused instructions emitted
   std::uint32_t fused_instructions = 0;  // original instructions covered
@@ -216,13 +230,13 @@ Result<CompiledKernel> CompileKernel(const ptx::Kernel& kernel);
 // attribute.
 inline constexpr unsigned kMaxFusedRun = 12;
 
-// Rewrites a compiled program with superinstructions: recurring
-// straight-line runs — mad+setp+bra loop heads, ld+op+st bodies, and the
-// patcher's guard-check+access pairs — collapse so one dispatch retires the
-// whole run. Pure and total: never fails, never changes program length or
-// branch targets, and returns the input unchanged when nothing is fusable
-// or the program is already fused. The result reports its rewrite in
-// CompiledKernel::super_count / fused_instructions.
+// Rewrites a compiled program with superinstructions: straight-line runs
+// of micro-lowerable instructions — mad+setp+bra loop heads, ld+op+st
+// bodies, and the patcher's guard-check+access pairs — collapse so one
+// dispatch retires the whole run. Pure and total: never fails, never
+// changes program length or branch targets, and returns the input unchanged
+// when nothing is fusable or the program is already fused. The result
+// reports its rewrite in CompiledKernel::super_count / fused_instructions.
 CompiledKernel FuseKernel(CompiledKernel kernel);
 
 // Every kernel of a module, compiled and fused once. Kernels that failed to
@@ -245,8 +259,8 @@ class CompiledModule {
   }
 
   // Heap bytes the program holds: the module and its entries plus every
-  // compiled kernel's arrays (code, fused code, micro ops, branch tables,
-  // string pool). Computed once by Compile.
+  // compiled kernel's arrays (code, micro ops, branch tables, string pool).
+  // Computed once by Compile.
   std::uint64_t bytes() const noexcept { return bytes_; }
 
  private:

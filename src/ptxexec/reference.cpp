@@ -1,10 +1,10 @@
-// The REFERENCE engine: the seed string-map interpreter, kept verbatim as
-// the parity oracle for the compiled bytecode engine (program.cpp) and as
+// The REFERENCE engine: the seed string-map interpreter, kept as
+// the parity oracle for the compiled bytecode engine (engine.cpp) and as
 // bench_interpreter's baseline. Every std::string-keyed lookup on its step
 // path bumps exec_debug's counter, which is how the regression suite proves
-// the compiled path performs none. New callers should use the compiled
-// Execute overloads; this engine exists to be measured against.
-#include "ptxexec/interpreter.hpp"
+// the compiled path performs none. Test support only (reference.hpp); the
+// manager runs the compiled engine.
+#include "ptxexec/reference.hpp"
 
 #include <atomic>
 #include <cmath>
@@ -459,7 +459,8 @@ Status BlockExecutor::Step(ThreadState& t, StepOutcome* outcome) {
       out = f_bits(r);
     } else if (opc == "mul" && inst.HasModifier("wide")) {
       out = ptx::IsSigned(type)
-                ? static_cast<std::uint64_t>(as_s(a) * as_s(b))
+                ? static_cast<std::uint64_t>(as_s(a)) *
+                      static_cast<std::uint64_t>(as_s(b))
                 : MaskToWidth(a, width) * MaskToWidth(b, width);
     } else if (opc == "mul" && inst.HasModifier("hi")) {
       const unsigned __int128 prod =
@@ -476,12 +477,16 @@ Status BlockExecutor::Step(ThreadState& t, StepOutcome* outcome) {
       else if (opc == "div")
         out = ub == 0 ? 0
               : ptx::IsSigned(type)
-                  ? static_cast<std::uint64_t>(as_s(a) / as_s(b))
+                  ? (as_s(b) == -1 ? 0 - ua  // INT_MIN / -1 wraps
+                                   : static_cast<std::uint64_t>(as_s(a) /
+                                                                as_s(b)))
                   : ua / ub;
       else if (opc == "rem")
         out = ub == 0 ? 0
               : ptx::IsSigned(type)
-                  ? static_cast<std::uint64_t>(as_s(a) % as_s(b))
+                  ? (as_s(b) == -1 ? 0
+                                   : static_cast<std::uint64_t>(as_s(a) %
+                                                                as_s(b)))
                   : ua % ub;
       else if (opc == "min")
         out = ptx::IsSigned(type)
@@ -518,7 +523,9 @@ Status BlockExecutor::Step(ThreadState& t, StepOutcome* outcome) {
     if (is_float) {
       out = f_bits(as_f(a) * as_f(b) + as_f(c));
     } else if (inst.HasModifier("wide")) {
-      out = static_cast<std::uint64_t>(as_s(a) * as_s(b)) + c;
+      out = static_cast<std::uint64_t>(as_s(a)) *
+                static_cast<std::uint64_t>(as_s(b)) +
+            c;
     } else {
       out = MaskToWidth(MaskToWidth(a, width) * MaskToWidth(b, width) +
                             MaskToWidth(c, width),
@@ -540,11 +547,12 @@ Status BlockExecutor::Step(ThreadState& t, StepOutcome* outcome) {
       else
         return Fault(Unimplemented("float " + opc), 0, t);
     } else {
+      const std::uint64_t neg = 0 - static_cast<std::uint64_t>(as_s(a));
       if (opc == "neg")
-        out = MaskToWidth(static_cast<std::uint64_t>(-as_s(a)), width);
+        out = MaskToWidth(neg, width);
       else if (opc == "abs")
-        out = MaskToWidth(static_cast<std::uint64_t>(std::llabs(as_s(a))),
-                          width);
+        out = MaskToWidth(
+            as_s(a) < 0 ? neg : static_cast<std::uint64_t>(as_s(a)), width);
       else if (opc == "not")
         out = MaskToWidth(~a, width);
       else
@@ -725,13 +733,13 @@ Status BlockExecutor::RunBlock(std::uint32_t bx, std::uint32_t by,
 
 }  // namespace
 
-Result<ExecStats> Interpreter::ExecuteReference(const ptx::Module& module,
+Result<ExecStats> ReferenceInterpreter::Execute(const ptx::Module& module,
                                                 std::string_view kernel_name,
                                                 const LaunchParams& params) {
-  return ExecuteReference(module, kernel_name, params, ExecControls{});
+  return Execute(module, kernel_name, params, ExecControls{});
 }
 
-Result<ExecStats> Interpreter::ExecuteReference(const ptx::Module& module,
+Result<ExecStats> ReferenceInterpreter::Execute(const ptx::Module& module,
                                                 std::string_view kernel_name,
                                                 const LaunchParams& params,
                                                 const ExecControls& controls) {

@@ -64,6 +64,34 @@ class GlobalMemory {
 
   Status Read(std::uint64_t addr, void* dst, std::uint64_t len) const;
   Status Write(std::uint64_t addr, const void* src, std::uint64_t len);
+
+  // The kernel engine's per-access path: one access of at most 8 bytes
+  // inside one page, inline. Falls back to Read/Write for a store to an
+  // untouched page and for any access the fast path does not cover (past
+  // the end of device memory, or crossing a page), so every outcome and
+  // status is theirs.
+  Status ReadInPage(std::uint64_t addr, void* dst, std::uint64_t len) const {
+    if (InOnePage(addr, len)) [[likely]] {
+      if (const std::uint8_t* page = PageForRead(addr / kPageSize)) {
+        CopySmall(dst, page + addr % kPageSize, len);
+      } else {
+        std::memset(dst, 0, len);
+      }
+      return OkStatus();
+    }
+    return Read(addr, dst, len);
+  }
+  Status WriteInPage(std::uint64_t addr, const void* src, std::uint64_t len) {
+    if (InOnePage(addr, len)) [[likely]] {
+      if (std::uint8_t* page =
+              pages_[addr / kPageSize].load(std::memory_order_acquire)) {
+        CopySmall(page + addr % kPageSize, src, len);
+        return OkStatus();
+      }
+    }
+    return Write(addr, src, len);
+  }
+
   Status Fill(std::uint64_t addr, std::uint8_t value, std::uint64_t len);
   // Device-to-device copy (cudaMemcpyD2D path).
   Status Copy(std::uint64_t dst, std::uint64_t src, std::uint64_t len);
@@ -83,6 +111,21 @@ class GlobalMemory {
   static constexpr std::uint64_t kPageSize = 64 * 1024;
 
   Status CheckRange(std::uint64_t addr, std::uint64_t len) const;
+  bool InOnePage(std::uint64_t addr, std::uint64_t len) const {
+    return len <= 8 && addr < size_ && len <= size_ - addr &&
+           addr % kPageSize + len <= kPageSize;
+  }
+  // memcpy with the access sizes the engine issues spelled out, so each
+  // compiles to one move instead of a library call.
+  static void CopySmall(void* dst, const void* src, std::uint64_t len) {
+    switch (len) {
+      case 1: std::memcpy(dst, src, 1); break;
+      case 2: std::memcpy(dst, src, 2); break;
+      case 4: std::memcpy(dst, src, 4); break;
+      case 8: std::memcpy(dst, src, 8); break;
+      default: std::memcpy(dst, src, len); break;
+    }
+  }
   // Null when the page was never touched (reads as zero).
   const std::uint8_t* PageForRead(std::uint64_t page_index) const {
     return pages_[page_index].load(std::memory_order_acquire);

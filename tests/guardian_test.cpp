@@ -132,6 +132,58 @@ TEST_F(GuardianTest, KernelLaunchThroughManager) {
   EXPECT_EQ(manager_.stats().sandboxed_launches, 1u);
 }
 
+TEST_F(GuardianTest, SignedDivisionOverflowWrapsAndCoTenantSurvives) {
+  // INT64_MIN / -1 traps on the host's divide instruction. A tenant kernel
+  // that divides so must complete with the GPU's wrapped result, and the
+  // manager must go on serving its co-tenant.
+  auto attacker = Connect();
+  auto bystander = Connect();
+  ASSERT_TRUE(attacker.ok() && bystander.ok());
+  const std::string ptx = R"(
+.version 7.7
+.target sm_86
+.address_size 64
+.visible .entry divk(.param .u64 p_out, .param .u64 p_a, .param .u64 p_b)
+{
+    .reg .b64 %rd<8>;
+    ld.param.u64 %rd1, [p_out];
+    ld.param.u64 %rd2, [p_a];
+    ld.param.u64 %rd3, [p_b];
+    div.s64 %rd4, %rd2, %rd3;
+    rem.s64 %rd5, %rd2, %rd3;
+    st.global.u64 [%rd1], %rd4;
+    st.global.u64 [%rd1+8], %rd5;
+    ret;
+}
+)";
+  auto module = attacker->cuModuleLoadData(ptx);
+  ASSERT_TRUE(module.ok()) << module.status();
+  auto fn = attacker->cuModuleGetFunction(*module, "divk");
+  ASSERT_TRUE(fn.ok()) << fn.status();
+  DevicePtr out = 0;
+  ASSERT_TRUE(attacker->cudaMalloc(&out, 16).ok());
+  constexpr std::uint64_t kMin = 0x8000'0000'0000'0000ull;
+  ASSERT_TRUE(attacker
+                  ->cudaLaunchKernel(*fn, simcuda::LaunchConfig{},
+                                     {KernelArg::U64(out), KernelArg::U64(kMin),
+                                      KernelArg::U64(~0ull)})
+                  .ok());
+  std::uint64_t result[2] = {1, 1};
+  ASSERT_TRUE(
+      attacker->cudaMemcpy(result, out, 16, MemcpyKind::kDeviceToHost).ok());
+  EXPECT_EQ(result[0], kMin);  // quotient wraps to INT64_MIN
+  EXPECT_EQ(result[1], 0u);    // remainder 0
+
+  DevicePtr p = 0;
+  ASSERT_TRUE(bystander->cudaMalloc(&p, 4).ok());
+  const std::uint32_t value = 4242;
+  ASSERT_TRUE(bystander->cudaMemcpyH2D(p, &value, 4).ok());
+  std::uint32_t check = 0;
+  ASSERT_TRUE(
+      bystander->cudaMemcpy(&check, p, 4, MemcpyKind::kDeviceToHost).ok());
+  EXPECT_EQ(check, value);
+}
+
 TEST_F(GuardianTest, OobKernelWrapsAndVictimSurvives) {
   // The end-to-end Figure 4 property through the full client-server stack:
   // the attacker's OOB store wraps into its own partition; the victim's

@@ -1,5 +1,5 @@
 // Parity suite for the kernel execution engine (engine.cpp) against the
-// seed string-map interpreter (Interpreter::ExecuteReference): every kernel
+// seed string-map interpreter (ReferenceInterpreter): every kernel
 // family the ptxexec tests exercise — plus patched kernels, faults,
 // checkpoints and random fuzz — must produce identical ExecStats, statuses,
 // fault details and memory images on the reference and on the engine, fed
@@ -10,13 +10,16 @@
 
 #include <atomic>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "ptx/generator.hpp"
 #include "ptx/parser.hpp"
 #include "ptxexec/interpreter.hpp"
+#include "ptxexec/reference.hpp"
 #include "ptxpatcher/patcher.hpp"
+#include "simlibs/kernels_ptx.hpp"
 
 namespace grd::ptxexec {
 namespace {
@@ -49,9 +52,9 @@ struct EngineRun {
   std::vector<std::uint8_t> memory;
 };
 
-// Runs `kernel` once per engine on identical fresh memory images and
-// returns both outcomes for comparison.
-template <typename RunFn>
+// Runs `kernel` on engine `Engine` (Interpreter or ReferenceInterpreter)
+// over a fresh memory image and returns the outcome for comparison.
+template <typename Engine, typename RunFn>
 EngineRun RunEngine(const ptx::Module& module, const std::string& kernel,
                     const LaunchParams& params, const MemInit& init,
                     simgpu::AccessPolicy* policy, RunFn&& run) {
@@ -60,7 +63,7 @@ EngineRun RunEngine(const ptx::Module& module, const std::string& kernel,
   simgpu::AllowAllPolicy allow_all;
   for (const auto& [addr, value] : init)
     EXPECT_TRUE(memory.Store<std::uint32_t>(addr, value).ok());
-  Interpreter interp(&memory, policy != nullptr ? policy : &allow_all, 1);
+  Engine interp(&memory, policy != nullptr ? policy : &allow_all, 1);
   out.result = run(interp, module, kernel, params);
   out.fault = interp.last_fault();
   out.memory.resize(kMemBytes);
@@ -122,12 +125,13 @@ void ExpectParity(const ptx::Module& module, const std::string& kernel,
                   const LaunchParams& params, const MemInit& init = {},
                   simgpu::AccessPolicy* ref_policy = nullptr,
                   simgpu::AccessPolicy* engine_policy = nullptr) {
-  const EngineRun reference = RunEngine(
+  const EngineRun reference = RunEngine<ReferenceInterpreter>(
       module, kernel, params, init, ref_policy,
-      [](Interpreter& interp, const ptx::Module& m, const std::string& k,
-         const LaunchParams& p) { return interp.ExecuteReference(m, k, p); });
+      [](ReferenceInterpreter& interp, const ptx::Module& m,
+         const std::string& k,
+         const LaunchParams& p) { return interp.Execute(m, k, p); });
   for (const bool fuse : {false, true}) {
-    const EngineRun engine = RunEngine(
+    const EngineRun engine = RunEngine<Interpreter>(
         module, kernel, params, init, engine_policy,
         [fuse](Interpreter& interp, const ptx::Module& m,
                const std::string& k,
@@ -243,8 +247,9 @@ TEST(ProgramParity, UnknownKernelNameSameError) {
   simgpu::GlobalMemory memory(1 << 20);
   simgpu::AllowAllPolicy allow;
   Interpreter interp(&memory, &allow, 1);
+  ReferenceInterpreter ref(&memory, &allow, 1);
   const ptx::Module module = MakeSampleModule();
-  auto reference = interp.ExecuteReference(module, "nope", params);
+  auto reference = ref.Execute(module, "nope", params);
   auto engine = interp.Execute(module, "nope", params);
   ASSERT_FALSE(reference.ok());
   ASSERT_FALSE(engine.ok());
@@ -314,12 +319,52 @@ class SnippetParity : public ::testing::Test {
 
   void Check(const std::string& body, std::uint64_t a = 0,
              std::uint64_t b = 0) {
+    CheckWith(body, Params(a, b));
+  }
+
+  void CheckWith(const std::string& body, const LaunchParams& params) {
     auto module = ptx::Parse(Source(body));
     ASSERT_TRUE(module.ok()) << module.status() << "\n" << body;
-    ExpectParity(*module, "t", Params(a, b));
+    ExpectParity(*module, "t", params);
+  }
+
+  // Asserts that the fused program runs `op` as a micro op, so a case meant
+  // for the superinstruction path cannot drift to the top-level handlers.
+  static void ExpectFusedMicro(const std::string& body, MicroOp op) {
+    auto module = ptx::Parse(Source(body));
+    ASSERT_TRUE(module.ok()) << module.status();
+    auto compiled = CompileKernel(module->kernels[0]);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    const CompiledKernel fused = FuseKernel(std::move(*compiled));
+    bool found = false;
+    for (const FusedComp& m : fused.fused_micro) found = found || m.op == op;
+    EXPECT_TRUE(found) << "micro op " << static_cast<int>(op)
+                       << " not fused in: " << body;
+  }
+
+  // The body on the engine's fused program, with what it left at kOut.
+  struct FusedRun {
+    Result<ExecStats> result = ExecStats{};
+    DeviceFault fault;
+    std::uint64_t out[5] = {};  // the u64 words at kOut .. kOut+32
+  };
+  static FusedRun RunFused(const std::string& body,
+                           const LaunchParams& params) {
+    FusedRun run;
+    auto module = ptx::Parse(Source(body));
+    EXPECT_TRUE(module.ok()) << module.status();
+    if (!module.ok()) return run;
+    simgpu::GlobalMemory memory(kMemBytes);
+    simgpu::AllowAllPolicy allow_all;
+    Interpreter interp(&memory, &allow_all, 1);
+    run.result = interp.Execute(*module, "t", params);
+    run.fault = interp.last_fault();
+    EXPECT_TRUE(memory.Read(kOut, run.out, sizeof(run.out)).ok());
+    return run;
   }
 
   static constexpr std::uint64_t kOut = 0x1000;  // %rd1
+  static constexpr std::uint64_t kMin64 = 0x8000'0000'0000'0000ull;
 };
 
 TEST_F(SnippetParity, IntegerArithmetic) {
@@ -462,6 +507,148 @@ TEST_F(SnippetParity, TrapFaultsIdentically) {
         0);
 }
 
+// INT64_MIN / -1 traps on the host's divide instruction; a GPU wraps it.
+// Both engines give the 32-bit case's wrap: quotient INT64_MIN, remainder 0.
+TEST_F(SnippetParity, SignedDivisionByMinusOneWraps) {
+  const char* div = "div.s64 %rd4, %rd2, %rd3; st.global.u64 [%rd1], %rd4;";
+  const char* rem = "rem.s64 %rd4, %rd2, %rd3; st.global.u64 [%rd1], %rd4;";
+  Check(div, kMin64, ~0ull);
+  Check(rem, kMin64, ~0ull);
+  Check("div.s32 %r1, %rd2, %rd3; rem.s32 %r2, %rd2, %rd3; "
+        "st.global.u32 [%rd1], %r1; st.global.u32 [%rd1+4], %r2;",
+        0x8000'0000u, 0xFFFF'FFFFu);
+  const FusedRun quotient = RunFused(div, Params(kMin64, ~0ull));
+  ASSERT_TRUE(quotient.result.ok()) << quotient.result.status();
+  EXPECT_EQ(quotient.out[0], kMin64);
+  const FusedRun remainder = RunFused(rem, Params(kMin64, ~0ull));
+  ASSERT_TRUE(remainder.result.ok()) << remainder.result.status();
+  EXPECT_EQ(remainder.out[0], 0u);
+}
+
+// The most negative operand of neg/abs and a 64-bit wide product overflow
+// int64; both engines compute them in unsigned arithmetic, with the bits a
+// GPU gives.
+TEST_F(SnippetParity, MostNegativeOperandsWrap) {
+  Check("neg.s64 %rd4, %rd2; st.global.u64 [%rd1], %rd4;", kMin64);
+  Check("abs.s64 %rd4, %rd2; st.global.u64 [%rd1], %rd4;", kMin64);
+  Check("neg.s32 %r1, %rd2; abs.s32 %r2, %rd2; st.global.u32 [%rd1], %r1; "
+        "st.global.u32 [%rd1+4], %r2;",
+        0x8000'0000u);
+  Check("mul.wide.s64 %rd4, %rd2, %rd3; st.global.u64 [%rd1], %rd4;", kMin64,
+        ~0ull);
+  Check("mad.wide.s64 %rd4, %rd2, %rd3, 5; st.global.u64 [%rd1], %rd4;",
+        kMin64, 3);
+  const FusedRun neg =
+      RunFused("neg.s64 %rd4, %rd2; abs.s64 %rd5, %rd2; "
+               "st.global.u64 [%rd1], %rd4; st.global.u64 [%rd1+8], %rd5;",
+               Params(kMin64));
+  ASSERT_TRUE(neg.result.ok()) << neg.result.status();
+  EXPECT_EQ(neg.out[0], kMin64);
+  EXPECT_EQ(neg.out[1], kMin64);
+}
+
+// A fused access at the last aligned word of device memory completes; one
+// word past it faults with GlobalMemory's status, at the same address and
+// thread on every engine.
+TEST_F(SnippetParity, FusedAccessAtDeviceMemoryEnd) {
+  const char* rmw =
+      "ld.global.u64 %rd4, [%rd2]; add.u64 %rd4, %rd4, 7; "
+      "st.global.u64 [%rd2], %rd4; st.global.u64 [%rd1], %rd4;";
+  const char* store = "st.global.u32 [%rd2], 9; st.global.u32 [%rd1], 1;";
+  ExpectFusedMicro(rmw, MicroOp::kLd);
+  ExpectFusedMicro(rmw, MicroOp::kSt);
+  Check(rmw, kMemBytes - 8);
+  Check(rmw, kMemBytes);
+  Check(store, kMemBytes - 4);
+  Check(store, kMemBytes);
+  const FusedRun last = RunFused(rmw, Params(kMemBytes - 8));
+  ASSERT_TRUE(last.result.ok()) << last.result.status();
+  EXPECT_EQ(last.out[0], 7u);
+  for (const char* body : {rmw, store}) {
+    SCOPED_TRACE(body);
+    const FusedRun past = RunFused(body, Params(kMemBytes));
+    ASSERT_FALSE(past.result.ok());
+    EXPECT_EQ(past.result.status().code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(past.fault.address, kMemBytes);
+    EXPECT_EQ(past.out[0], 0u) << "the faulting run stored nothing";
+  }
+}
+
+// The first store to a never-touched page takes GlobalMemory's slow path
+// (it installs the page); the load after it reads the value back.
+TEST_F(SnippetParity, FusedFirstStoreToUntouchedPage) {
+  const char* body =
+      "st.global.u32 [%rd2+12], %rd3; ld.global.u32 %r1, [%rd2+12]; "
+      "st.global.u32 [%rd1], %r1;";
+  Check(body, 0x50'0000, 0xABCD'1234);
+  const FusedRun run = RunFused(body, Params(0x50'0000, 0xABCD'1234));
+  ASSERT_TRUE(run.result.ok()) << run.result.status();
+  EXPECT_EQ(run.out[0] & 0xFFFF'FFFFu, 0xABCD'1234u);
+}
+
+TEST_F(SnippetParity, FusedSignedLoadsSignExtend) {
+  // Bytes 80 00 00 80 00 00 00 80: s8 -128, s16 -32768, s32 INT32_MIN.
+  const char* body =
+      "st.global.u64 [%rd1+8], %rd2; ld.global.s8 %rd4, [%rd1+8]; "
+      "ld.global.s16 %rd5, [%rd1+10]; ld.global.s32 %rd6, [%rd1+12]; "
+      "st.global.u64 [%rd1+16], %rd4; st.global.u64 [%rd1+24], %rd5; "
+      "st.global.u64 [%rd1+32], %rd6;";
+  ExpectFusedMicro(body, MicroOp::kLd);
+  Check(body, 0x8000'0000'8000'0080ull);
+  const FusedRun run = RunFused(body, Params(0x8000'0000'8000'0080ull));
+  ASSERT_TRUE(run.result.ok()) << run.result.status();
+  EXPECT_EQ(run.out[2], static_cast<std::uint64_t>(-128));
+  EXPECT_EQ(run.out[3], static_cast<std::uint64_t>(-32768));
+  EXPECT_EQ(run.out[4], static_cast<std::uint64_t>(-2147483648ll));
+}
+
+TEST_F(SnippetParity, FusedSharedAccesses) {
+  const char* body =
+      "mov.u64 %rd4, scratch; st.shared.u64 [%rd4+8], %rd2; "
+      "ld.shared.s16 %rd5, [scratch+8]; ld.shared.u64 %rd6, [%rd4+8]; "
+      "st.global.u64 [%rd1], %rd5; st.global.u64 [%rd1+8], %rd6;";
+  ExpectFusedMicro(body, MicroOp::kLd);
+  ExpectFusedMicro(body, MicroOp::kSt);
+  Check(body, 0xDEAD'BEEF'CAFE'8001ull);
+  // Past the 64-byte segment: the block's bounds fault, mid-run.
+  Check("st.shared.u32 [scratch+64], %rd2; st.global.u32 [%rd1], 1;", 5);
+  Check("ld.shared.u32 %r1, [scratch+62]; st.global.u32 [%rd1], %r1;");
+  const FusedRun run = RunFused(body, Params(0xDEAD'BEEF'CAFE'8001ull));
+  ASSERT_TRUE(run.result.ok()) << run.result.status();
+  EXPECT_EQ(run.out[0], static_cast<std::uint64_t>(-32767));
+  EXPECT_EQ(run.out[1], 0xDEAD'BEEF'CAFE'8001ull);
+}
+
+TEST_F(SnippetParity, FusedLdParamMissingArgumentFaults) {
+  const char* body = "st.global.u32 [%rd1], 1;";
+  ExpectFusedMicro(body, MicroOp::kLdParam);
+  LaunchParams params = Params();
+  params.args.pop_back();  // p_b
+  CheckWith(body, params);
+  const FusedRun run = RunFused(body, params);
+  ASSERT_FALSE(run.result.ok());
+  EXPECT_EQ(run.result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(run.result.status().message(),
+            "missing argument for parameter p_b");
+  EXPECT_EQ(run.out[0], 0u);
+}
+
+TEST_F(SnippetParity, FusedMisalignedAccessFaults) {
+  const char* load =
+      "add.u64 %rd4, %rd1, 2; ld.global.u32 %r1, [%rd4]; "
+      "st.global.u32 [%rd1], %r1;";
+  ExpectFusedMicro(load, MicroOp::kLd);
+  Check(load);
+  Check("st.global.u64 [%rd1+4], %rd2; st.global.u32 [%rd1], 1;", 7);
+  Check("ld.global.s16 %rd4, [%rd1+1]; st.global.u64 [%rd1], %rd4;");
+  const FusedRun run = RunFused(load, Params());
+  ASSERT_FALSE(run.result.ok());
+  EXPECT_NE(run.result.status().message().find("misaligned 4-byte load"),
+            std::string::npos)
+      << run.result.status();
+  EXPECT_EQ(run.fault.address, kOut + 2);
+}
+
 // ---- randomized fuzz parity ------------------------------------------------
 
 TEST(ProgramParity, RandomKernelFuzz) {
@@ -555,8 +742,10 @@ TEST(ProgramParity, GuardElisionFuzzParity) {
                         const std::string& k, const LaunchParams& p) {
       return interp.Execute(m, k, p);
     };
-    const EngineRun a = RunEngine(*full, "fz", params, init, nullptr, run);
-    const EngineRun b = RunEngine(*elided, "fz", params, init, nullptr, run);
+    const EngineRun a =
+        RunEngine<Interpreter>(*full, "fz", params, init, nullptr, run);
+    const EngineRun b =
+        RunEngine<Interpreter>(*elided, "fz", params, init, nullptr, run);
     ASSERT_EQ(a.result.ok(), b.result.ok())
         << "full=" << (a.result.ok() ? "ok" : a.result.status().ToString())
         << " elided="
@@ -584,6 +773,42 @@ TEST(ProgramParity, GuardElisionFuzzParity) {
 
 // ---- instruction budget / checkpoint / preemption --------------------------
 
+// Runs vecadd under a per-thread instruction budget with a checkpoint
+// attached, on the reference or on the engine's (un)fused program.
+// `*retired` gets the instructions the launch retired: the checkpoint's
+// count when the budget tripped.
+template <typename Engine>
+EngineRun RunUnderBudget(const ptx::Module& module, const LaunchParams& params,
+                         const MemInit& init, std::uint64_t budget, bool fuse,
+                         std::uint64_t* retired) {
+  KernelCheckpoint ckpt;
+  ExecControls controls;
+  controls.checkpoint = &ckpt;
+  EngineRun out = RunEngine<Engine>(
+      module, "vecadd", params, init, nullptr,
+      [&](Engine& interp, const ptx::Module& m, const std::string& k,
+          const LaunchParams& p) -> Result<ExecStats> {
+        interp.set_max_instructions_per_thread(budget);
+        if constexpr (std::is_same_v<Engine, ReferenceInterpreter>) {
+          return interp.Execute(m, k, p, controls);
+        } else {
+          auto program = EngineProgram(m, k, fuse);
+          if (!program.ok()) return program.status();
+          return interp.Execute(*program, p, controls);
+        }
+      });
+  *retired =
+      out.result.ok() ? out.result->instructions : ckpt.stats.instructions;
+  return out;
+}
+
+// Sweeps the per-thread instruction budget across every instruction of one
+// vecadd thread. At each budget the trip must land on the same instruction
+// on the reference and on both programs: same status, faulting thread and
+// memory image, and — through the checkpoint, which keeps the stats of a
+// tripped launch — the same count of retired instructions. A
+// superinstruction that charges its run in bulk may therefore trip neither
+// early nor late.
 TEST(ProgramParity, InstructionBudgetTripsIdentically) {
   const ptx::Module module = MakeSampleModule();
   LaunchParams params;
@@ -591,30 +816,50 @@ TEST(ProgramParity, InstructionBudgetTripsIdentically) {
   params.block = {64, 1, 1};
   params.args = {KernelArg::U64(0x1000), KernelArg::U64(0x2000),
                  KernelArg::U64(0x3000), KernelArg::U32(128)};
-  simgpu::GlobalMemory mem_a(kMemBytes);
-  simgpu::AllowAllPolicy allow;
-  Interpreter ref(&mem_a, &allow, 1);
-  ref.set_max_instructions_per_thread(10);
-  auto a = ref.ExecuteReference(module, "vecadd", params);
-  ASSERT_FALSE(a.ok());
-  EXPECT_EQ(a.status().code(), StatusCode::kDeadlineExceeded);
-
-  // The budget is charged per component inside superinstructions too, so the
-  // trip point (and its message) is identical with and without fusion.
+  MemInit init;
+  for (int i = 0; i < 128; ++i) {
+    init.push_back({0x1000 + i * 4, 0x3F800000});  // 1.0f
+    init.push_back({0x2000 + i * 4, 0x40000000});  // 2.0f
+  }
   for (const bool fuse : {false, true}) {
-    SCOPED_TRACE(fuse ? "fused" : "unfused");
     auto program = EngineProgram(module, "vecadd", fuse);
     ASSERT_TRUE(program.ok()) << program.status();
     if (fuse) {
       ASSERT_GT(program->super_count, 0u) << "vecadd should fuse";
     }
-    simgpu::GlobalMemory mem(kMemBytes);
-    Interpreter engine(&mem, &allow, 1);
-    engine.set_max_instructions_per_thread(10);
-    auto b = engine.Execute(*program, params);
-    ASSERT_FALSE(b.ok());
-    EXPECT_EQ(a.status().code(), b.status().code());
-    EXPECT_EQ(a.status().message(), b.status().message());
+  }
+
+  // Instructions one thread retires untripped (every thread takes the same
+  // path: n covers the grid).
+  std::uint64_t per_thread = 0;
+  {
+    simgpu::GlobalMemory memory(kMemBytes);
+    simgpu::AllowAllPolicy allow;
+    ReferenceInterpreter ref(&memory, &allow, 1);
+    auto run = ref.Execute(module, "vecadd", params);
+    ASSERT_TRUE(run.ok()) << run.status();
+    per_thread = run->instructions / run->threads;
+    ASSERT_EQ(per_thread * run->threads, run->instructions);
+  }
+
+  for (std::uint64_t budget = 0; budget <= per_thread; ++budget) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    std::uint64_t ref_retired = 0;
+    const EngineRun reference = RunUnderBudget<ReferenceInterpreter>(
+        module, params, init, budget, false, &ref_retired);
+    ASSERT_EQ(reference.result.ok(), budget == per_thread);
+    if (!reference.result.ok()) {
+      ASSERT_EQ(reference.result.status().code(),
+                StatusCode::kDeadlineExceeded);
+    }
+    for (const bool fuse : {false, true}) {
+      std::uint64_t retired = 0;
+      const EngineRun engine = RunUnderBudget<Interpreter>(
+          module, params, init, budget, fuse, &retired);
+      ExpectSameOutcome(reference, engine, "vecadd",
+                        fuse ? "fused" : "unfused");
+      EXPECT_EQ(retired, ref_retired) << (fuse ? "fused" : "unfused");
+    }
   }
 }
 
@@ -636,6 +881,7 @@ TEST(ProgramParity, PreemptCheckpointResumeMatchesReference) {
     for (const auto& [addr, value] : init)
       ASSERT_TRUE(memory.Store<std::uint32_t>(addr, value).ok());
     Interpreter interp(&memory, &allow, 1);
+    ReferenceInterpreter ref(&memory, &allow, 1);
     LaunchParams params;
     params.grid = {4, 1, 1};
     params.block = {128, 1, 1};
@@ -656,7 +902,7 @@ TEST(ProgramParity, PreemptCheckpointResumeMatchesReference) {
     Result<ExecStats> run = ExecStats{};
     while (true) {
       run = engine == Engine::kReference
-                ? interp.ExecuteReference(module, "copyk", params, controls)
+                ? ref.Execute(module, "copyk", params, controls)
                 : interp.Execute(*program, params, controls);
       if (run.ok()) break;
       ASSERT_TRUE(IsPreempted(run.status())) << run.status();
@@ -729,8 +975,8 @@ LOOP:
   {
     simgpu::GlobalMemory memory(kMemBytes);
     simgpu::AllowAllPolicy allow;
-    Interpreter interp(&memory, &allow, 1);
-    auto run = interp.ExecuteReference(*module, "loopk", params);
+    ReferenceInterpreter ref(&memory, &allow, 1);
+    auto run = ref.Execute(*module, "loopk", params);
     ASSERT_TRUE(run.ok()) << run.status();
     reference_instructions = run->instructions;
   }
@@ -779,6 +1025,51 @@ LOOP:
   }
 }
 
+// Every global access of a fused launch reaches the tenant access policy:
+// saxpy, patched as the manager patches it, calls CheckAccess exactly once
+// per global load and store. Its two loads run as micro ops; its store
+// follows a full 12-component run and takes the top-level handler.
+TEST(ProgramParity, FusedLaunchConsultsPolicyOnEveryAccess) {
+  class CountingPolicy final : public simgpu::AccessPolicy {
+   public:
+    Status CheckAccess(std::uint64_t, std::uint64_t, std::uint64_t,
+                       bool) override {
+      ++calls;
+      return OkStatus();
+    }
+    std::uint64_t calls = 0;
+  };
+  ptx::Module native;
+  native.kernels.push_back(ptx::MakeSaxpyKernel("saxpy"));
+  ptxpatcher::PatchOptions options;
+  options.elision_enabled = true;
+  auto patched = ptxpatcher::PatchModule(native, options);
+  ASSERT_TRUE(patched.ok()) << patched.status();
+  auto program = EngineProgram(*patched, "saxpy", /*fuse=*/true);
+  ASSERT_TRUE(program.ok()) << program.status();
+  int fused_loads = 0;
+  for (const FusedComp& m : program->fused_micro)
+    fused_loads += m.op == MicroOp::kLd;
+  ASSERT_EQ(fused_loads, 2) << "both saxpy loads run as micro ops";
+
+  const std::uint64_t base = 1ull << 20;
+  const auto grd = ptxpatcher::ComputeGrdArgs(options.mode, base, 1ull << 20);
+  LaunchParams params;
+  params.grid = {4, 1, 1};
+  params.block = {256, 1, 1};
+  params.args = {KernelArg::U64(base), KernelArg::U64(base + 0x1000),
+                 KernelArg::F32(2.0f), KernelArg::U32(1024),
+                 KernelArg::U64(grd.arg0), KernelArg::U64(grd.arg1)};
+  simgpu::GlobalMemory memory(kMemBytes);
+  CountingPolicy policy;
+  Interpreter interp(&memory, &policy, 1);
+  auto run = interp.Execute(*program, params);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(run->global_loads, 2048u);
+  EXPECT_EQ(run->global_stores, 1024u);
+  EXPECT_EQ(policy.calls, run->global_loads + run->global_stores);
+}
+
 // ---- the no-string-work regression guard -----------------------------------
 
 TEST(ProgramHotPath, EnginePerformsNoStringLookups) {
@@ -805,7 +1096,8 @@ TEST(ProgramHotPath, EnginePerformsNoStringLookups) {
 
     // Sanity: the counter is live — the reference engine must bump it
     // heavily (several lookups per executed instruction).
-    auto ref = interp.ExecuteReference(module, "vecadd", params);
+    ReferenceInterpreter reference(&memory, &allow, 1);
+    auto ref = reference.Execute(module, "vecadd", params);
     ASSERT_TRUE(ref.ok());
     EXPECT_GT(exec_debug::HotPathStringLookups() - before, ref->instructions);
   }
@@ -920,8 +1212,7 @@ TEST(FuseKernel, StructuralInvariants) {
     ASSERT_EQ(fused.code.size(), compiled->code.size());
     EXPECT_EQ(fused.branch_tables.size(), compiled->branch_tables.size());
     EXPECT_EQ(fused.reg_slots, compiled->reg_slots);
-    EXPECT_EQ(fused.fused_code.size(), fused.fused_instructions);
-    EXPECT_EQ(fused.fused_micro.size(), fused.fused_code.size());
+    EXPECT_EQ(fused.fused_micro.size(), fused.fused_instructions);
 
     // Collect branch targets exactly as the fuser does.
     const std::size_t n = fused.code.size();
@@ -947,14 +1238,18 @@ TEST(FuseKernel, StructuralInvariants) {
       covered += count;
       ASSERT_GE(count, 2u) << "pc=" << pc;
       ASSERT_LE(count, kMaxFusedRun) << "pc=" << pc;
-      ASSERT_LE(base + count, fused.fused_code.size()) << "pc=" << pc;
+      ASSERT_LE(base + count, fused.fused_micro.size()) << "pc=" << pc;
       ASSERT_LE(pc + count, n) << "pc=" << pc;
       for (unsigned j = 0; j < count; ++j) {
-        // Components are verbatim copies of the originals, which stay in
-        // place behind the super (a branch into the middle executes them).
-        EXPECT_EQ(static_cast<int>(fused.fused_code[base + j].op),
-                  static_cast<int>(compiled->code[pc + j].op))
+        // Each component is its original's micro op: a branch only as the
+        // run's last, and the originals stay in place behind the super (a
+        // branch into the middle executes them).
+        const bool is_branch = compiled->code[pc + j].op == COp::kBra;
+        EXPECT_EQ(fused.fused_micro[base + j].op == MicroOp::kBra, is_branch)
             << "pc=" << pc << " j=" << j;
+        if (is_branch) {
+          EXPECT_EQ(j + 1, count) << "pc=" << pc;
+        }
         if (j > 0) {
           EXPECT_EQ(static_cast<int>(fused.code[pc + j].op),
                     static_cast<int>(compiled->code[pc + j].op))
@@ -971,7 +1266,7 @@ TEST(FuseKernel, StructuralInvariants) {
     // Re-fusing an already-fused program is the identity.
     const CompiledKernel refused = FuseKernel(fused);
     EXPECT_EQ(refused.super_count, fused.super_count);
-    EXPECT_EQ(refused.fused_code.size(), fused.fused_code.size());
+    EXPECT_EQ(refused.fused_micro.size(), fused.fused_micro.size());
   }
 }
 
@@ -1003,7 +1298,7 @@ LOOP:
   const CompiledKernel fused = FuseKernel(*compiled);
   ASSERT_GE(fused.super_count, 1u);
   // The loop-body super begins at the branch target and covers the whole
-  // add / setp / @bra tail, all lowered to non-generic micro ops.
+  // add / setp / @bra tail.
   bool found_loop = false;
   for (std::size_t pc = 0; pc < fused.code.size(); ++pc) {
     if (fused.code[pc].op != COp::kFused) continue;
@@ -1013,13 +1308,45 @@ LOOP:
         fused.fused_micro[base + count - 1].target == pc) {
       found_loop = true;
       EXPECT_EQ(count, 3u) << "add + setp + @bra";
-      for (unsigned j = 0; j < count; ++j)
-        EXPECT_NE(static_cast<int>(fused.fused_micro[base + j].op),
-                  static_cast<int>(MicroOp::kGeneric))
-            << "hot integer component " << j << " fell back to generic";
     }
   }
   EXPECT_TRUE(found_loop) << "no superinstruction closes the loop";
+}
+
+// cuBLAS sgemm as the manager serves it (bitwise fencing with elision):
+// the LOOPK body fuses into runs of 2 (setp + @bra), 12 (both fenced loads
+// with their index math) and 3 (fma + add + bra). An instruction that loses
+// its micro op ends a run early and fails this.
+TEST(FuseKernel, ServedLoopFusesWhole) {
+  auto library = ptx::Parse(std::string(simlibs::CublasPtx()));
+  ASSERT_TRUE(library.ok()) << library.status();
+  ptxpatcher::PatchOptions options;
+  options.elision_enabled = true;
+  auto patched = ptxpatcher::PatchModule(*library, options);
+  ASSERT_TRUE(patched.ok()) << patched.status();
+  const ptx::Kernel* sgemm = patched->FindKernel("grd_sgemm");
+  ASSERT_NE(sgemm, nullptr);
+  auto compiled = CompileKernel(*sgemm);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  const CompiledKernel fused = FuseKernel(*compiled);
+
+  // LOOPK is the target of the body's closing, unpredicated back branch.
+  std::size_t back_branch = 0;
+  for (std::size_t pc = 0; pc < compiled->code.size(); ++pc) {
+    const CompiledInst& inst = compiled->code[pc];
+    if (inst.op == COp::kBra && inst.pred_slot == kNoPredSlot &&
+        inst.target < pc)
+      back_branch = pc;
+  }
+  ASSERT_GT(back_branch, 0u) << "no loop in grd_sgemm";
+  std::vector<unsigned> runs;
+  for (std::size_t pc = compiled->code[back_branch].target; pc <= back_branch;
+       pc += fused.code[pc].sub) {
+    ASSERT_EQ(fused.code[pc].op, COp::kFused)
+        << "LOOPK instruction at pc " << pc << " is not fused";
+    runs.push_back(fused.code[pc].sub);
+  }
+  EXPECT_EQ(runs, (std::vector<unsigned>{2, 12, 3}));
 }
 
 }  // namespace

@@ -85,6 +85,43 @@ TEST(GlobalMemory, SparseResidency) {
   EXPECT_EQ(mem.resident_bytes(), 64u * 1024);
 }
 
+// The engine's in-page path agrees with Read/Write everywhere, including
+// the cases it hands to them: a store to an untouched page, an access past
+// the end of device memory, and one that crosses a page.
+TEST(GlobalMemory, InPageAccessMatchesReadWrite) {
+  GlobalMemory mem(1 << 20);
+  std::uint64_t bits = 1;
+  ASSERT_TRUE(mem.ReadInPage(4096, &bits, 8).ok());
+  EXPECT_EQ(bits, 0u) << "an untouched page reads as zero";
+  EXPECT_EQ(mem.resident_bytes(), 0u) << "a read installs no page";
+
+  const std::uint32_t v = 0xCAFEF00D;
+  ASSERT_TRUE(mem.WriteInPage(4096, &v, 4).ok());
+  EXPECT_EQ(mem.resident_bytes(), 64u * 1024) << "first store installs it";
+  ASSERT_TRUE(mem.WriteInPage(4100, &v, 2).ok());
+  ASSERT_TRUE(mem.ReadInPage(4096, &bits, 8).ok());
+  EXPECT_EQ(bits, 0xF00D'CAFE'F00Dull);
+
+  const std::uint64_t w = 0x1122334455667788ull;
+  const std::uint64_t straddle = 64 * 1024 - 4;
+  ASSERT_TRUE(mem.WriteInPage(straddle, &w, 8).ok());
+  auto r = mem.Load<std::uint64_t>(straddle);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, w);
+  ASSERT_TRUE(mem.ReadInPage(straddle, &bits, 8).ok());
+  EXPECT_EQ(bits, w);
+
+  for (const std::uint64_t addr : {(1ull << 20) - 2, 1ull << 20}) {
+    const Status in_page_read = mem.ReadInPage(addr, &bits, 4);
+    const Status read = mem.Read(addr, &bits, 4);
+    EXPECT_EQ(in_page_read.code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(in_page_read.message(), read.message());
+    const Status in_page_write = mem.WriteInPage(addr, &v, 4);
+    EXPECT_EQ(in_page_write.code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(in_page_write.message(), mem.Write(addr, &v, 4).message());
+  }
+}
+
 TEST(Timing, AverageLatencyMatchesFigure5Extremes) {
   const TimingModel model(QuadroRtxA4000());
   EXPECT_DOUBLE_EQ(model.AverageAccessLatency(CacheProfile::AllL1()), 28.0);
