@@ -29,13 +29,16 @@
 // so fusion cannot drift from the oracle.
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/bits.hpp"
 #include "common/status.hpp"
 #include "ptxexec/interpreter.hpp"
 #include "ptxexec/launch.hpp"
@@ -53,12 +56,12 @@ using scalar::F64Bits;
 using scalar::MaskToWidth;
 using scalar::SignExtend;
 
-// The label tables in BlockExec::RunThread are indexed by COp and MicroOp
+// The label tables in BlockExec::RunGroup are indexed by COp and MicroOp
 // and must cover the enums exactly.
 static_assert(static_cast<unsigned>(COp::kFused) == 16,
-              "COp changed: update the RunThread label table");
+              "COp changed: update the RunGroup label table");
 static_assert(static_cast<unsigned>(MicroOp::kBra) == 25,
-              "MicroOp changed: update the RunThread micro label table");
+              "MicroOp changed: update the RunGroup micro label table");
 
 // ---- scalar evaluators ------------------------------------------------------
 
@@ -71,8 +74,7 @@ inline std::uint64_t EvalCvt(ptx::Type dst_t, ptx::Type src_t,
                                    : F32Bits(static_cast<float>(v));
   } else if (ptx::IsFloat(src_t)) {
     const double v = src_t == ptx::Type::kF64 ? AsF64(raw) : AsF32(raw);
-    out = MaskToWidth(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)),
-                      ptx::TypeSize(dst_t));
+    out = scalar::FloatToInt(v, ptx::TypeSize(dst_t), ptx::IsSigned(dst_t));
   } else if (ptx::IsFloat(dst_t)) {
     const double v =
         ptx::IsSigned(src_t)
@@ -255,20 +257,236 @@ inline std::int64_t MicroSext(std::uint64_t bits, unsigned sx) {
   return static_cast<std::int64_t>(bits << sx) >> sx;
 }
 
-// ---- per-block machine state and dispatch loop ------------------------------
+// ---- the phase access log ---------------------------------------------------
 
-struct CThread {
-  std::uint32_t pc = 0;
-  bool done = false;
-  std::uint32_t tid_x = 0, tid_y = 0, tid_z = 0;
-  std::uint32_t ctaid_x = 0, ctaid_y = 0, ctaid_z = 0;
+// What a multi-lane attempt loads and stores, global and shared alike (a
+// shared address carries kSharedTag). Stores go to a table keyed by 4-byte
+// granule, the attempt's store buffer: per granule the bytes stored, the
+// values thread order leaves in them, the lane that stored them last in
+// thread order and the lowest lane that stored any. Loads go to a log of
+// (address, size, lane).
+//
+// Thread order runs lane 0's whole phase, then lane 1's, and so on. A
+// lockstep attempt therefore leaves what thread order leaves as long as no
+// lane loads a byte a lower lane stores, and every byte two lanes store
+// ends up holding the higher lane's value:
+//  - a load that meets a buffered store reads the lane's own bytes, or
+//    memory where only higher lanes stored (thread order has not run them
+//    yet); a lower lane's store, or a higher lane's over the lane's own,
+//    stops the attempt at once;
+//  - at phase end, the logged loads inside the stored address range are
+//    checked for a lower lane's store that came after them;
+//  - a store covering a lower lane's replaces it; a store over a higher
+//    lane's, or over only part of a lower lane's, stops the attempt.
+// Lanes are tracked per granule, not per byte: two lanes storing different
+// bytes of one 4-byte word count as a conflict, which costs a replay, never
+// a wrong result.
+//
+// Bounded: an attempt that logs kMaxLoads loads or stores to kMaxStored
+// granules stops (kLogBound), so a kernel cannot make the engine allocate
+// without bound. One log per executor thread, reused across launches.
+class AccessLog {
+ public:
+  static constexpr std::uint32_t kMaxLoads = 1u << 15;
+  static constexpr std::uint32_t kSlots = 1u << 13;
+  // At most half the slots live, so linear probes stay short.
+  static constexpr std::uint32_t kMaxStored = kSlots / 2;
+
+  AccessLog()
+      : loads_(new LoggedLoad[kMaxLoads]), slots_(new Granule[kSlots]()) {
+    stored_.reserve(kMaxStored);
+  }
+
+  // Forgets everything: the table by an epoch bump, not a sweep.
+  void Reset() {
+    if (++epoch_ == 0) {  // wrapped: stale entries would read as live
+      for (std::uint32_t i = 0; i < kSlots; ++i) slots_[i].epoch = 0;
+      epoch_ = 1;
+    }
+    n_loads_ = 0;
+    stored_.clear();
+    lo_ = ~std::uint64_t{0};
+    hi_ = 0;
+  }
+
+  // Logs `lane`'s load of [addr, addr + bytes), whose bytes in memory are
+  // *value, and merges in the lane's own buffered bytes. Returns false, with
+  // *cause set, when the attempt must stop.
+  [[gnu::always_inline]] bool Load(std::uint32_t lane, std::uint64_t addr,
+                                   std::size_t bytes, std::uint64_t* value,
+                                   ReplayCause* cause) {
+    if (n_loads_ == kMaxLoads) [[unlikely]]
+      return Stop(ReplayCause::kLogBound, cause);
+    loads_[n_loads_++] =
+        LoggedLoad{addr, lane, static_cast<std::uint32_t>(bytes)};
+    if (addr + bytes <= lo_ || addr >= hi_) return true;
+    return ReadStored(lane, addr, bytes, value, cause);
+  }
+
+  // Buffers `lane`'s store; false, with *cause set, when it conflicts.
+  bool Store(std::uint32_t lane, std::uint64_t addr, std::size_t bytes,
+             std::uint64_t value, ReplayCause* cause) {
+    for (Span s(addr, bytes); s.Valid(); s.Next()) {
+      Granule* g = Find(s.key, /*insert=*/true);
+      if (g == nullptr) return Stop(ReplayCause::kLogBound, cause);
+      if (g->mask == 0) {
+        g->storer = g->min_storer = lane;
+        stored_.push_back(static_cast<std::uint32_t>(g - slots_.get()));
+      } else if (g->storer != lane) {
+        if (g->storer > lane || (s.mask & g->mask) != g->mask)
+          return Stop(ReplayCause::kConflict, cause);
+        g->storer = lane;
+      }
+      for (unsigned j = s.lo; j < s.hi; ++j)
+        g->data[j] = static_cast<std::uint8_t>(value >> (8 * s.ValueByte(j)));
+      g->mask |= s.mask;
+    }
+    lo_ = std::min(lo_, addr);
+    hi_ = std::max(hi_, addr + bytes);
+    return true;
+  }
+
+  // Phase end: false (kConflict) when a logged load read bytes a lower lane
+  // stored after it.
+  bool CheckLoads(ReplayCause* cause) {
+    if (stored_.empty()) return true;
+    for (std::uint32_t i = 0; i < n_loads_; ++i) {
+      const LoggedLoad& load = loads_[i];
+      if (load.addr + load.bytes <= lo_ || load.addr >= hi_) continue;
+      for (Span s(load.addr, load.bytes); s.Valid(); s.Next()) {
+        const Granule* g = Find(s.key, /*insert=*/false);
+        if (g != nullptr && (g->mask & s.mask) && g->min_storer < load.lane)
+          return Stop(ReplayCause::kConflict, cause);
+      }
+    }
+    return true;
+  }
+
+  // Calls write(address, data, mask) for every granule holding stores:
+  // data[j] is the value thread order leaves in byte j where mask bit j is
+  // set.
+  template <typename Write>
+  Status Commit(Write&& write) const {
+    for (const std::uint32_t i : stored_) {
+      const Granule& g = slots_[i];
+      GRD_RETURN_IF_ERROR(write(g.key << 2, g.data, g.mask));
+    }
+    return OkStatus();
+  }
+
+ private:
+  struct LoggedLoad {
+    std::uint64_t addr;
+    std::uint32_t lane;
+    std::uint32_t bytes;
+  };
+
+  struct Granule {
+    std::uint64_t key = 0;    // address >> 2
+    std::uint32_t epoch = 0;  // live when equal to the log's epoch
+    std::uint32_t storer = 0;
+    std::uint32_t min_storer = 0;
+    std::uint8_t mask = 0;  // bit j: byte j of the granule is stored
+    std::uint8_t data[4] = {};
+  };
+
+  // The granules [addr, addr + bytes) covers, one at a time: the byte range
+  // [lo, hi) inside the current one and its mask.
+  struct Span {
+    Span(std::uint64_t addr, std::size_t bytes)
+        : addr(addr), end(addr + bytes), key(addr >> 2) {
+      Fit();
+    }
+    bool Valid() const { return (key << 2) < end; }
+    void Next() {
+      ++key;
+      Fit();
+    }
+    // Which byte of the accessed value granule byte j is.
+    unsigned ValueByte(unsigned j) const {
+      return static_cast<unsigned>((key << 2) + j - addr);
+    }
+    void Fit() {
+      const std::uint64_t base = key << 2;
+      lo = addr > base ? static_cast<unsigned>(addr - base) : 0;
+      hi = end < base + 4 ? static_cast<unsigned>(end - base) : 4;
+      mask = static_cast<std::uint8_t>(((1u << hi) - 1) & ~((1u << lo) - 1));
+    }
+    std::uint64_t addr, end, key;
+    unsigned lo = 0, hi = 0;
+    std::uint8_t mask = 0;
+  };
+
+  static bool Stop(ReplayCause why, ReplayCause* cause) {
+    *cause = why;
+    return false;
+  }
+
+  // A load inside the stored range: the lane's own bytes replace memory's;
+  // a lower lane's store, or a higher lane's over the lane's own, conflicts.
+  [[gnu::noinline]] bool ReadStored(std::uint32_t lane, std::uint64_t addr,
+                                    std::size_t bytes, std::uint64_t* value,
+                                    ReplayCause* cause) {
+    for (Span s(addr, bytes); s.Valid(); s.Next()) {
+      const Granule* g = Find(s.key, /*insert=*/false);
+      if (g == nullptr || (g->mask & s.mask) == 0) continue;
+      if (g->storer != lane) {
+        if (g->min_storer <= lane) return Stop(ReplayCause::kConflict, cause);
+        continue;
+      }
+      for (unsigned j = s.lo; j < s.hi; ++j) {
+        if (((g->mask >> j) & 1) == 0) continue;
+        const unsigned shift = 8 * s.ValueByte(j);
+        *value = (*value & ~(std::uint64_t{0xFF} << shift)) |
+                 (std::uint64_t{g->data[j]} << shift);
+      }
+    }
+    return true;
+  }
+
+  // The live entry for `key`; a missing one is created empty when `insert`
+  // (null once kMaxStored granules are live) and null otherwise.
+  Granule* Find(std::uint64_t key, bool insert) {
+    std::uint32_t i = static_cast<std::uint32_t>(
+        (key * 0x9E3779B97F4A7C15ull) >> (64 - std::countr_zero(kSlots)));
+    while (true) {
+      Granule& g = slots_[i];
+      if (g.epoch != epoch_) {
+        if (!insert || stored_.size() == kMaxStored) return nullptr;
+        g = Granule{key, epoch_};
+        return &g;
+      }
+      if (g.key == key) return &g;
+      i = (i + 1) & (kSlots - 1);
+    }
+  }
+
+  std::unique_ptr<LoggedLoad[]> loads_;
+  std::uint32_t n_loads_ = 0;
+  std::unique_ptr<Granule[]> slots_;
+  std::uint32_t epoch_ = 1;
+  std::vector<std::uint32_t> stored_;  // slots holding stores, in order
+  std::uint64_t lo_ = ~std::uint64_t{0}, hi_ = 0;  // the stored range
 };
 
-// Runs one block: the flat register file, the shared segment, operand and
-// special-register reads, sized loads/stores routed through the tenant
-// access policy, fault recording, and the instruction-budget /
-// preemption-poll bookkeeping. A fresh executor per block, so the poll
-// countdown and the latched preemption request restart at every block.
+// ---- the lane executor --------------------------------------------------------
+
+// Runs one block. A block executes in phases, one bar.sync round each: every
+// live thread runs until it parks at a barrier or retires. The executor runs
+// a phase as one group of all the live threads (lanes) sharing one pc. Each
+// dispatch, top-level or micro op, retires its instruction for every active
+// lane over a slot-major register file, so a block pays dispatch once per
+// instruction, not once per thread.
+//
+// A multi-lane attempt leaves exactly what thread order (thread 0's whole
+// phase, then thread 1's, ...) leaves as long as control flow stays uniform,
+// no lane faults or trips its budget, and the access log meets no
+// conflict; its stores wait in the log and commit when the phase ends
+// clean. Otherwise the attempt rolls back to the phase start — registers,
+// stats, the preemption countdown and latch; memory and the shared segment
+// never changed — and the phase replays one lane at a time, in thread
+// order, through the same executor. A one-lane group is thread order by
+// construction: it accesses memory directly and never rolls back.
 class BlockExec {
  public:
   BlockExec(const CompiledKernel& prog, const LaunchParams& params,
@@ -287,6 +505,7 @@ class BlockExec {
                                     ? controls.preempt_check_interval
                                     : 1),
         preempt_countdown_(preempt_check_interval_),
+        nlanes_(params.block.Count()),
         shared_(prog.shared_size, 0) {}
 
   // Runs the block to completion (all threads), honoring bar.sync phases.
@@ -298,185 +517,317 @@ class BlockExec {
   bool preempt_latched() const noexcept { return preempt_latched_; }
 
  private:
-  // Runs one thread until it finishes (*thread_done = true), parks at a
-  // barrier (*thread_done = false), or faults (non-OK, detail in fault_).
-  // Cache-line aligned so the handlers' layout does not depend on where the
-  // linker places the function: unaligned, the same code measured up to 10%
-  // apart between two binaries.
-  [[gnu::aligned(64)]] Status RunThread(CThread& t, std::uint64_t* regs,
-                                       bool* thread_done);
+  static constexpr std::uint32_t kStop = 0xFFFF'FFFFu;
 
-  std::uint64_t Special(const CThread& t, SpecialReg sreg) const {
+  // Runs the phase's live lanes (group_) as one attempt and commits it.
+  // False when it rolled back to the phase start, cause_ saying why.
+  Result<bool> Attempt(bool first_phase);
+
+  // Runs the group act_ (ascending lanes, one pc) until every lane parked
+  // at a barrier or retired. A non-OK status is the fault of a one-lane
+  // group, or stops a multi-lane attempt with cause_ saying why. Cache-line
+  // aligned so the handlers' layout does not depend on where the linker
+  // places the function: unaligned, the same code measured up to 10% apart
+  // between two binaries.
+  [[gnu::aligned(64)]] Status RunGroup();
+
+  std::uint64_t* Row(std::uint64_t slot) {
+    return regs_.data() + slot * nlanes_;
+  }
+
+  bool GuardHolds(const CompiledInst& inst, std::uint32_t lane) {
+    return inst.pred_slot == kNoPredSlot ||
+           ((Row(inst.pred_slot)[lane] & 1) != 0) != inst.pred_negated;
+  }
+
+  std::uint64_t Special(std::uint32_t lane, SpecialReg sreg) const {
     switch (sreg) {
-      case SpecialReg::kTidX: return t.tid_x;
-      case SpecialReg::kTidY: return t.tid_y;
-      case SpecialReg::kTidZ: return t.tid_z;
+      case SpecialReg::kTidX: return tid_x_[lane];
+      case SpecialReg::kTidY: return tid_y_[lane];
+      case SpecialReg::kTidZ: return tid_z_[lane];
       case SpecialReg::kNtidX: return params_.block.x;
       case SpecialReg::kNtidY: return params_.block.y;
       case SpecialReg::kNtidZ: return params_.block.z;
-      case SpecialReg::kCtaidX: return t.ctaid_x;
-      case SpecialReg::kCtaidY: return t.ctaid_y;
-      case SpecialReg::kCtaidZ: return t.ctaid_z;
+      case SpecialReg::kCtaidX: return ctaid_x_;
+      case SpecialReg::kCtaidY: return ctaid_y_;
+      case SpecialReg::kCtaidZ: return ctaid_z_;
       case SpecialReg::kNctaidX: return params_.grid.x;
       case SpecialReg::kNctaidY: return params_.grid.y;
       case SpecialReg::kNctaidZ: return params_.grid.z;
-      case SpecialReg::kLaneId: return t.tid_x % 32;
+      case SpecialReg::kLaneId: return tid_x_[lane] % 32;
       case SpecialReg::kWarpSize: return 32;
     }
     return 0;
   }
 
-  std::uint64_t ReadOp(const CThread& t, const std::uint64_t* regs,
-                       const OperandDesc& desc) const {
+  std::uint64_t ReadOp(std::uint32_t lane, const OperandDesc& desc) {
     switch (desc.kind) {
-      case OperandDesc::Kind::kReg: return regs[desc.slot];
+      case OperandDesc::Kind::kReg: return Row(desc.slot)[lane];
       case OperandDesc::Kind::kImm: return desc.imm;
-      case OperandDesc::Kind::kSpecial: return Special(t, desc.sreg);
+      case OperandDesc::Kind::kSpecial: return Special(lane, desc.sreg);
     }
     return 0;
   }
 
+  // Micro-op lane loops: dst = f(sources) over the ALU lanes [lo, hi), each
+  // source a register row or an immediate (FusedComp::src_imm). The range
+  // covers every active lane; lanes in it that retired compute values no
+  // one reads.
+  template <typename F>
+  [[gnu::always_inline]] void Lanes1(const FusedComp& m, std::uint32_t lo,
+                                     std::uint32_t hi, F f) {
+    std::uint64_t* const d = Row(m.dst);
+    if (m.src_imm & 1) {
+      std::fill(d + lo, d + hi, f(m.a));
+      return;
+    }
+    const std::uint64_t* const a = Row(m.a);
+    for (std::uint32_t i = lo; i < hi; ++i) d[i] = f(a[i]);
+  }
+
+  template <typename F>
+  [[gnu::always_inline]] void Lanes2(const FusedComp& m, std::uint32_t lo,
+                                     std::uint32_t hi, F f) {
+    std::uint64_t* const d = Row(m.dst);
+    switch (m.src_imm & 3) {
+      case 0: {
+        const std::uint64_t* const a = Row(m.a);
+        const std::uint64_t* const b = Row(m.b);
+        for (std::uint32_t i = lo; i < hi; ++i) d[i] = f(a[i], b[i]);
+        return;
+      }
+      case 1: {
+        const std::uint64_t a = m.a;
+        const std::uint64_t* const b = Row(m.b);
+        for (std::uint32_t i = lo; i < hi; ++i) d[i] = f(a, b[i]);
+        return;
+      }
+      case 2: {
+        const std::uint64_t* const a = Row(m.a);
+        const std::uint64_t b = m.b;
+        for (std::uint32_t i = lo; i < hi; ++i) d[i] = f(a[i], b);
+        return;
+      }
+      default: std::fill(d + lo, d + hi, f(m.a, m.b));
+    }
+  }
+
+  template <typename F>
+  [[gnu::always_inline]] void Lanes3(const FusedComp& m, std::uint32_t lo,
+                                     std::uint32_t hi, F f) {
+    std::uint64_t* const d = Row(m.dst);
+    if ((m.src_imm & 7) == 0) {
+      const std::uint64_t* const a = Row(m.a);
+      const std::uint64_t* const b = Row(m.b);
+      const std::uint64_t* const c = Row(m.c);
+      for (std::uint32_t i = lo; i < hi; ++i) d[i] = f(a[i], b[i], c[i]);
+      return;
+    }
+    for (std::uint32_t i = lo; i < hi; ++i) {
+      const std::uint64_t a = (m.src_imm & 1) ? m.a : Row(m.a)[i];
+      const std::uint64_t b = (m.src_imm & 2) ? m.b : Row(m.b)[i];
+      const std::uint64_t c = (m.src_imm & 4) ? m.c : Row(m.c)[i];
+      d[i] = f(a, b, c);
+    }
+  }
+
   // The one path every ld/st lane takes, top-level or fused: the block's
   // shared segment for a tagged address, else the tenant access policy and
-  // then GlobalMemory's in-page access. Alignment is checked by the caller,
-  // once per instruction. Forced inline: as calls out of RunThread the
+  // then GlobalMemory's in-page access. Every attempted access consults the
+  // policy; in a multi-lane attempt the access log then checks it for
+  // conflicts and buffers the store. Alignment is checked by the caller,
+  // once per access. Forced inline: as calls out of the dispatch loop the
   // served sgemm ran about 5% slower (5 of 6 pairs).
-  [[gnu::always_inline]] Status Load(std::uint64_t addr, std::size_t bytes,
-                                     std::uint64_t* bits) {
+  [[gnu::always_inline]] Status Load(std::uint32_t lane, std::uint64_t addr,
+                                     std::size_t bytes, std::uint64_t* bits) {
     if (addr & scalar::kSharedTag) {
       const std::uint64_t off = addr & ~scalar::kSharedTag;
       if (off + bytes > shared_.size())
         return OutOfRange("shared access beyond block allocation");
-      std::memcpy(bits, shared_.data() + off, bytes);
+      *bits = LoadZeroExtended(shared_.data() + off, bytes);
       ++stats_->shared_accesses;
-      return OkStatus();
+    } else {
+      GRD_RETURN_IF_ERROR(policy_->CheckAccess(client_, addr, bytes, false));
+      GRD_RETURN_IF_ERROR(memory_->ReadInPage(addr, bits, bytes));
+      ++stats_->global_loads;
     }
-    GRD_RETURN_IF_ERROR(policy_->CheckAccess(client_, addr, bytes, false));
-    GRD_RETURN_IF_ERROR(memory_->ReadInPage(addr, bits, bytes));
-    ++stats_->global_loads;
+    if (log_ != nullptr && !log_->Load(lane, addr, bytes, bits, &cause_))
+        [[unlikely]]
+      return Status(StatusCode::kAborted);
     return OkStatus();
   }
 
-  [[gnu::always_inline]] Status Store(std::uint64_t addr, std::uint64_t bits,
-                                      std::size_t bytes) {
+  [[gnu::always_inline]] Status Store(std::uint32_t lane, std::uint64_t addr,
+                                      std::uint64_t bits, std::size_t bytes) {
     if (addr & scalar::kSharedTag) {
       const std::uint64_t off = addr & ~scalar::kSharedTag;
       if (off + bytes > shared_.size())
         return OutOfRange("shared access beyond block allocation");
-      std::memcpy(shared_.data() + off, &bits, bytes);
+      if (log_ == nullptr) std::memcpy(shared_.data() + off, &bits, bytes);
       ++stats_->shared_accesses;
-      return OkStatus();
+    } else {
+      GRD_RETURN_IF_ERROR(policy_->CheckAccess(client_, addr, bytes, true));
+      // A buffered store must be one the commit can write.
+      GRD_RETURN_IF_ERROR(log_ == nullptr
+                              ? memory_->WriteInPage(addr, &bits, bytes)
+                              : memory_->CheckRange(addr, bytes));
+      ++stats_->global_stores;
     }
-    GRD_RETURN_IF_ERROR(policy_->CheckAccess(client_, addr, bytes, true));
-    GRD_RETURN_IF_ERROR(memory_->WriteInPage(addr, &bits, bytes));
-    ++stats_->global_stores;
+    if (log_ != nullptr && !log_->Store(lane, addr, bytes, bits, &cause_))
+        [[unlikely]]
+      return Status(StatusCode::kAborted);
     return OkStatus();
   }
 
   // A scalar ld/st: the alignment check, then Load/Store. `*bits` holds the
   // loaded bytes zero-extended; a fault is recorded at `addr`.
-  [[gnu::always_inline]] Status LdScalar(const CThread& t, std::uint64_t addr,
-                                         std::size_t bytes,
+  [[gnu::always_inline]] Status LdScalar(std::uint32_t lane,
+                                         std::uint64_t addr, std::size_t bytes,
                                          std::uint64_t* bits) {
     Status s = scalar::MisalignedGlobal(addr, bytes)
                    ? scalar::MisalignedAccess(addr, bytes, false)
-                   : Load(addr, bytes, bits);
+                   : Load(lane, addr, bytes, bits);
     if (!s.ok()) [[unlikely]]
-      return Fault(std::move(s), addr, t);
+      return Fault(std::move(s), addr, lane);
     return s;
   }
 
-  [[gnu::always_inline]] Status StScalar(const CThread& t, std::uint64_t addr,
+  [[gnu::always_inline]] Status StScalar(std::uint32_t lane,
+                                         std::uint64_t addr,
                                          std::uint64_t bits,
                                          std::size_t bytes) {
     Status s = scalar::MisalignedGlobal(addr, bytes)
                    ? scalar::MisalignedAccess(addr, bytes, true)
-                   : Store(addr, MaskToWidth(bits, bytes), bytes);
+                   : Store(lane, addr, MaskToWidth(bits, bytes), bytes);
     if (!s.ok()) [[unlikely]]
-      return Fault(std::move(s), addr, t);
+      return Fault(std::move(s), addr, lane);
     return s;
   }
 
-  // Top-level ld/st, scalar or v2/v4. Neither advances the pc; faults are
-  // recorded via Fault().
-  Status DoLd(CThread& t, std::uint64_t* regs, const CompiledInst& inst) {
+  // Top-level ld/st of one lane, scalar or v2/v4; faults are recorded via
+  // Fault().
+  Status DoLd(std::uint32_t lane, const CompiledInst& inst) {
     const std::size_t width = inst.width;
-    const std::uint64_t addr = ReadOp(t, regs, inst.a) +
-                               static_cast<std::uint64_t>(inst.mem_offset);
+    const std::uint64_t addr =
+        ReadOp(lane, inst.a) + static_cast<std::uint64_t>(inst.mem_offset);
     if (inst.sub == 1) {
       std::uint64_t bits = 0;
-      GRD_RETURN_IF_ERROR(LdScalar(t, addr, width, &bits));
+      GRD_RETURN_IF_ERROR(LdScalar(lane, addr, width, &bits));
       // Sign-extend signed sub-64-bit loads so later s64 arithmetic works.
-      regs[inst.dst] =
+      Row(inst.dst)[lane] =
           inst.is_signed ? static_cast<std::uint64_t>(SignExtend(bits, width))
                          : bits;
       return OkStatus();
     }
     if (scalar::MisalignedGlobal(addr, width * inst.sub)) [[unlikely]]
       return Fault(scalar::MisalignedAccess(addr, width * inst.sub, false),
-                   addr, t);
-    for (int lane = 0; lane < inst.sub; ++lane) {
+                   addr, lane);
+    for (int part = 0; part < inst.sub; ++part) {
       std::uint64_t bits = 0;
-      Status s = Load(addr + lane * width, width, &bits);
-      if (!s.ok()) return Fault(std::move(s), addr, t);
-      regs[inst.vec[lane]] = bits;
+      Status s = Load(lane, addr + part * width, width, &bits);
+      if (!s.ok()) return Fault(std::move(s), addr, lane);
+      Row(inst.vec[part])[lane] = bits;
     }
     return OkStatus();
   }
 
-  Status DoSt(CThread& t, std::uint64_t* regs, const CompiledInst& inst) {
+  Status DoSt(std::uint32_t lane, const CompiledInst& inst) {
     const std::size_t width = inst.width;
-    const std::uint64_t addr = ReadOp(t, regs, inst.a) +
-                               static_cast<std::uint64_t>(inst.mem_offset);
-    if (inst.sub == 1) return StScalar(t, addr, ReadOp(t, regs, inst.b), width);
+    const std::uint64_t addr =
+        ReadOp(lane, inst.a) + static_cast<std::uint64_t>(inst.mem_offset);
+    if (inst.sub == 1)
+      return StScalar(lane, addr, ReadOp(lane, inst.b), width);
     if (scalar::MisalignedGlobal(addr, width * inst.sub)) [[unlikely]]
       return Fault(scalar::MisalignedAccess(addr, width * inst.sub, true),
-                   addr, t);
-    for (int lane = 0; lane < inst.sub; ++lane) {
-      Status s = Store(addr + lane * width,
-                       MaskToWidth(regs[inst.vec[lane]], width), width);
-      if (!s.ok()) return Fault(std::move(s), addr, t);
+                   addr, lane);
+    for (int part = 0; part < inst.sub; ++part) {
+      Status s = Store(lane, addr + part * width,
+                       MaskToWidth(Row(inst.vec[part])[lane], width), width);
+      if (!s.ok()) return Fault(std::move(s), addr, lane);
     }
     return OkStatus();
   }
 
-  Status MissingArgument(const CThread& t, std::uint32_t name_string) {
-    return Fault(InvalidArgument("missing argument for parameter " +
-                                 prog_.strings[name_string]),
-                 0, t);
+  // True when a lane reaching `pc` retires there at once: an unguarded
+  // ret/exit, or the end of the program.
+  bool Retires(std::uint32_t pc) const {
+    return pc >= prog_.code.size() ||
+           (prog_.code[pc].op == COp::kRetExit &&
+            prog_.code[pc].pred_slot == kNoPredSlot);
   }
 
-  Status Fault(Status status, std::uint64_t addr, const CThread& t) {
-    fault_ = DeviceFault{std::move(status), addr, LinearThreadId(t),
+  // Resolves a guarded branch over the active lanes and returns the pc the
+  // group continues at. When the lanes split, the side that begins where
+  // its lanes retire (Retires) leaves the group there, charged as its next
+  // dispatch would charge it; any other split stops a multi-lane attempt
+  // (kStop, cause_ set). `budget` is what the lanes have left.
+  std::uint32_t Branch(std::uint16_t pred_slot, bool negated,
+                       std::uint32_t target, std::uint32_t fallthrough,
+                       std::uint64_t budget) {
+    if (pred_slot == kNoPredSlot) return target;
+    const std::uint64_t* const pred = Row(pred_slot);
+    std::size_t taken = 0;
+    for (const std::uint32_t lane : act_)
+      taken += ((pred[lane] & 1) != 0) != negated;
+    if (taken == act_.size()) return target;
+    if (taken == 0) return fallthrough;
+    const bool takers_retire = Retires(target);
+    const std::uint32_t exit_pc = takers_retire ? target : fallthrough;
+    if (!takers_retire && !Retires(fallthrough)) {
+      cause_ = ReplayCause::kDivergence;
+      return kStop;
+    }
+    if (budget == 0) {
+      cause_ = ReplayCause::kBudget;
+      return kStop;
+    }
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < act_.size(); ++k) {
+      const std::uint32_t lane = act_[k];
+      if ((((pred[lane] & 1) != 0) != negated) == takers_retire)
+        done_[lane] = 1;
+      else
+        act_[kept++] = lane;
+    }
+    const std::size_t retired = act_.size() - kept;
+    act_.resize(kept);
+    SpendCountdown(retired);
+    if (exit_pc < prog_.code.size()) stats_->instructions += retired;
+    return takers_retire ? fallthrough : target;
+  }
+
+  Status Diverged() {
+    cause_ = ReplayCause::kDivergence;
+    return Status(StatusCode::kAborted);
+  }
+
+  Status MissingArgument(std::uint32_t lane, std::uint32_t name_string) {
+    return Fault(InvalidArgument("missing argument for parameter " +
+                                 prog_.strings[name_string]),
+                 0, lane);
+  }
+
+  Status Fault(Status status, std::uint64_t addr, std::uint32_t lane) {
+    fault_ = DeviceFault{std::move(status), addr, LinearThreadId(lane),
                          prog_.name};
     return fault_.status;
   }
 
-  Status BudgetFault(const CThread& t) {
+  Status BudgetFault() {
+    cause_ = ReplayCause::kBudget;
     return Fault(DeadlineExceeded("runaway kernel " + prog_.name +
                                   " exceeded instruction budget"),
-                 0, t);
+                 0, act_.front());
   }
 
-  std::uint64_t LinearThreadId(const CThread& t) const {
-    return static_cast<std::uint64_t>(t.ctaid_x) * params_.block.Count() +
-           t.tid_x;
+  std::uint64_t LinearThreadId(std::uint32_t lane) const {
+    return static_cast<std::uint64_t>(ctaid_x_) * params_.block.Count() +
+           tid_x_[lane];
   }
 
-  // Polls the preemption flag, resetting the every-N-instructions countdown.
-  // Called once per dispatched instruction (a superinstruction charges its
-  // remaining components through SpendCountdown).
-  void PollPreempt() {
-    if (preempt_ != nullptr && !preempt_latched_ &&
-        --preempt_countdown_ == 0) {
-      preempt_countdown_ = preempt_check_interval_;
-      preempt_latched_ = preempt_->load(std::memory_order_relaxed);
-    }
-  }
-
-  // Charges `count` additional instructions against the poll countdown in one
-  // step (components beyond a superinstruction's first are not individually
-  // dispatched, but the poll cadence must not stretch).
+  // Charges `count` lane-instructions against the preemption poll countdown
+  // and polls when it runs out: once per dispatch for every active lane,
+  // and in bulk for a superinstruction's components beyond its first.
   void SpendCountdown(std::uint64_t count) {
     if (preempt_ == nullptr || preempt_latched_ || count == 0) return;
     if (preempt_countdown_ > count) {
@@ -498,92 +849,166 @@ class BlockExec {
   std::uint64_t preempt_check_interval_;
   std::uint64_t preempt_countdown_;
   bool preempt_latched_ = false;
+  const std::uint64_t nlanes_;
+  std::uint32_t ctaid_x_ = 0, ctaid_y_ = 0, ctaid_z_ = 0;
+  std::vector<std::uint32_t> tid_x_, tid_y_, tid_z_;  // per lane
   std::vector<std::uint8_t> shared_;
-  std::vector<std::uint64_t> regs_;  // nthreads x reg_slots, flat
+  // Slot-major: slot s of lane l lives at s * nlanes_ + l.
+  std::vector<std::uint64_t> regs_;
+  std::vector<std::uint64_t> phase_regs_;  // regs_ when an attempt began
+  std::vector<std::uint32_t> pc_;          // per lane, between phases
+  std::vector<std::uint8_t> done_;         // per lane
+  std::vector<std::uint32_t> group_;       // the phase's live lanes
+  std::vector<std::uint32_t> act_;         // the running group's lanes
+  std::uint32_t lo_ = 0, hi_ = 0;          // ALU lane range, covers act_
+  AccessLog* log_ = nullptr;               // set during a multi-lane attempt
+  ReplayCause cause_ = ReplayCause::kFault;
   DeviceFault fault_;
 };
 
+// The executor thread's access log, made on its first multi-lane attempt.
+thread_local std::unique_ptr<AccessLog> tls_access_log;
+
 Status BlockExec::RunBlock(std::uint32_t bx, std::uint32_t by,
                            std::uint32_t bz) {
-  const std::uint64_t nthreads = params_.block.Count();
-  // Thread i's registers are regs_[i * reg_slots .. (i+1) * reg_slots).
-  std::vector<CThread> threads(nthreads);
-  regs_.assign(nthreads * prog_.reg_slots, 0);
-  for (std::uint64_t i = 0; i < nthreads; ++i) {
-    auto& t = threads[i];
-    t.tid_x = static_cast<std::uint32_t>(i % params_.block.x);
-    t.tid_y =
-        static_cast<std::uint32_t>((i / params_.block.x) % params_.block.y);
-    t.tid_z = static_cast<std::uint32_t>(
-        i / (static_cast<std::uint64_t>(params_.block.x) * params_.block.y));
-    t.ctaid_x = bx;
-    t.ctaid_y = by;
-    t.ctaid_z = bz;
+  const Dim3& block = params_.block;
+  ctaid_x_ = bx;
+  ctaid_y_ = by;
+  ctaid_z_ = bz;
+  regs_.assign(prog_.reg_slots * nlanes_, 0);
+  tid_x_.resize(nlanes_);
+  tid_y_.resize(nlanes_);
+  tid_z_.resize(nlanes_);
+  // Lane i is thread (i % x, i / x % y, i / (x * y)), counted up without
+  // dividing.
+  std::uint32_t x = 0, y = 0, z = 0;
+  for (std::uint64_t i = 0; i < nlanes_; ++i) {
+    tid_x_[i] = x;
+    tid_y_[i] = y;
+    tid_z_[i] = z;
+    if (++x == block.x) {
+      x = 0;
+      if (++y == block.y) {
+        y = 0;
+        ++z;
+      }
+    }
   }
-  stats_->threads += nthreads;
+  pc_.assign(nlanes_, 0);
+  done_.assign(nlanes_, 0);
+  stats_->threads += nlanes_;
 
-  bool all_done = false;
-  while (!all_done) {
-    all_done = true;
-    bool progressed = false;
-    for (std::uint64_t i = 0; i < nthreads; ++i) {
-      auto& t = threads[i];
-      if (t.done) continue;
-      // Run this thread until it blocks on a barrier or finishes.
-      bool thread_done = false;
-      const Status s =
-          RunThread(t, regs_.data() + i * prog_.reg_slots, &thread_done);
-      if (!s.ok()) return s;
-      progressed = true;
-      if (thread_done) t.done = true;
-      if (!t.done) all_done = false;
+  for (bool first_phase = true;; first_phase = false) {
+    group_.clear();
+    bool split = false;
+    for (std::uint32_t lane = 0; lane < nlanes_; ++lane) {
+      if (done_[lane]) continue;
+      split = split || (!group_.empty() && pc_[lane] != pc_[group_.front()]);
+      group_.push_back(lane);
     }
-    if (!all_done && !progressed) {
-      fault_ = DeviceFault{Internal("barrier deadlock in " + prog_.name), 0, 0,
-                           prog_.name};
-      return fault_.status;
+    if (group_.empty()) return OkStatus();
+    if (group_.size() > 1) {
+      if (split) {
+        cause_ = ReplayCause::kDivergence;
+      } else {
+        GRD_ASSIGN_OR_RETURN(const bool committed, Attempt(first_phase));
+        if (committed) {
+          ++stats_->lockstep_phases;
+          continue;
+        }
+      }
+      ++stats_->replayed_phases[static_cast<std::size_t>(cause_)];
+    } else {
+      ++stats_->lockstep_phases;
+    }
+    // A one-lane phase, or the replay: each lane alone, in thread order.
+    for (const std::uint32_t lane : group_) {
+      act_.assign(1, lane);
+      lo_ = lane;
+      hi_ = lane + 1;
+      GRD_RETURN_IF_ERROR(RunGroup());
     }
   }
-  return OkStatus();
 }
 
-// Per-instruction prologue of every non-fused handler: bump the instruction
-// count, then skip (pc+1) when a guard predicate disagrees.
-#define GRD_GUARD()                                       \
-  ++stats_->instructions;                                 \
-  if (ip->pred_slot != kNoPredSlot) {                     \
-    const bool grd_pred = (regs[ip->pred_slot] & 1) != 0; \
-    if (grd_pred == ip->pred_negated) {                   \
-      ++t.pc;                                             \
-      goto dispatch;                                      \
-    }                                                     \
+Result<bool> BlockExec::Attempt(bool first_phase) {
+  if (tls_access_log == nullptr) tls_access_log = std::make_unique<AccessLog>();
+  AccessLog& log = *tls_access_log;
+  log.Reset();
+  const ExecStats stats_before = *stats_;
+  const std::uint32_t pc_before = pc_[group_.front()];
+  const std::uint64_t countdown_before = preempt_countdown_;
+  const bool latched_before = preempt_latched_;
+  if (!first_phase) phase_regs_ = regs_;  // a first phase starts from zeros
+  act_ = group_;
+  lo_ = group_.front();
+  hi_ = group_.back() + 1;
+  log_ = &log;
+  cause_ = ReplayCause::kFault;
+  const Status s = RunGroup();
+  log_ = nullptr;
+  if (s.ok() && log.CheckLoads(&cause_)) {
+    GRD_RETURN_IF_ERROR(log.Commit(
+        [this](std::uint64_t addr, const std::uint8_t* data,
+               std::uint8_t mask) -> Status {
+          if (addr & scalar::kSharedTag) {
+            std::uint8_t* dst = shared_.data() + (addr & ~scalar::kSharedTag);
+            for (unsigned j = 0; j < 4; ++j)
+              if ((mask >> j) & 1) dst[j] = data[j];
+            return OkStatus();
+          }
+          if (mask == 0xF) return memory_->WriteInPage(addr, data, 4);
+          for (unsigned j = 0; j < 4; ++j) {
+            if ((mask >> j) & 1)
+              GRD_RETURN_IF_ERROR(memory_->WriteInPage(addr + j, data + j, 1));
+          }
+          return OkStatus();
+        }));
+    return true;
+  }
+  *stats_ = stats_before;
+  preempt_countdown_ = countdown_before;
+  preempt_latched_ = latched_before;
+  if (first_phase)
+    std::fill(regs_.begin(), regs_.end(), 0);
+  else
+    regs_.swap(phase_regs_);
+  for (const std::uint32_t lane : group_) {
+    pc_[lane] = pc_before;
+    done_[lane] = 0;
+  }
+  return false;
+}
+
+// GRD_LANES(body): charges the instruction to every active lane, then runs
+// `body` for each lane whose guard predicate holds.
+#define GRD_LANES(...)                                  \
+  stats_->instructions += act_.size();                  \
+  for (const std::uint32_t lane : act_) {               \
+    if (!GuardHolds(*ip, lane)) continue;               \
+    __VA_ARGS__                                         \
   }
 
 // Superinstruction micro ops are threaded like the top level: each handler
-// reads the next component's sources and jumps through the micro label
-// table, or to fused_done after the run's last component. On the served
-// sgemm and saxpy this ran 4-10% faster than one switch in a loop.
-#define GRD_MICRO_DISPATCH()                    \
-  va = (m->src_imm & 1) ? m->a : regs[m->a];    \
-  vb = (m->src_imm & 2) ? m->b : regs[m->b];    \
-  goto* kMicroLabels[static_cast<unsigned>(m->op)]
+// runs its lanes and jumps through the micro label table, or to fused_done
+// after the run's last component.
 #define GRD_NEXT_MICRO()              \
   if (++m == m_end) goto fused_done; \
-  GRD_MICRO_DISPATCH()
-#define GRD_MICRO_C() ((m->src_imm & 4) ? m->c : regs[m->c])
+  goto* kMicroLabels[static_cast<unsigned>(m->op)]
 
-Status BlockExec::RunThread(CThread& t, std::uint64_t* regs,
-                            bool* thread_done) {
+Status BlockExec::RunGroup() {
   const CompiledInst* const code = prog_.code.data();
   const std::uint64_t code_size = prog_.code.size();
+  const std::uint32_t lo = lo_, hi = hi_;
+  std::uint32_t pc = pc_[act_.front()];
   const CompiledInst* ip = nullptr;
   std::uint64_t budget = max_instructions_;
-  // Superinstruction state: the current and end component, the sources of
-  // the current one, the components that run and the pc after the run.
+  // Superinstruction state: the current and end component, the components
+  // that run, the lanes they run on and the pc after the run.
   const FusedComp* m = nullptr;
   const FusedComp* m_end = nullptr;
-  std::uint64_t va = 0, vb = 0;
   unsigned run = 0;
+  std::uint64_t run_lanes = 0;
   std::uint32_t next_pc = 0;
 
   // Indexed by COp; order must match the enum (static_assert above).
@@ -606,314 +1031,429 @@ Status BlockExec::RunThread(CThread& t, std::uint64_t* regs,
       &&micro_kSt,      &&micro_kBra};
 
 dispatch:
-  if (budget-- == 0) return BudgetFault(t);
-  PollPreempt();
-  if (t.pc >= code_size) {
-    *thread_done = true;
+  if (budget-- == 0) return BudgetFault();
+  SpendCountdown(act_.size());
+  if (pc >= code_size) {
+    for (const std::uint32_t lane : act_) done_[lane] = 1;
     return OkStatus();
   }
-  ip = &code[t.pc];
+  ip = &code[pc];
   goto* kLabels[static_cast<unsigned>(ip->op)];
 
-op_kLdParam : {
-  GRD_GUARD();
-  if (ip->param_index >= params_.args.size())
-    return MissingArgument(t, ip->target);
-  regs[ip->dst] = MaskToWidth(params_.args[ip->param_index].bits, ip->width);
-  ++t.pc;
+op_kLdParam:
+  GRD_LANES({
+    if (ip->param_index >= params_.args.size())
+      return MissingArgument(lane, ip->target);
+    Row(ip->dst)[lane] =
+        MaskToWidth(params_.args[ip->param_index].bits, ip->width);
+  })
+  ++pc;
   goto dispatch;
-}
 
-op_kLd : {
-  GRD_GUARD();
-  const Status s = DoLd(t, regs, *ip);
-  if (!s.ok()) return s;
-  ++t.pc;
+op_kLd:
+  GRD_LANES({ GRD_RETURN_IF_ERROR(DoLd(lane, *ip)); })
+  ++pc;
   goto dispatch;
-}
 
-op_kSt : {
-  GRD_GUARD();
-  const Status s = DoSt(t, regs, *ip);
-  if (!s.ok()) return s;
-  ++t.pc;
+op_kSt:
+  GRD_LANES({ GRD_RETURN_IF_ERROR(DoSt(lane, *ip)); })
+  ++pc;
   goto dispatch;
-}
 
-op_kMov : {
-  GRD_GUARD();
-  regs[ip->dst] = ReadOp(t, regs, ip->a);
-  ++t.pc;
+op_kMov:
+  GRD_LANES({ Row(ip->dst)[lane] = ReadOp(lane, ip->a); })
+  ++pc;
   goto dispatch;
-}
 
-op_kCvt : {
-  GRD_GUARD();
-  regs[ip->dst] = EvalCvt(ip->type, ip->src_type, ReadOp(t, regs, ip->a));
-  ++t.pc;
+op_kCvt:
+  GRD_LANES({
+    Row(ip->dst)[lane] =
+        EvalCvt(ip->type, ip->src_type, ReadOp(lane, ip->a));
+  })
+  ++pc;
   goto dispatch;
-}
 
-op_kBinary : {
-  GRD_GUARD();
-  regs[ip->dst] =
-      EvalBinary(*ip, ReadOp(t, regs, ip->a), ReadOp(t, regs, ip->b));
-  ++t.pc;
+op_kBinary:
+  GRD_LANES({
+    Row(ip->dst)[lane] =
+        EvalBinary(*ip, ReadOp(lane, ip->a), ReadOp(lane, ip->b));
+  })
+  ++pc;
   goto dispatch;
-}
 
-op_kMad : {
-  GRD_GUARD();
-  regs[ip->dst] = EvalMad(*ip, ReadOp(t, regs, ip->a), ReadOp(t, regs, ip->b),
-                          ReadOp(t, regs, ip->c));
-  ++t.pc;
+op_kMad:
+  GRD_LANES({
+    Row(ip->dst)[lane] = EvalMad(*ip, ReadOp(lane, ip->a),
+                                 ReadOp(lane, ip->b), ReadOp(lane, ip->c));
+  })
+  ++pc;
   goto dispatch;
-}
 
-op_kUnary : {
-  GRD_GUARD();
-  regs[ip->dst] = EvalUnary(*ip, ReadOp(t, regs, ip->a));
-  ++t.pc;
+op_kUnary:
+  GRD_LANES({ Row(ip->dst)[lane] = EvalUnary(*ip, ReadOp(lane, ip->a)); })
+  ++pc;
   goto dispatch;
-}
 
-op_kSetp : {
-  GRD_GUARD();
-  regs[ip->dst] =
-      EvalSetp(*ip, ReadOp(t, regs, ip->a), ReadOp(t, regs, ip->b)) ? 1 : 0;
-  ++t.pc;
+op_kSetp:
+  GRD_LANES({
+    Row(ip->dst)[lane] =
+        EvalSetp(*ip, ReadOp(lane, ip->a), ReadOp(lane, ip->b)) ? 1 : 0;
+  })
+  ++pc;
   goto dispatch;
-}
 
-op_kSelp : {
-  GRD_GUARD();
-  const std::uint64_t a = ReadOp(t, regs, ip->a);
-  const std::uint64_t b = ReadOp(t, regs, ip->b);
-  const std::uint64_t p = ReadOp(t, regs, ip->c);
-  regs[ip->dst] = (p & 1) ? a : b;
-  ++t.pc;
+op_kSelp:
+  GRD_LANES({
+    Row(ip->dst)[lane] = (ReadOp(lane, ip->c) & 1) ? ReadOp(lane, ip->a)
+                                                   : ReadOp(lane, ip->b);
+  })
+  ++pc;
   goto dispatch;
-}
 
-op_kBra : {
-  GRD_GUARD();
-  t.pc = ip->target;
+op_kBra:
+  stats_->instructions += act_.size();
+  pc = Branch(ip->pred_slot, ip->pred_negated, ip->target, pc + 1, budget);
+  if (pc == kStop) return Status(StatusCode::kAborted);
   goto dispatch;
-}
 
 op_kBrx : {
   // brx.idx %index, table; — the paper's unsafe indirect branch (§3):
   // out-of-range indices are modeled as a device fault; Guardian's patch
-  // clamps the index so the patched kernel cannot reach it.
-  GRD_GUARD();
-  const std::uint64_t idx = ReadOp(t, regs, ip->a);
-  const BranchTable& table = prog_.branch_tables[ip->target];
-  if (idx >= table.pcs.size())
-    return Fault(OutOfRange("brx.idx index " + std::to_string(idx) +
-                            " outside table of " +
-                            std::to_string(table.pcs.size())),
-                 idx, t);
-  const std::uint32_t target = table.pcs[idx];
-  if (target == BranchTable::kUnresolved)
-    return Fault(Status(StatusCode::kNotFound,
-                        prog_.strings[table.label_strings[idx]]),
-                 0, t);
-  t.pc = target;
+  // clamps the index so the patched kernel cannot reach it. The lanes must
+  // agree on where they go.
+  stats_->instructions += act_.size();
+  std::uint32_t next = kStop;
+  for (const std::uint32_t lane : act_) {
+    std::uint32_t lane_pc = pc + 1;
+    if (GuardHolds(*ip, lane)) {
+      const std::uint64_t idx = ReadOp(lane, ip->a);
+      const BranchTable& table = prog_.branch_tables[ip->target];
+      if (idx >= table.pcs.size())
+        return Fault(OutOfRange("brx.idx index " + std::to_string(idx) +
+                                " outside table of " +
+                                std::to_string(table.pcs.size())),
+                     idx, lane);
+      lane_pc = table.pcs[idx];
+      if (lane_pc == BranchTable::kUnresolved)
+        return Fault(Status(StatusCode::kNotFound,
+                            prog_.strings[table.label_strings[idx]]),
+                     0, lane);
+    }
+    if (next != kStop && lane_pc != next) return Diverged();
+    next = lane_pc;
+  }
+  pc = next;
   goto dispatch;
 }
 
 op_kBar : {
-  GRD_GUARD();
-  ++t.pc;
-  *thread_done = false;
+  stats_->instructions += act_.size();
+  std::size_t parked = 0;
+  for (const std::uint32_t lane : act_) parked += GuardHolds(*ip, lane);
+  if (parked == 0) {
+    ++pc;
+    goto dispatch;
+  }
+  if (parked != act_.size()) return Diverged();
+  for (const std::uint32_t lane : act_) pc_[lane] = pc + 1;
   return OkStatus();
 }
 
 op_kRetExit : {
-  GRD_GUARD();
-  *thread_done = true;
-  return OkStatus();
+  stats_->instructions += act_.size();
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < act_.size(); ++k) {
+    const std::uint32_t lane = act_[k];
+    if (GuardHolds(*ip, lane))
+      done_[lane] = 1;
+    else
+      act_[kept++] = lane;
+  }
+  act_.resize(kept);
+  if (kept == 0) return OkStatus();
+  ++pc;
+  goto dispatch;
 }
 
-op_kTrap : {
+op_kTrap:
   // Emitted by the address-checking instrumentation on a bounds violation.
-  GRD_GUARD();
-  return Fault(OutOfRange("bounds check trap in kernel " + prog_.name), 0, t);
-}
+  GRD_LANES({
+    return Fault(OutOfRange("bounds check trap in kernel " + prog_.name), 0,
+                 lane);
+  })
+  ++pc;
+  goto dispatch;
 
-op_kError : {
-  GRD_GUARD();
-  Status status(ip->error_code, prog_.strings[ip->target]);
-  if (ip->error_is_fault) return Fault(std::move(status), 0, t);
-  return status;
-}
+op_kError:
+  GRD_LANES({
+    Status status(ip->error_code, prog_.strings[ip->target]);
+    if (ip->error_is_fault) return Fault(std::move(status), 0, lane);
+    return status;
+  })
+  ++pc;
+  goto dispatch;
 
 op_kFused : {
-  // One dispatch retires the whole run. The preamble charged budget and poll
-  // for component 0. When the budget covers the rest, the run charges it and
-  // the instruction count once; otherwise only the components before the
-  // trip run, and the trip is reported where an unfused run reports it. The
-  // poll countdown is charged in bulk after the run. A fault mid-run ends
-  // the launch and its stats are discarded, so the count charged for the
-  // components after it is never read.
+  // One dispatch retires the whole run on every active lane. The preamble
+  // charged budget and poll for component 0. When the budget covers the
+  // rest, the run charges it and the instruction count once; otherwise only
+  // the components before the trip run, and the trip is reported where an
+  // unfused run reports it. The poll countdown is charged in bulk after the
+  // run. A fault mid-run ends the launch (or the attempt) and its stats are
+  // discarded, so the count charged for the components after it is never
+  // read.
   const unsigned count = ip->sub;
   run = budget >= count - 1 ? count : static_cast<unsigned>(budget) + 1;
   budget -= run - 1;
-  stats_->instructions += run;
-  next_pc = t.pc + count;
+  run_lanes = act_.size();
+  stats_->instructions += run * run_lanes;
+  next_pc = pc + count;
   m = &prog_.fused_micro[ip->target];
   m_end = m + run;
-  GRD_MICRO_DISPATCH();
+  goto* kMicroLabels[static_cast<unsigned>(m->op)];
 }
 
 fused_done:
-  if (run < ip->sub) return BudgetFault(t);
-  t.pc = next_pc;
-  SpendCountdown(ip->sub - 1);
+  if (run < ip->sub) return BudgetFault();
+  pc = next_pc;
+  SpendCountdown((ip->sub - 1) * run_lanes);
   goto dispatch;
 
 micro_kMov:
-  regs[m->dst] = va;
+  Lanes1(*m, lo, hi, [](std::uint64_t a) { return a; });
   GRD_NEXT_MICRO();
 
-micro_kMovSpecial:
-  regs[m->dst] = Special(t, static_cast<SpecialReg>(m->a));
+micro_kMovSpecial : {
+  std::uint64_t* const d = Row(m->dst);
+  for (std::uint32_t i = lo; i < hi; ++i)
+    d[i] = Special(i, static_cast<SpecialReg>(m->a));
+}
   GRD_NEXT_MICRO();
 
 micro_kLdParam:
   if (m->a >= params_.args.size()) [[unlikely]]
-    return MissingArgument(t, m->target);
-  regs[m->dst] = params_.args[m->a].bits & m->mask;
+    return MissingArgument(act_.front(), m->target);
+  std::fill(Row(m->dst) + lo, Row(m->dst) + hi,
+            params_.args[m->a].bits & m->mask);
   GRD_NEXT_MICRO();
 
-micro_kAdd:
-  regs[m->dst] = (va + vb) & m->mask;
+micro_kAdd : {
+  const std::uint64_t mask = m->mask;
+  Lanes2(*m, lo, hi, [mask](std::uint64_t a, std::uint64_t b) {
+    return (a + b) & mask;
+  });
+}
   GRD_NEXT_MICRO();
 
-micro_kSub:
-  regs[m->dst] = (va - vb) & m->mask;
+micro_kSub : {
+  const std::uint64_t mask = m->mask;
+  Lanes2(*m, lo, hi, [mask](std::uint64_t a, std::uint64_t b) {
+    return (a - b) & mask;
+  });
+}
   GRD_NEXT_MICRO();
 
-micro_kMulLo:
-  regs[m->dst] = (va * vb) & m->mask;
+micro_kMulLo : {
+  const std::uint64_t mask = m->mask;
+  Lanes2(*m, lo, hi, [mask](std::uint64_t a, std::uint64_t b) {
+    return (a * b) & mask;
+  });
+}
   GRD_NEXT_MICRO();
 
-micro_kMulWide:
-  regs[m->dst] = m->is_signed
-                     ? static_cast<std::uint64_t>(MicroSext(va, m->sx)) *
-                           static_cast<std::uint64_t>(MicroSext(vb, m->sx))
-                     : (va & m->mask) * (vb & m->mask);
+micro_kMulWide : {
+  const std::uint64_t mask = m->mask;
+  const unsigned sx = m->sx;
+  if (m->is_signed)
+    Lanes2(*m, lo, hi, [sx](std::uint64_t a, std::uint64_t b) {
+      return static_cast<std::uint64_t>(MicroSext(a, sx)) *
+             static_cast<std::uint64_t>(MicroSext(b, sx));
+    });
+  else
+    Lanes2(*m, lo, hi, [mask](std::uint64_t a, std::uint64_t b) {
+      return (a & mask) * (b & mask);
+    });
+}
   GRD_NEXT_MICRO();
 
-micro_kAnd:
-  regs[m->dst] = va & vb & m->mask;
+micro_kAnd : {
+  const std::uint64_t mask = m->mask;
+  Lanes2(*m, lo, hi,
+         [mask](std::uint64_t a, std::uint64_t b) { return a & b & mask; });
+}
   GRD_NEXT_MICRO();
 
-micro_kOr:
-  regs[m->dst] = (va | vb) & m->mask;
+micro_kOr : {
+  const std::uint64_t mask = m->mask;
+  Lanes2(*m, lo, hi, [mask](std::uint64_t a, std::uint64_t b) {
+    return (a | b) & mask;
+  });
+}
   GRD_NEXT_MICRO();
 
-micro_kXor:
-  regs[m->dst] = (va ^ vb) & m->mask;
+micro_kXor : {
+  const std::uint64_t mask = m->mask;
+  Lanes2(*m, lo, hi, [mask](std::uint64_t a, std::uint64_t b) {
+    return (a ^ b) & mask;
+  });
+}
   GRD_NEXT_MICRO();
 
-micro_kShl:
-  regs[m->dst] = (va << (vb & m->shmask)) & m->mask;
+micro_kShl : {
+  const std::uint64_t mask = m->mask;
+  const unsigned shmask = m->shmask;
+  Lanes2(*m, lo, hi, [mask, shmask](std::uint64_t a, std::uint64_t b) {
+    return (a << (b & shmask)) & mask;
+  });
+}
   GRD_NEXT_MICRO();
 
-micro_kShr:
-  regs[m->dst] = (m->is_signed ? static_cast<std::uint64_t>(
-                                     MicroSext(va, m->sx) >> (vb & m->shmask))
-                               : (va & m->mask) >> (vb & m->shmask)) &
-                 m->mask;
+micro_kShr : {
+  const std::uint64_t mask = m->mask;
+  const unsigned shmask = m->shmask;
+  const unsigned sx = m->sx;
+  if (m->is_signed)
+    Lanes2(*m, lo, hi, [mask, shmask, sx](std::uint64_t a, std::uint64_t b) {
+      return static_cast<std::uint64_t>(MicroSext(a, sx) >> (b & shmask)) &
+             mask;
+    });
+  else
+    Lanes2(*m, lo, hi, [mask, shmask](std::uint64_t a, std::uint64_t b) {
+      return ((a & mask) >> (b & shmask)) & mask;
+    });
+}
   GRD_NEXT_MICRO();
 
-micro_kMad:
-  regs[m->dst] = (va * vb + GRD_MICRO_C()) & m->mask;
+micro_kMad : {
+  const std::uint64_t mask = m->mask;
+  Lanes3(*m, lo, hi,
+         [mask](std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+           return (a * b + c) & mask;
+         });
+}
   GRD_NEXT_MICRO();
 
-micro_kSetp:
-  regs[m->dst] =
-      (m->is_signed ? Compare<std::int64_t>(static_cast<CmpOp>(m->cmp),
-                                            MicroSext(va, m->sx),
-                                            MicroSext(vb, m->sx))
-                    : Compare<std::uint64_t>(static_cast<CmpOp>(m->cmp),
-                                             va & m->mask, vb & m->mask))
-          ? 1
-          : 0;
+micro_kSetp : {
+  const auto cmp = static_cast<CmpOp>(m->cmp);
+  const std::uint64_t mask = m->mask;
+  const unsigned sx = m->sx;
+  if (m->is_signed)
+    Lanes2(*m, lo, hi, [cmp, sx](std::uint64_t a, std::uint64_t b) {
+      return std::uint64_t{
+          Compare<std::int64_t>(cmp, MicroSext(a, sx), MicroSext(b, sx))};
+    });
+  else
+    Lanes2(*m, lo, hi, [cmp, mask](std::uint64_t a, std::uint64_t b) {
+      return std::uint64_t{Compare<std::uint64_t>(cmp, a & mask, b & mask)};
+    });
+}
   GRD_NEXT_MICRO();
 
 micro_kSelp:
-  regs[m->dst] = (GRD_MICRO_C() & 1) ? va : vb;
+  Lanes3(*m, lo, hi, [](std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+    return (c & 1) ? a : b;
+  });
   GRD_NEXT_MICRO();
 
 micro_kAddF32:
-  regs[m->dst] = F32Bits(static_cast<float>(static_cast<double>(AsF32(va)) +
-                                            static_cast<double>(AsF32(vb))));
+  Lanes2(*m, lo, hi, [](std::uint64_t a, std::uint64_t b) {
+    return F32Bits(static_cast<float>(static_cast<double>(AsF32(a)) +
+                                      static_cast<double>(AsF32(b))));
+  });
   GRD_NEXT_MICRO();
 
 micro_kSubF32:
-  regs[m->dst] = F32Bits(static_cast<float>(static_cast<double>(AsF32(va)) -
-                                            static_cast<double>(AsF32(vb))));
+  Lanes2(*m, lo, hi, [](std::uint64_t a, std::uint64_t b) {
+    return F32Bits(static_cast<float>(static_cast<double>(AsF32(a)) -
+                                      static_cast<double>(AsF32(b))));
+  });
   GRD_NEXT_MICRO();
 
 micro_kMulF32:
-  regs[m->dst] = F32Bits(static_cast<float>(static_cast<double>(AsF32(va)) *
-                                            static_cast<double>(AsF32(vb))));
+  Lanes2(*m, lo, hi, [](std::uint64_t a, std::uint64_t b) {
+    return F32Bits(static_cast<float>(static_cast<double>(AsF32(a)) *
+                                      static_cast<double>(AsF32(b))));
+  });
   GRD_NEXT_MICRO();
 
 micro_kMadF32:
-  regs[m->dst] = F32Bits(static_cast<float>(
-      static_cast<double>(AsF32(va)) * static_cast<double>(AsF32(vb)) +
-      static_cast<double>(AsF32(GRD_MICRO_C()))));
+  Lanes3(*m, lo, hi, [](std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+    return F32Bits(static_cast<float>(
+        static_cast<double>(AsF32(a)) * static_cast<double>(AsF32(b)) +
+        static_cast<double>(AsF32(c))));
+  });
   GRD_NEXT_MICRO();
 
 micro_kAddF64:
-  regs[m->dst] = F64Bits(AsF64(va) + AsF64(vb));
+  Lanes2(*m, lo, hi, [](std::uint64_t a, std::uint64_t b) {
+    return F64Bits(AsF64(a) + AsF64(b));
+  });
   GRD_NEXT_MICRO();
 
 micro_kSubF64:
-  regs[m->dst] = F64Bits(AsF64(va) - AsF64(vb));
+  Lanes2(*m, lo, hi, [](std::uint64_t a, std::uint64_t b) {
+    return F64Bits(AsF64(a) - AsF64(b));
+  });
   GRD_NEXT_MICRO();
 
 micro_kMulF64:
-  regs[m->dst] = F64Bits(AsF64(va) * AsF64(vb));
+  Lanes2(*m, lo, hi, [](std::uint64_t a, std::uint64_t b) {
+    return F64Bits(AsF64(a) * AsF64(b));
+  });
   GRD_NEXT_MICRO();
 
 micro_kMadF64:
-  regs[m->dst] = F64Bits(AsF64(va) * AsF64(vb) + AsF64(GRD_MICRO_C()));
+  Lanes3(*m, lo, hi, [](std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+    return F64Bits(AsF64(a) * AsF64(b) + AsF64(c));
+  });
   GRD_NEXT_MICRO();
 
 micro_kLd : {
-  std::uint64_t bits = 0;
-  const Status s = LdScalar(t, va + m->c, m->width, &bits);
-  if (!s.ok()) [[unlikely]]
-    return s;
-  regs[m->dst] =
-      m->is_signed ? static_cast<std::uint64_t>(MicroSext(bits, m->sx)) : bits;
+  // The component's fields in locals: a lane's register and stats writes
+  // could otherwise alias them and force a reload per lane.
+  std::uint64_t* const d = Row(m->dst);
+  const std::uint64_t* const base = (m->src_imm & 1) ? nullptr : Row(m->a);
+  const std::uint64_t imm = m->a, disp = m->c;
+  const std::size_t width = m->width;
+  const bool is_signed = m->is_signed;
+  const unsigned sx = m->sx;
+  for (const std::uint32_t lane : act_) {
+    const std::uint64_t addr = (base != nullptr ? base[lane] : imm) + disp;
+    std::uint64_t bits = 0;
+    const Status s = LdScalar(lane, addr, width, &bits);
+    if (!s.ok()) [[unlikely]]
+      return s;
+    d[lane] = is_signed ? static_cast<std::uint64_t>(MicroSext(bits, sx))
+                        : bits;
+  }
 }
   GRD_NEXT_MICRO();
 
 micro_kSt : {
-  const Status s = StScalar(t, va + m->c, vb, m->width);
-  if (!s.ok()) [[unlikely]]
-    return s;
+  const std::uint64_t* const base = (m->src_imm & 1) ? nullptr : Row(m->a);
+  const std::uint64_t* const src = (m->src_imm & 2) ? nullptr : Row(m->b);
+  const std::uint64_t imm = m->a, value = m->b, disp = m->c;
+  const std::size_t width = m->width;
+  for (const std::uint32_t lane : act_) {
+    const std::uint64_t addr = (base != nullptr ? base[lane] : imm) + disp;
+    const Status s =
+        StScalar(lane, addr, src != nullptr ? src[lane] : value, width);
+    if (!s.ok()) [[unlikely]]
+      return s;
+  }
 }
   GRD_NEXT_MICRO();
 
 micro_kBra:
-  // Only a run's terminal component; when its guard is false the branch
-  // simply doesn't retire, like a skipped instruction.
-  if (m->pred_slot == kNoPredSlot ||
-      ((regs[m->pred_slot] & 1) != 0) != m->pred_negated)
-    next_pc = m->target;
+  // Only a run's terminal component; a lane whose guard is false does not
+  // retire the branch, like a skipped instruction.
+  next_pc = Branch(m->pred_slot, m->pred_negated, m->target, next_pc, budget);
+  if (next_pc == kStop) return Status(StatusCode::kAborted);
   GRD_NEXT_MICRO();
 }
 
 #undef GRD_NEXT_MICRO
-#undef GRD_MICRO_DISPATCH
-#undef GRD_MICRO_C
-#undef GRD_GUARD
+#undef GRD_LANES
 
 }  // namespace
 
@@ -977,6 +1517,11 @@ Result<ExecStats> Interpreter::Execute(const CompiledKernel& kernel,
               stats.shared_accesses - before.shared_accesses;
           delta.threads = stats.threads - before.threads;
           delta.blocks = 1;
+          delta.lockstep_phases =
+              stats.lockstep_phases - before.lockstep_phases;
+          for (std::size_t i = 0; i < kReplayCauses; ++i)
+            delta.replayed_phases[i] =
+                stats.replayed_phases[i] - before.replayed_phases[i];
           controls.after_block(delta);
         }
         // Safe point: between blocks. Yield only when there is work left —

@@ -1,6 +1,8 @@
 // Kernel launch descriptors shared by the interpreter and the runtimes.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -41,6 +43,17 @@ struct LaunchParams {
   std::vector<KernelArg> args;
 };
 
+// Why the engine replayed a block phase one thread at a time instead of
+// committing it as one lockstep group (ExecStats::replayed_phases index).
+enum class ReplayCause : std::uint8_t {
+  kDivergence,  // the threads' control flow split, or the phase began split
+  kConflict,    // a thread touched a byte another thread stored in the phase
+  kFault,       // a thread faulted or reached a step-time error
+  kBudget,      // the per-thread instruction budget tripped
+  kLogBound,    // the phase touched more memory than its access table holds
+};
+inline constexpr std::size_t kReplayCauses = 5;
+
 // Execution statistics returned by a functional run. The device scheduler
 // feeds these into simgpu's occupancy/timing model (SmFootprint /
 // KernelDeviceCycles), so the counts double as the timing engine's input.
@@ -54,6 +67,11 @@ struct ExecStats {
   std::uint64_t shared_accesses = 0;
   std::uint64_t threads = 0;
   std::uint64_t blocks = 0;
+  // Block phases (bar.sync rounds) the engine committed as one lockstep
+  // group of the block's live threads, and phases it replayed in thread
+  // order, by ReplayCause. The reference engine leaves both at 0.
+  std::uint64_t lockstep_phases = 0;
+  std::array<std::uint64_t, kReplayCauses> replayed_phases{};
 };
 
 // Suspended-kernel state saved at a preemption safe point (block boundary).

@@ -407,9 +407,7 @@ Status BlockExecutor::Step(ThreadState& t, StepOutcome* outcome) {
       out = dst_t == Type::kF64 ? F64Bits(v) : F32Bits(static_cast<float>(v));
     } else if (ptx::IsFloat(src_t)) {
       const double v = src_t == Type::kF64 ? AsF64(raw) : AsF32(raw);
-      out = MaskToWidth(static_cast<std::uint64_t>(
-                            static_cast<std::int64_t>(v)),
-                        ptx::TypeSize(dst_t));
+      out = scalar::FloatToInt(v, ptx::TypeSize(dst_t), ptx::IsSigned(dst_t));
     } else if (ptx::IsFloat(dst_t)) {
       const double v =
           ptx::IsSigned(src_t)

@@ -5,6 +5,7 @@
 // alignment rule live here exactly once.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -44,6 +45,25 @@ inline std::int64_t SignExtend(std::uint64_t v, std::size_t bytes) {
   if (bytes >= 8) return static_cast<std::int64_t>(v);
   const int shift = static_cast<int>(64 - bytes * 8);
   return static_cast<std::int64_t>(v << shift) >> shift;
+}
+
+// Float-to-integer cvt as PTX defines it: truncated toward zero, clamped to
+// the `bytes`-wide destination's range, NaN converted to 0. A plain cast of
+// an out-of-range double would be undefined behaviour a kernel could reach.
+inline std::uint64_t FloatToInt(double v, std::size_t bytes, bool is_signed) {
+  if (std::isnan(v)) return 0;
+  const int bits = static_cast<int>(bytes * 8);
+  if (is_signed) {
+    const double limit = std::ldexp(1.0, bits - 1);
+    const std::uint64_t max = (std::uint64_t{1} << (bits - 1)) - 1;
+    if (v >= limit) return max;
+    if (v <= -limit) return MaskToWidth(~max, bytes);
+    return MaskToWidth(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)),
+                       bytes);
+  }
+  if (v <= 0.0) return 0;
+  if (v >= std::ldexp(1.0, bits)) return MaskToWidth(~std::uint64_t{0}, bytes);
+  return static_cast<std::uint64_t>(v);
 }
 
 inline float AsF32(std::uint64_t bits) {

@@ -8,7 +8,11 @@
 // tests.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cmath>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -414,6 +418,41 @@ TEST_F(SnippetParity, Conversions) {
         "st.global.f64 [%rd1], %fd1;");
   Check("cvt.u16.u64 %r1, %rd2; st.global.u32 [%rd1], %r1;", 0x12345678, 0);
   Check("cvt.s64.s8 %rd4, %rd2; st.global.u64 [%rd1], %rd4;", 0x80, 0);
+}
+
+// PTX saturates a float-to-integer cvt to the destination's range and maps
+// NaN to 0; neither engine may cast an out-of-range double (undefined
+// behaviour a tenant kernel could reach).
+TEST_F(SnippetParity, FloatToIntegerConversionsSaturate) {
+  const std::string body =
+      "mov.b64 %fd1, %rd2; cvt.rzi.s32.f64 %r1, %fd1; "
+      "cvt.rzi.u32.f64 %r2, %fd1; cvt.rzi.s64.f64 %rd4, %fd1; "
+      "cvt.rzi.u64.f64 %rd5, %fd1; st.global.u32 [%rd1], %r1; "
+      "st.global.u32 [%rd1+4], %r2; st.global.u64 [%rd1+8], %rd4; "
+      "st.global.u64 [%rd1+16], %rd5;";
+  struct Case {
+    double value;
+    std::uint32_t s32, u32;
+    std::uint64_t s64, u64;
+  };
+  const Case kCases[] = {
+      {1e30, 0x7FFF'FFFF, 0xFFFF'FFFF, 0x7FFF'FFFF'FFFF'FFFF, ~0ull},
+      {-1e30, 0x8000'0000, 0, kMin64, 0},
+      {std::nan(""), 0, 0, 0, 0},
+      {3e9, 0x7FFF'FFFF, 3'000'000'000u, 3'000'000'000u, 3'000'000'000u},
+      {-1.0, 0xFFFF'FFFF, 0, ~0ull, 0},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE("value " + std::to_string(c.value));
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &c.value, sizeof(bits));
+    Check(body, bits);
+    const FusedRun run = RunFused(body, Params(bits));
+    ASSERT_TRUE(run.result.ok()) << run.result.status();
+    EXPECT_EQ(run.out[0], (std::uint64_t{c.u32} << 32) | c.s32);
+    EXPECT_EQ(run.out[1], c.s64);
+    EXPECT_EQ(run.out[2], c.u64);
+  }
 }
 
 TEST_F(SnippetParity, PredicatesAndSelp) {
@@ -1068,6 +1107,357 @@ TEST(ProgramParity, FusedLaunchConsultsPolicyOnEveryAccess) {
   EXPECT_EQ(run->global_loads, 2048u);
   EXPECT_EQ(run->global_stores, 1024u);
   EXPECT_EQ(policy.calls, run->global_loads + run->global_stores);
+}
+
+// ---- lockstep phases and their replays -------------------------------------
+
+// Runs `kernel` on the reference and on both engine programs under a
+// per-thread instruction budget, expects the same outcome everywhere, and
+// returns the engine's stats for the unfused and the fused program (from
+// the checkpoint when the budget tripped: it keeps the partial block's
+// phase counters).
+std::array<ExecStats, 2> ExpectParityUnderBudget(const ptx::Module& module,
+                                                 const std::string& kernel,
+                                                 const LaunchParams& params,
+                                                 const MemInit& init,
+                                                 std::uint64_t budget) {
+  const EngineRun reference = RunEngine<ReferenceInterpreter>(
+      module, kernel, params, init, nullptr,
+      [budget](ReferenceInterpreter& interp, const ptx::Module& m,
+               const std::string& k, const LaunchParams& p) {
+        interp.set_max_instructions_per_thread(budget);
+        return interp.Execute(m, k, p);
+      });
+  std::array<ExecStats, 2> out;
+  for (const bool fuse : {false, true}) {
+    KernelCheckpoint ckpt;
+    ExecControls controls;
+    controls.checkpoint = &ckpt;
+    const EngineRun engine = RunEngine<Interpreter>(
+        module, kernel, params, init, nullptr,
+        [&](Interpreter& interp, const ptx::Module& m, const std::string& k,
+            const LaunchParams& p) -> Result<ExecStats> {
+          interp.set_max_instructions_per_thread(budget);
+          auto program = EngineProgram(m, k, fuse);
+          if (!program.ok()) return program.status();
+          return interp.Execute(*program, p, controls);
+        });
+    ExpectSameOutcome(reference, engine, kernel, fuse ? "fused" : "unfused");
+    out[fuse] = engine.result.ok() ? *engine.result : ckpt.stats;
+  }
+  return out;
+}
+
+std::uint64_t Replays(const ExecStats& stats) {
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : stats.replayed_phases) total += n;
+  return total;
+}
+
+// Each case runs one block on the reference and on both engine programs,
+// expects parity, and asserts which path the engine took: every phase in
+// lockstep, or a replay for the expected cause.
+class LockstepParity : public ::testing::Test {
+ protected:
+  // %r1 = tid.x and %r9 = p_n. %rd3 / %rd5: the lane's own global / shared
+  // word; %rd7 / %rd8: the global / shared word of lane (tid - 1) mod 32.
+  static std::string Source(const std::string& body) {
+    return R"(
+.version 7.7
+.target sm_86
+.address_size 64
+.visible .entry t(.param .u64 p_data, .param .u32 p_n)
+{
+    .reg .pred %p<4>;
+    .reg .b32 %r<16>;
+    .reg .b64 %rd<16>;
+    .shared .align 8 .b8 sh[512];
+    ld.param.u64 %rd1, [p_data];
+    ld.param.u32 %r9, [p_n];
+    mov.u32 %r1, %tid.x;
+    mul.wide.u32 %rd2, %r1, 4;
+    add.u64 %rd3, %rd1, %rd2;
+    mov.u64 %rd4, sh;
+    add.u64 %rd5, %rd4, %rd2;
+    add.u32 %r2, %r1, 31;
+    and.b32 %r2, %r2, 31;
+    mul.wide.u32 %rd6, %r2, 4;
+    add.u64 %rd7, %rd1, %rd6;
+    add.u64 %rd8, %rd4, %rd6;
+)" + body + R"(
+    ret;
+}
+)";
+  }
+
+  static std::array<ExecStats, 2> Check(
+      const std::string& body, std::optional<ReplayCause> cause,
+      std::uint32_t threads = 32, std::uint32_t n = 0,
+      std::uint64_t budget = 10'000'000) {
+    auto module = ptx::Parse(Source(body));
+    EXPECT_TRUE(module.ok()) << module.status() << "\n" << body;
+    if (!module.ok()) return {};
+    LaunchParams params;
+    params.block = {threads, 1, 1};
+    params.args = {KernelArg::U64(kData), KernelArg::U32(n)};
+    MemInit init;
+    for (std::uint32_t i = 0; i < 256; ++i)
+      init.push_back({kData + 4 * i, 1000 + i});
+    const auto stats =
+        ExpectParityUnderBudget(*module, "t", params, init, budget);
+    for (const ExecStats& s : stats) {
+      if (!cause.has_value()) {
+        EXPECT_EQ(Replays(s), 0u) << body;
+        EXPECT_GT(s.lockstep_phases, 0u) << body;
+      } else {
+        EXPECT_GT(s.replayed_phases[static_cast<std::size_t>(*cause)], 0u)
+            << body;
+      }
+    }
+    return stats;
+  }
+
+  static constexpr std::uint64_t kData = 0x1000;
+};
+
+// Cross-lane traffic with no barrier, through global and shared memory.
+TEST_F(LockstepParity, LaneLoadsWordThePreviousLaneStored) {
+  Check("st.global.u32 [%rd3], %r1; ld.global.u32 %r3, [%rd7]; "
+        "st.global.u32 [%rd3+128], %r3;",
+        ReplayCause::kConflict);
+  // The load first: the lower lane's store comes after a higher lane read.
+  Check("ld.global.u32 %r3, [%rd7]; st.global.u32 [%rd3], %r1; "
+        "st.global.u32 [%rd3+128], %r3;",
+        ReplayCause::kConflict);
+  Check("st.shared.u32 [%rd5], %r1; ld.shared.u32 %r3, [%rd8]; "
+        "st.global.u32 [%rd3], %r3;",
+        ReplayCause::kConflict);
+}
+
+// Each lane stores the one word in turn: a covering store replaces the
+// lower lane's, the later write in thread order, so the phase stays in
+// lockstep and the highest lane's value lands. Incrementing it loads what
+// lower lanes stored and replays.
+TEST_F(LockstepParity, EveryLaneStoresOneWord) {
+  Check("st.global.u32 [%rd1], %r1;", std::nullopt);
+  Check("st.shared.u32 [%rd4], %r1; ld.shared.u32 %r3, [%rd4]; "
+        "st.global.u32 [%rd3], %r3;",
+        ReplayCause::kConflict);
+  Check("ld.global.u32 %r3, [%rd1]; add.u32 %r3, %r3, 1; "
+        "st.global.u32 [%rd1], %r3;",
+        ReplayCause::kConflict);
+  // Lane 0 alone re-reads the word: its own store was replaced by higher
+  // lanes', and thread order shows it its own value.
+  Check("add.u32 %r5, %r1, 100; st.global.u32 [%rd1], %r5; "
+        "setp.eq.u32 %p1, %r1, 0; @%p1 ld.global.u32 %r6, [%rd1]; "
+        "st.global.u32 [%rd3+128], %r6;",
+        ReplayCause::kConflict);
+  Check("ld.shared.u32 %r3, [%rd4]; add.u32 %r3, %r3, 1; "
+        "st.shared.u32 [%rd4], %r3; bar.sync 0; ld.shared.u32 %r4, [%rd4]; "
+        "st.global.u32 [%rd3], %r4;",
+        ReplayCause::kConflict);
+}
+
+TEST_F(LockstepParity, LaneRereadsItsOwnStore) {
+  Check("st.global.u32 [%rd3], %r1; ld.global.u32 %r3, [%rd3]; "
+        "add.u32 %r3, %r3, 7; st.global.u32 [%rd3], %r3; "
+        "ld.global.u16 %r4, [%rd3+2]; st.global.u32 [%rd3+128], %r4;",
+        std::nullopt);
+  Check("st.shared.u32 [%rd5], %r1; ld.shared.u32 %r3, [%rd5]; "
+        "add.u32 %r3, %r3, 7; st.shared.u16 [%rd5], %r3; "
+        "ld.shared.u32 %r4, [%rd5]; st.global.u32 [%rd3], %r4;",
+        std::nullopt);
+}
+
+// Divergence: a split branch replays unless one side retires at once.
+TEST_F(LockstepParity, OddEvenBranchesReplay) {
+  Check("and.b32 %r3, %r1, 1; setp.eq.u32 %p1, %r3, 0; @%p1 bra EVEN; "
+        "st.global.u32 [%rd3], 1; bra DONE; EVEN: st.global.u32 [%rd3], 2; "
+        "DONE:",
+        ReplayCause::kDivergence);
+}
+
+TEST_F(LockstepParity, PerLaneLoopTripCountsReplay) {
+  Check("mov.u32 %r3, 0; LOOP: add.u32 %r3, %r3, 1; "
+        "setp.lt.u32 %p1, %r3, %r1; @%p1 bra LOOP; st.global.u32 [%rd3], %r3;",
+        ReplayCause::kDivergence);
+}
+
+TEST_F(LockstepParity, HalfTheLanesExitEarlyAndRetire) {
+  Check("setp.ge.u32 %p1, %r1, 16; @%p1 bra OUT; st.global.u32 [%rd3], 9; "
+        "OUT:",
+        std::nullopt);
+  Check("setp.lt.u32 %p1, %r1, 16; @%p1 ret; st.global.u32 [%rd3], 9;",
+        std::nullopt);
+  // The fall-through side retires: the branch skips over an exit.
+  Check("setp.ge.u32 %p1, %r1, 16; @%p1 bra ON; ret; ON: "
+        "st.global.u32 [%rd3], 9;",
+        std::nullopt);
+}
+
+// The divergent phase replays; every lane then parks at the same barrier,
+// so the phase after it runs in lockstep again.
+TEST_F(LockstepParity, BarrierAfterReconvergedCode) {
+  const auto stats = Check(
+      "and.b32 %r3, %r1, 1; setp.eq.u32 %p1, %r3, 0; @%p1 bra SKIP; "
+      "st.shared.u32 [%rd5], %r1; SKIP: bar.sync 0; ld.shared.u32 %r4, [%rd8]; "
+      "st.global.u32 [%rd3], %r4;",
+      ReplayCause::kDivergence);
+  for (const ExecStats& s : stats) {
+    EXPECT_EQ(s.replayed_phases[static_cast<std::size_t>(
+                  ReplayCause::kDivergence)],
+              1u);
+    EXPECT_EQ(s.lockstep_phases, 1u);
+  }
+}
+
+// Lane 31 faults early (a misaligned load) and lane 0 later (a misaligned
+// store): thread order reports lane 0, with only lane 0's first store in
+// memory. A failed launch returns no stats, so the path shows in the fault
+// itself: lockstep alone would stop at lane 31, and only the replay
+// matches the reference's lane and memory image.
+TEST_F(LockstepParity, HighLaneFaultsEarlyLowLaneLater) {
+  auto module = ptx::Parse(Source(
+      "setp.eq.u32 %p1, %r1, 31; selp.u64 %rd9, 2, 0, %p1; "
+      "add.u64 %rd10, %rd3, %rd9; st.global.u32 [%rd3], 5; "
+      "ld.global.u32 %r4, [%rd10]; setp.eq.u32 %p2, %r1, 0; "
+      "selp.u64 %rd11, 1, 0, %p2; add.u64 %rd12, %rd3, %rd11; "
+      "st.global.u32 [%rd12+128], 6;"));
+  ASSERT_TRUE(module.ok()) << module.status();
+  LaunchParams params;
+  params.block = {32, 1, 1};
+  params.args = {KernelArg::U64(kData), KernelArg::U32(0)};
+  ExpectParity(*module, "t", params);
+  simgpu::GlobalMemory memory(kMemBytes);
+  simgpu::AllowAllPolicy allow;
+  Interpreter interp(&memory, &allow, 1);
+  auto run = interp.Execute(*module, "t", params);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(interp.last_fault().thread_linear_id, 0u);
+  EXPECT_NE(run.status().message().find("misaligned 4-byte store"),
+            std::string::npos)
+      << run.status();
+}
+
+// A budget trip in every lane stops the attempt. In one lane only, the
+// other lanes leave its loop through the exit and retire, and the lone
+// lane trips. Both replay to the reference's trip.
+TEST_F(LockstepParity, BudgetTrips) {
+  Check("st.global.u32 [%rd3], %r1; SPIN: bra SPIN;", ReplayCause::kBudget,
+        32, 0, 500);
+  Check("st.global.u32 [%rd3], %r1; setp.eq.u32 %p1, %r1, 5; "
+        "selp.u32 %r5, 1000000, 3, %p1; mov.u32 %r3, 0; "
+        "SPIN: add.u32 %r3, %r3, 1; setp.lt.u32 %p2, %r3, %r5; "
+        "@%p2 bra SPIN;",
+        ReplayCause::kBudget, 32, 0, 500);
+}
+
+// A phase logging more loads than the access log holds replays.
+TEST_F(LockstepParity, PhaseOutgrowingTheAccessLogReplays) {
+  Check("mov.u32 %r3, 0; mov.u64 %rd9, %rd3; LOOP: "
+        "ld.global.u32 %r4, [%rd9]; add.u64 %rd9, %rd9, 128; "
+        "add.u32 %r3, %r3, 1; setp.lt.u32 %p1, %r3, %r9; @%p1 bra LOOP; "
+        "st.global.u32 [%rd3], %r4;",
+        ReplayCause::kLogBound, 32, 1100);
+}
+
+// Random straight-line kernels at block sizes 64 and 96, where `tid & 31`
+// makes lanes share words, fenced into partitions of 64 bytes (smaller than
+// the 192 a kernel touches, so fenced addresses wrap onto other lanes'
+// words) or 4 KiB. Every conflict, replay and commit must leave exactly
+// what the reference leaves.
+TEST(ProgramParity, LockstepConflictFuzz) {
+  using ptxpatcher::BoundsCheckMode;
+  const std::uint64_t seed = SeedFromEnv("GRD_FUZZ_SEED", 0x10C57E9);
+  SCOPED_TRACE("reproduce with GRD_FUZZ_SEED=" + std::to_string(seed));
+  Rng rng(seed);
+  std::uint64_t conflicts = 0;
+  for (int round = 0; round < 16; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    ptx::Module native;
+    native.kernels.push_back(ptx::MakeRandomKernel(
+        rng, "rk", static_cast<int>(rng.NextInRange(1, 12)),
+        static_cast<int>(rng.NextInRange(1, 8)), rng.NextBool(0.5)));
+    ptxpatcher::PatchOptions options;
+    options.mode = static_cast<BoundsCheckMode>(round % 2);  // the fencings
+    options.elision_enabled = rng.NextBool(0.5);
+    auto patched = ptxpatcher::PatchModule(native, options);
+    ASSERT_TRUE(patched.ok()) << patched.status();
+    const std::uint64_t base = 0x40000;
+    const auto grd = ptxpatcher::ComputeGrdArgs(
+        options.mode, base, rng.NextBool(0.5) ? 64 : 4096);
+    MemInit init;
+    for (int i = 0; i < 128; ++i)
+      init.push_back({base + i * 4, static_cast<std::uint32_t>(
+                                        rng.NextInRange(0, 1u << 30))});
+    LaunchParams params;
+    params.grid = {static_cast<std::uint32_t>(rng.NextInRange(1, 2)), 1, 1};
+    params.block = {rng.NextBool(0.5) ? 64u : 96u, 1, 1};
+    params.args = {KernelArg::U64(base), KernelArg::U32(0),
+                   KernelArg::U64(grd.arg0), KernelArg::U64(grd.arg1)};
+    const auto stats = ExpectParityUnderBudget(*patched, "rk", params, init,
+                                               10'000'000);
+    conflicts += stats[1].replayed_phases[static_cast<std::size_t>(
+        ReplayCause::kConflict)];
+  }
+  // The attempts must meet conflicts, or the parity above proves nothing
+  // about their replays. (RandomKernelFuzz's 32-thread blocks cover commits.)
+  EXPECT_GT(conflicts, 0u);
+}
+
+// guardbench's two most launched kernels, patched as the manager patches
+// them and launched as bench_interpreter launches them, run every phase in
+// lockstep: a change that quietly loses lockstep on them fails here. The
+// launches also match the reference.
+TEST(ProgramParity, ServedKernelsNeverReplay) {
+  ptxpatcher::PatchOptions options;
+  options.elision_enabled = true;
+  auto cublas = ptx::Parse(std::string(simlibs::CublasPtx()));
+  ASSERT_TRUE(cublas.ok()) << cublas.status();
+  ptx::Module saxpy_native;
+  saxpy_native.kernels.push_back(ptx::MakeSaxpyKernel("saxpy"));
+  auto sgemm = ptxpatcher::PatchModule(*cublas, options);
+  auto saxpy = ptxpatcher::PatchModule(saxpy_native, options);
+  ASSERT_TRUE(sgemm.ok()) << sgemm.status();
+  ASSERT_TRUE(saxpy.ok()) << saxpy.status();
+  const std::uint64_t base = 1ull << 20;
+  const auto grd = ptxpatcher::ComputeGrdArgs(options.mode, base, 1ull << 20);
+  MemInit init;
+  for (std::uint32_t i = 0; i < 2048; ++i)
+    init.push_back({base + 4 * i, 0x3F800000u + (i % 64) * 0x10000u});
+
+  constexpr std::uint32_t kGemm = 32;
+  LaunchParams sgemm_params;
+  sgemm_params.grid = {kGemm * kGemm / 128, 1, 1};
+  sgemm_params.block = {128, 1, 1};
+  sgemm_params.args = {KernelArg::U64(base), KernelArg::U64(base + 0x1000),
+                       KernelArg::U64(base + 0x2000), KernelArg::U32(kGemm),
+                       KernelArg::U32(kGemm), KernelArg::U32(kGemm),
+                       KernelArg::U64(grd.arg0), KernelArg::U64(grd.arg1)};
+  constexpr std::uint32_t kVector = 1024;
+  LaunchParams saxpy_params;
+  saxpy_params.grid = {kVector / 256, 1, 1};
+  saxpy_params.block = {256, 1, 1};
+  saxpy_params.args = {KernelArg::U64(base), KernelArg::U64(base + 0x1000),
+                       KernelArg::F32(1.5f), KernelArg::U32(kVector),
+                       KernelArg::U64(grd.arg0), KernelArg::U64(grd.arg1)};
+
+  struct Served {
+    const ptx::Module& module;
+    const char* kernel;
+    const LaunchParams& params;
+  };
+  for (const Served& served : {Served{*sgemm, "grd_sgemm", sgemm_params},
+                               Served{*saxpy, "saxpy", saxpy_params}}) {
+    SCOPED_TRACE(served.kernel);
+    const auto stats = ExpectParityUnderBudget(
+        served.module, served.kernel, served.params, init, 10'000'000);
+    for (const ExecStats& s : stats) {
+      EXPECT_EQ(Replays(s), 0u);
+      EXPECT_EQ(s.lockstep_phases, served.params.grid.Count())
+          << "one barrier-free phase per block";
+    }
+  }
 }
 
 // ---- the no-string-work regression guard -----------------------------------
