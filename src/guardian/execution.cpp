@@ -48,6 +48,12 @@ void ManagerStats::BindTo(obs::MetricsRegistry* registry) const {
   registry->Counter("sessions_adopted", &sessions_adopted);
   registry->Counter("sessions_migrated", &sessions_migrated);
   registry->Counter("checkpoint_kernels_resumed", &checkpoint_kernels_resumed);
+  registry->Counter("lockstep_phases", &lockstep_phases);
+  static const char* const kReplayKeys[ptxexec::kReplayCauses] = {
+      "replays_divergence", "replays_conflict", "replays_fault",
+      "replays_budget", "replays_log_bound"};
+  for (std::size_t cause = 0; cause < ptxexec::kReplayCauses; ++cause)
+    registry->Counter(kReplayKeys[cause], &replayed_phases[cause]);
   for (int cls = 0; cls < kPriorityClassCount; ++cls)
     registry->Histogram("wait_histograms",
                         std::string(PriorityClassName(

@@ -33,6 +33,7 @@
 #include "guardian/partition_allocator.hpp"
 #include "guardian/preemption.hpp"
 #include "guardian/sandbox_cache.hpp"
+#include "ptxexec/launch.hpp"
 #include "ptxpatcher/patcher.hpp"
 #include "simcuda/gpu.hpp"
 
@@ -186,6 +187,11 @@ struct ManagerStats {
   std::atomic<std::uint64_t> sessions_adopted{0};
   std::atomic<std::uint64_t> sessions_migrated{0};
   std::atomic<std::uint64_t> checkpoint_kernels_resumed{0};
+  // The lane executor: block phases kernels ran as one lockstep group, and
+  // phases replayed one thread at a time, indexed by ptxexec::ReplayCause.
+  // Replays of a served kernel mean it lost lockstep.
+  std::atomic<std::uint64_t> lockstep_phases{0};
+  std::atomic<std::uint64_t> replayed_phases[ptxexec::kReplayCauses] = {};
   // Launch-to-first-run wait time per priority class.
   WaitHistogram wait_hist[kPriorityClassCount];
 

@@ -879,6 +879,13 @@ Result<GpuTicket> EnqueueKernelLaunch(
                                                   std::memory_order_relaxed);
       ex.stats.tier_instructions[2].fetch_add(delta.instructions,
                                               std::memory_order_relaxed);
+      ex.stats.lockstep_phases.fetch_add(delta.lockstep_phases,
+                                         std::memory_order_relaxed);
+      for (std::size_t cause = 0; cause < ptxexec::kReplayCauses; ++cause) {
+        if (delta.replayed_phases[cause] != 0)
+          ex.stats.replayed_phases[cause].fetch_add(
+              delta.replayed_phases[cause], std::memory_order_relaxed);
+      }
       if (owns_mirror && mirror_slot != nullptr) {
         // RunGrid marks the block done before this hook fires, so the
         // mirrored bitmap never claims an unfinished block; a crash between

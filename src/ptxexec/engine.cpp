@@ -5,28 +5,38 @@
 // (CompiledModule::Compile applies FuseKernel), but any CompileKernel output
 // is legal too: it simply has no kFused instructions to dispatch.
 //
-// The thread loop uses GNU labels-as-values (direct threading): each handler
-// ends in one indirect goto through a per-opcode label table, so the branch
-// predictor keys on opcode *pairs* instead of one shared switch site. The
-// code already requires GCC or Clang (`unsigned __int128` below,
+// A block runs phase by phase (one bar.sync round each), and a phase runs
+// as one lockstep group of the block's live threads: each dispatch retires
+// its instruction for every lane of the group (BlockExec). A phase whose
+// lockstep result could differ from thread order rolls back and replays
+// one thread at a time through the same executor.
+//
+// The dispatch loop uses GNU labels-as-values: each handler ends in its own
+// indirect goto through a per-opcode label table (GCC merges many of those
+// jumps, so the branch predictor does not reliably key on opcode pairs;
+// with dispatch paid once per group, that matters little). The code
+// already requires GCC or Clang (`unsigned __int128` below,
 // `__builtin_popcountll` in the manager), so there is no portable fallback.
 //
 // Everything semantic lives here exactly once and must stay bit-identical to
-// the reference interpreter (interpreter.cpp) — the parity suite diffs
+// the reference interpreter (reference.cpp) — the parity suite diffs
 // stats, faults and full memory images:
 //  - the scalar evaluators (EvalBinary/EvalMad/EvalUnary/EvalSetp/EvalCvt),
 //    which encode the masking / sign-extension / div-by-zero / shift-count
 //    conventions;
-//  - BlockExec, the per-block machine state (flat register file, shared
-//    segment, operand reads, the one load/store path through the access
-//    policy, fault recording, preemption-poll bookkeeping) and the dispatch
-//    loop;
+//  - AccessLog, what a lockstep attempt loaded and stored: its store
+//    buffer and conflict check;
+//  - BlockExec, the per-block machine state (slot-major register file,
+//    shared segment, operand reads, the one load/store path through the
+//    access policy, fault recording, preemption-poll bookkeeping), the
+//    phase loop with its rollback and replay, and the dispatch loop;
 //  - Interpreter::Execute, the grid walk (checkpoint skip/resume, per-block
 //    stats deltas, block-boundary safe points).
-// A superinstruction executes its micro ops back to back. Each micro op is
-// the bit-identical inline form of one evaluator or handler, and the run
-// charges stats and instruction budget exactly where an unfused run would,
-// so fusion cannot drift from the oracle.
+// A superinstruction executes its micro ops back to back, each across the
+// group's lanes. Each micro op is the bit-identical inline form of one
+// evaluator or handler, and the run charges stats and instruction budget
+// exactly where an unfused run would, so fusion cannot drift from the
+// oracle.
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -569,6 +579,19 @@ class BlockExec {
     return 0;
   }
 
+  // A top-level ALU instruction: charges it to every active lane and sets
+  // dst = f(lane) where the lane's guard holds. Out of line, one copy per
+  // opcode, so the evaluators' switches stay out of RunGroup: inlined there
+  // they cost the micro-op loops their registers (the served sgemm ran
+  // about 40% slower).
+  template <typename F>
+  [[gnu::noinline]] void AluLanes(const CompiledInst& inst, F f) {
+    stats_->instructions += act_.size();
+    std::uint64_t* const d = Row(inst.dst);
+    for (const std::uint32_t lane : act_)
+      if (GuardHolds(inst, lane)) d[lane] = f(lane);
+  }
+
   // Micro-op lane loops: dst = f(sources) over the ALU lanes [lo, hi), each
   // source a register row or an immediate (FusedComp::src_imm). The range
   // covers every active lane; lanes in it that retired compute values no
@@ -642,8 +665,8 @@ class BlockExec {
                                      std::size_t bytes, std::uint64_t* bits) {
     if (addr & scalar::kSharedTag) {
       const std::uint64_t off = addr & ~scalar::kSharedTag;
-      if (off + bytes > shared_.size())
-        return OutOfRange("shared access beyond block allocation");
+      if (off + bytes > shared_.size()) [[unlikely]]
+        return SharedOutOfRange();
       *bits = LoadZeroExtended(shared_.data() + off, bytes);
       ++stats_->shared_accesses;
     } else {
@@ -661,8 +684,8 @@ class BlockExec {
                                       std::uint64_t bits, std::size_t bytes) {
     if (addr & scalar::kSharedTag) {
       const std::uint64_t off = addr & ~scalar::kSharedTag;
-      if (off + bytes > shared_.size())
-        return OutOfRange("shared access beyond block allocation");
+      if (off + bytes > shared_.size()) [[unlikely]]
+        return SharedOutOfRange();
       if (log_ == nullptr) std::memcpy(shared_.data() + off, &bits, bytes);
       ++stats_->shared_accesses;
     } else {
@@ -680,13 +703,15 @@ class BlockExec {
   }
 
   // A scalar ld/st: the alignment check, then Load/Store. `*bits` holds the
-  // loaded bytes zero-extended; a fault is recorded at `addr`.
+  // loaded bytes zero-extended; a fault is recorded at `addr`. The fault
+  // paths stay out of line: their status strings, inlined into the lane
+  // loops, cost the loops their registers.
   [[gnu::always_inline]] Status LdScalar(std::uint32_t lane,
                                          std::uint64_t addr, std::size_t bytes,
                                          std::uint64_t* bits) {
-    Status s = scalar::MisalignedGlobal(addr, bytes)
-                   ? scalar::MisalignedAccess(addr, bytes, false)
-                   : Load(lane, addr, bytes, bits);
+    if (scalar::MisalignedGlobal(addr, bytes)) [[unlikely]]
+      return Misaligned(addr, bytes, false, lane);
+    Status s = Load(lane, addr, bytes, bits);
     if (!s.ok()) [[unlikely]]
       return Fault(std::move(s), addr, lane);
     return s;
@@ -696,12 +721,23 @@ class BlockExec {
                                          std::uint64_t addr,
                                          std::uint64_t bits,
                                          std::size_t bytes) {
-    Status s = scalar::MisalignedGlobal(addr, bytes)
-                   ? scalar::MisalignedAccess(addr, bytes, true)
-                   : Store(lane, addr, MaskToWidth(bits, bytes), bytes);
+    if (scalar::MisalignedGlobal(addr, bytes)) [[unlikely]]
+      return Misaligned(addr, bytes, true, lane);
+    Status s = Store(lane, addr, MaskToWidth(bits, bytes), bytes);
     if (!s.ok()) [[unlikely]]
       return Fault(std::move(s), addr, lane);
     return s;
+  }
+
+  [[gnu::cold, gnu::noinline]] Status Misaligned(std::uint64_t addr,
+                                                 std::size_t bytes,
+                                                 bool is_store,
+                                                 std::uint32_t lane) {
+    return Fault(scalar::MisalignedAccess(addr, bytes, is_store), addr, lane);
+  }
+
+  [[gnu::cold, gnu::noinline]] static Status SharedOutOfRange() {
+    return OutOfRange("shared access beyond block allocation");
   }
 
   // Top-level ld/st of one lane, scalar or v2/v4; faults are recorded via
@@ -720,8 +756,7 @@ class BlockExec {
       return OkStatus();
     }
     if (scalar::MisalignedGlobal(addr, width * inst.sub)) [[unlikely]]
-      return Fault(scalar::MisalignedAccess(addr, width * inst.sub, false),
-                   addr, lane);
+      return Misaligned(addr, width * inst.sub, false, lane);
     for (int part = 0; part < inst.sub; ++part) {
       std::uint64_t bits = 0;
       Status s = Load(lane, addr + part * width, width, &bits);
@@ -738,8 +773,7 @@ class BlockExec {
     if (inst.sub == 1)
       return StScalar(lane, addr, ReadOp(lane, inst.b), width);
     if (scalar::MisalignedGlobal(addr, width * inst.sub)) [[unlikely]]
-      return Fault(scalar::MisalignedAccess(addr, width * inst.sub, true),
-                   addr, lane);
+      return Misaligned(addr, width * inst.sub, true, lane);
     for (int part = 0; part < inst.sub; ++part) {
       Status s = Store(lane, addr + part * width,
                        MaskToWidth(Row(inst.vec[part])[lane], width), width);
@@ -796,24 +830,26 @@ class BlockExec {
     return takers_retire ? fallthrough : target;
   }
 
-  Status Diverged() {
+  [[gnu::cold, gnu::noinline]] Status Diverged() {
     cause_ = ReplayCause::kDivergence;
     return Status(StatusCode::kAborted);
   }
 
-  Status MissingArgument(std::uint32_t lane, std::uint32_t name_string) {
+  [[gnu::cold, gnu::noinline]] Status MissingArgument(std::uint32_t lane,
+                                       std::uint32_t name_string) {
     return Fault(InvalidArgument("missing argument for parameter " +
                                  prog_.strings[name_string]),
                  0, lane);
   }
 
-  Status Fault(Status status, std::uint64_t addr, std::uint32_t lane) {
+  [[gnu::cold, gnu::noinline]] Status Fault(Status status, std::uint64_t addr,
+                             std::uint32_t lane) {
     fault_ = DeviceFault{std::move(status), addr, LinearThreadId(lane),
                          prog_.name};
     return fault_.status;
   }
 
-  Status BudgetFault() {
+  [[gnu::cold, gnu::noinline]] Status BudgetFault() {
     cause_ = ReplayCause::kBudget;
     return Fault(DeadlineExceeded("runaway kernel " + prog_.name +
                                   " exceeded instruction budget"),
@@ -1061,52 +1097,52 @@ op_kSt:
   goto dispatch;
 
 op_kMov:
-  GRD_LANES({ Row(ip->dst)[lane] = ReadOp(lane, ip->a); })
+  AluLanes(*ip, [&](std::uint32_t lane) { return ReadOp(lane, ip->a); });
   ++pc;
   goto dispatch;
 
 op_kCvt:
-  GRD_LANES({
-    Row(ip->dst)[lane] =
-        EvalCvt(ip->type, ip->src_type, ReadOp(lane, ip->a));
-  })
+  AluLanes(*ip, [&](std::uint32_t lane) {
+    return EvalCvt(ip->type, ip->src_type, ReadOp(lane, ip->a));
+  });
   ++pc;
   goto dispatch;
 
 op_kBinary:
-  GRD_LANES({
-    Row(ip->dst)[lane] =
-        EvalBinary(*ip, ReadOp(lane, ip->a), ReadOp(lane, ip->b));
-  })
+  AluLanes(*ip, [&](std::uint32_t lane) {
+    return EvalBinary(*ip, ReadOp(lane, ip->a), ReadOp(lane, ip->b));
+  });
   ++pc;
   goto dispatch;
 
 op_kMad:
-  GRD_LANES({
-    Row(ip->dst)[lane] = EvalMad(*ip, ReadOp(lane, ip->a),
-                                 ReadOp(lane, ip->b), ReadOp(lane, ip->c));
-  })
+  AluLanes(*ip, [&](std::uint32_t lane) {
+    return EvalMad(*ip, ReadOp(lane, ip->a), ReadOp(lane, ip->b),
+                   ReadOp(lane, ip->c));
+  });
   ++pc;
   goto dispatch;
 
 op_kUnary:
-  GRD_LANES({ Row(ip->dst)[lane] = EvalUnary(*ip, ReadOp(lane, ip->a)); })
+  AluLanes(*ip, [&](std::uint32_t lane) {
+    return EvalUnary(*ip, ReadOp(lane, ip->a));
+  });
   ++pc;
   goto dispatch;
 
 op_kSetp:
-  GRD_LANES({
-    Row(ip->dst)[lane] =
-        EvalSetp(*ip, ReadOp(lane, ip->a), ReadOp(lane, ip->b)) ? 1 : 0;
-  })
+  AluLanes(*ip, [&](std::uint32_t lane) {
+    return std::uint64_t{
+        EvalSetp(*ip, ReadOp(lane, ip->a), ReadOp(lane, ip->b))};
+  });
   ++pc;
   goto dispatch;
 
 op_kSelp:
-  GRD_LANES({
-    Row(ip->dst)[lane] = (ReadOp(lane, ip->c) & 1) ? ReadOp(lane, ip->a)
-                                                   : ReadOp(lane, ip->b);
-  })
+  AluLanes(*ip, [&](std::uint32_t lane) {
+    return (ReadOp(lane, ip->c) & 1) ? ReadOp(lane, ip->a)
+                                     : ReadOp(lane, ip->b);
+  });
   ++pc;
   goto dispatch;
 

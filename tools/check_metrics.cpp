@@ -336,7 +336,9 @@ constexpr const char* kRequiredStatsKeys[] = {
     "kernels_enqueued",   "preemptions",           "preemption_resumes",
     "superinstructions_fused", "tier2_instructions", "ring_messages_read",
     "ring_messages_written", "sessions_adopted",   "sessions_migrated",
-    "checkpoint_kernels_resumed",
+    "checkpoint_kernels_resumed", "lockstep_phases", "replays_divergence",
+    "replays_conflict",   "replays_fault",         "replays_budget",
+    "replays_log_bound",
 };
 
 int CheckStatsObject(const char* path, const std::string& text) {
