@@ -347,8 +347,11 @@ class AccessLog {
           return Stop(ReplayCause::kConflict, cause);
         g->storer = lane;
       }
-      for (unsigned j = s.lo; j < s.hi; ++j)
-        g->data[j] = static_cast<std::uint8_t>(value >> (8 * s.ValueByte(j)));
+      for (unsigned j = 0; j < 4; ++j) {
+        if ((s.mask >> j) & 1)
+          g->data[j] =
+              static_cast<std::uint8_t>(value >> (8 * s.ValueByte(j)));
+      }
       g->mask |= s.mask;
     }
     lo_ = std::min(lo_, addr);
@@ -400,8 +403,8 @@ class AccessLog {
     std::uint8_t data[4] = {};
   };
 
-  // The granules [addr, addr + bytes) covers, one at a time: the byte range
-  // [lo, hi) inside the current one and its mask.
+  // The granules [addr, addr + bytes) covers, one at a time, with the mask
+  // of the accessed bytes inside the current one.
   struct Span {
     Span(std::uint64_t addr, std::size_t bytes)
         : addr(addr), end(addr + bytes), key(addr >> 2) {
@@ -418,12 +421,12 @@ class AccessLog {
     }
     void Fit() {
       const std::uint64_t base = key << 2;
-      lo = addr > base ? static_cast<unsigned>(addr - base) : 0;
-      hi = end < base + 4 ? static_cast<unsigned>(end - base) : 4;
+      if (base >= end) return;  // past the last granule: not Valid()
+      const unsigned lo = addr > base ? static_cast<unsigned>(addr - base) : 0;
+      const unsigned hi = end < base + 4 ? static_cast<unsigned>(end - base) : 4;
       mask = static_cast<std::uint8_t>(((1u << hi) - 1) & ~((1u << lo) - 1));
     }
     std::uint64_t addr, end, key;
-    unsigned lo = 0, hi = 0;
     std::uint8_t mask = 0;
   };
 
@@ -444,8 +447,8 @@ class AccessLog {
         if (g->min_storer <= lane) return Stop(ReplayCause::kConflict, cause);
         continue;
       }
-      for (unsigned j = s.lo; j < s.hi; ++j) {
-        if (((g->mask >> j) & 1) == 0) continue;
+      for (unsigned j = 0; j < 4; ++j) {
+        if (((s.mask & g->mask) >> j & 1) == 0) continue;
         const unsigned shift = 8 * s.ValueByte(j);
         *value = (*value & ~(std::uint64_t{0xFF} << shift)) |
                  (std::uint64_t{g->data[j]} << shift);
