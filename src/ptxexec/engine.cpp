@@ -39,7 +39,6 @@
 // oracle.
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -270,53 +269,42 @@ inline std::int64_t MicroSext(std::uint64_t bits, unsigned sx) {
 // ---- the phase access log ---------------------------------------------------
 
 // What a multi-lane attempt loads and stores, global and shared alike (a
-// shared address carries kSharedTag). Stores go to a table keyed by 4-byte
-// granule, the attempt's store buffer: per granule the bytes stored, the
-// values thread order leaves in them, the lane that stored them last in
-// thread order and the lowest lane that stored any. Loads go to a log of
-// (address, size, lane).
+// shared address carries kSharedTag): every load's (address, size, lane) and
+// every store's value, in the order the attempt made them. The stores are
+// the attempt's store buffer; nothing reaches memory before Commit.
 //
 // Thread order runs lane 0's whole phase, then lane 1's, and so on. A
-// lockstep attempt therefore leaves what thread order leaves as long as no
-// lane loads a byte a lower lane stores, and every byte two lanes store
-// ends up holding the higher lane's value:
-//  - a load that meets a buffered store reads the lane's own bytes, or
-//    memory where only higher lanes stored (thread order has not run them
-//    yet); a lower lane's store, or a higher lane's over the lane's own,
-//    stops the attempt at once;
-//  - at phase end, the logged loads inside the stored address range are
+// lockstep attempt therefore leaves what thread order leaves when no lane
+// loads a byte a lower lane stores:
+//  - a load that meets buffered stores reads the lane's own latest bytes,
+//    or memory where only higher lanes stored (thread order has not run
+//    them yet); a lower lane's store stops the attempt at once;
+//  - at phase end, the logged loads inside the stored address ranges are
 //    checked for a lower lane's store that came after them;
-//  - a store covering a lower lane's replaces it; a store over a higher
-//    lane's, or over only part of a lower lane's, stops the attempt.
-// Lanes are tracked per granule, not per byte: two lanes storing different
-// bytes of one 4-byte word count as a conflict, which costs a replay, never
-// a wrong result.
+//  - the commit writes lane by lane, each lane's stores in program order,
+//    so a byte several lanes store ends with the highest lane's last value,
+//    thread order's last write.
 //
-// Bounded: an attempt that logs kMaxLoads loads or stores to kMaxStored
-// granules stops (kLogBound), so a kernel cannot make the engine allocate
-// without bound. One log per executor thread, reused across launches.
+// Bounded: an attempt that logs kMaxLoads loads or kMaxStores stores, or
+// whose loads compare more than kMaxScan buffered stores, stops (kLogBound),
+// so a kernel can make the engine neither allocate nor scan without bound.
+// One log per executor thread, reused across launches; the arrays are
+// filled in order, so a launch after an idle gap touches few cold lines.
 class AccessLog {
  public:
   static constexpr std::uint32_t kMaxLoads = 1u << 15;
-  static constexpr std::uint32_t kSlots = 1u << 13;
-  // At most half the slots live, so linear probes stay short.
-  static constexpr std::uint32_t kMaxStored = kSlots / 2;
+  static constexpr std::uint32_t kMaxStores = 1u << 12;
+  static constexpr std::uint64_t kMaxScan = std::uint64_t{1} << 22;
 
   AccessLog()
-      : loads_(new LoggedLoad[kMaxLoads]), slots_(new Granule[kSlots]()) {
-    stored_.reserve(kMaxStored);
-  }
+      : loads_(new LoggedLoad[kMaxLoads]),
+        stores_(new BufferedStore[kMaxStores]),
+        by_address_(new BufferedStore[kMaxStores]) {}
 
-  // Forgets everything: the table by an epoch bump, not a sweep.
   void Reset() {
-    if (++epoch_ == 0) {  // wrapped: stale entries would read as live
-      for (std::uint32_t i = 0; i < kSlots; ++i) slots_[i].epoch = 0;
-      epoch_ = 1;
-    }
-    n_loads_ = 0;
-    stored_.clear();
-    lo_ = ~std::uint64_t{0};
-    hi_ = 0;
+    n_loads_ = n_stores_ = 0;
+    scanned_ = 0;
+    global_ = shared_ = Range{};
   }
 
   // Logs `lane`'s load of [addr, addr + bytes), whose bytes in memory are
@@ -329,61 +317,66 @@ class AccessLog {
       return Stop(ReplayCause::kLogBound, cause);
     loads_[n_loads_++] =
         LoggedLoad{addr, lane, static_cast<std::uint32_t>(bytes)};
-    if (addr + bytes <= lo_ || addr >= hi_) return true;
+    if (!RangeOf(addr).Overlaps(addr, bytes)) return true;
     return ReadStored(lane, addr, bytes, value, cause);
   }
 
-  // Buffers `lane`'s store; false, with *cause set, when it conflicts.
-  bool Store(std::uint32_t lane, std::uint64_t addr, std::size_t bytes,
-             std::uint64_t value, ReplayCause* cause) {
-    for (Span s(addr, bytes); s.Valid(); s.Next()) {
-      Granule* g = Find(s.key, /*insert=*/true);
-      if (g == nullptr) return Stop(ReplayCause::kLogBound, cause);
-      if (g->mask == 0) {
-        g->storer = g->min_storer = lane;
-        stored_.push_back(static_cast<std::uint32_t>(g - slots_.get()));
-      } else if (g->storer != lane) {
-        if (g->storer > lane || (s.mask & g->mask) != g->mask)
-          return Stop(ReplayCause::kConflict, cause);
-        g->storer = lane;
-      }
-      for (unsigned j = 0; j < 4; ++j) {
-        if ((s.mask >> j) & 1)
-          g->data[j] =
-              static_cast<std::uint8_t>(value >> (8 * s.ValueByte(j)));
-      }
-      g->mask |= s.mask;
-    }
-    lo_ = std::min(lo_, addr);
-    hi_ = std::max(hi_, addr + bytes);
+  // Buffers `lane`'s store; false, with *cause set, when the buffer is full.
+  [[gnu::always_inline]] bool Store(std::uint32_t lane, std::uint64_t addr,
+                                    std::size_t bytes, std::uint64_t value,
+                                    ReplayCause* cause) {
+    if (n_stores_ == kMaxStores) [[unlikely]]
+      return Stop(ReplayCause::kLogBound, cause);
+    stores_[n_stores_++] =
+        BufferedStore{addr, value, lane, static_cast<std::uint32_t>(bytes)};
+    RangeOf(addr).Add(addr, bytes);
     return true;
   }
 
   // Phase end: false (kConflict) when a logged load read bytes a lower lane
   // stored after it.
   bool CheckLoads(ReplayCause* cause) {
-    if (stored_.empty()) return true;
+    if (n_stores_ == 0) return true;
+    const auto by_addr = [](const BufferedStore& a, const BufferedStore& b) {
+      return a.addr < b.addr;
+    };
+    // Lanes storing in address order, the common case, need no sort.
+    const BufferedStore* first = stores_.get();
+    const BufferedStore* last = first + n_stores_;
+    if (!std::is_sorted(first, last, by_addr)) {
+      std::copy(first, last, by_address_.get());
+      std::sort(by_address_.get(), by_address_.get() + n_stores_, by_addr);
+      first = by_address_.get();
+      last = first + n_stores_;
+    }
     for (std::uint32_t i = 0; i < n_loads_; ++i) {
       const LoggedLoad& load = loads_[i];
-      if (load.addr + load.bytes <= lo_ || load.addr >= hi_) continue;
-      for (Span s(load.addr, load.bytes); s.Valid(); s.Next()) {
-        const Granule* g = Find(s.key, /*insert=*/false);
-        if (g != nullptr && (g->mask & s.mask) && g->min_storer < load.lane)
+      if (!RangeOf(load.addr).Overlaps(load.addr, load.bytes)) continue;
+      // An access is at most 8 bytes, so only stores starting within 7
+      // bytes below the load can reach it.
+      const std::uint64_t from = load.addr - std::min<std::uint64_t>(load.addr, 7);
+      for (const BufferedStore* s = std::lower_bound(
+               first, last, BufferedStore{from, 0, 0, 0}, by_addr);
+           s != last && s->addr < load.addr + load.bytes; ++s) {
+        if (s->addr + s->bytes > load.addr && s->lane < load.lane)
           return Stop(ReplayCause::kConflict, cause);
       }
     }
     return true;
   }
 
-  // Calls write(address, data, mask) for every granule holding stores:
-  // data[j] is the value thread order leaves in byte j where mask bit j is
-  // set.
+  // Calls write(address, value, bytes) for every buffered store in thread
+  // order: lane by lane, each lane's stores in program order.
   template <typename Write>
-  Status Commit(Write&& write) const {
-    for (const std::uint32_t i : stored_) {
-      const Granule& g = slots_[i];
-      GRD_RETURN_IF_ERROR(write(g.key << 2, g.data, g.mask));
-    }
+  Status Commit(Write&& write) {
+    BufferedStore* const first = stores_.get();
+    const auto by_lane = [](const BufferedStore& a, const BufferedStore& b) {
+      return a.lane < b.lane;
+    };
+    if (!std::is_sorted(first, first + n_stores_, by_lane))
+      std::stable_sort(first, first + n_stores_, by_lane);
+    for (std::uint32_t i = 0; i < n_stores_; ++i)
+      GRD_RETURN_IF_ERROR(write(first[i].addr, first[i].value, first[i].bytes));
     return OkStatus();
   }
 
@@ -393,41 +386,22 @@ class AccessLog {
     std::uint32_t lane;
     std::uint32_t bytes;
   };
-
-  struct Granule {
-    std::uint64_t key = 0;    // address >> 2
-    std::uint32_t epoch = 0;  // live when equal to the log's epoch
-    std::uint32_t storer = 0;
-    std::uint32_t min_storer = 0;
-    std::uint8_t mask = 0;  // bit j: byte j of the granule is stored
-    std::uint8_t data[4] = {};
+  struct BufferedStore {
+    std::uint64_t addr;
+    std::uint64_t value;
+    std::uint32_t lane;
+    std::uint32_t bytes;
   };
-
-  // The granules [addr, addr + bytes) covers, one at a time, with the mask
-  // of the accessed bytes inside the current one.
-  struct Span {
-    Span(std::uint64_t addr, std::size_t bytes)
-        : addr(addr), end(addr + bytes), key(addr >> 2) {
-      Fit();
+  // The address range one memory space's stores cover.
+  struct Range {
+    std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
+    bool Overlaps(std::uint64_t addr, std::size_t bytes) const {
+      return addr < hi && addr + bytes > lo;
     }
-    bool Valid() const { return (key << 2) < end; }
-    void Next() {
-      ++key;
-      Fit();
+    void Add(std::uint64_t addr, std::size_t bytes) {
+      lo = std::min(lo, addr);
+      hi = std::max(hi, addr + bytes);
     }
-    // Which byte of the accessed value granule byte j is.
-    unsigned ValueByte(unsigned j) const {
-      return static_cast<unsigned>((key << 2) + j - addr);
-    }
-    void Fit() {
-      const std::uint64_t base = key << 2;
-      if (base >= end) return;  // past the last granule: not Valid()
-      const unsigned lo = addr > base ? static_cast<unsigned>(addr - base) : 0;
-      const unsigned hi = end < base + 4 ? static_cast<unsigned>(end - base) : 4;
-      mask = static_cast<std::uint8_t>(((1u << hi) - 1) & ~((1u << lo) - 1));
-    }
-    std::uint64_t addr, end, key;
-    std::uint8_t mask = 0;
   };
 
   static bool Stop(ReplayCause why, ReplayCause* cause) {
@@ -435,51 +409,39 @@ class AccessLog {
     return false;
   }
 
-  // A load inside the stored range: the lane's own bytes replace memory's;
-  // a lower lane's store, or a higher lane's over the lane's own, conflicts.
+  Range& RangeOf(std::uint64_t addr) {
+    return (addr & scalar::kSharedTag) ? shared_ : global_;
+  }
+
+  // A load inside the stored range: overlays the lane's own stores, in
+  // program order; a lower lane's store conflicts.
   [[gnu::noinline]] bool ReadStored(std::uint32_t lane, std::uint64_t addr,
                                     std::size_t bytes, std::uint64_t* value,
                                     ReplayCause* cause) {
-    for (Span s(addr, bytes); s.Valid(); s.Next()) {
-      const Granule* g = Find(s.key, /*insert=*/false);
-      if (g == nullptr || (g->mask & s.mask) == 0) continue;
-      if (g->storer != lane) {
-        if (g->min_storer <= lane) return Stop(ReplayCause::kConflict, cause);
-        continue;
-      }
-      for (unsigned j = 0; j < 4; ++j) {
-        if (((s.mask & g->mask) >> j & 1) == 0) continue;
-        const unsigned shift = 8 * s.ValueByte(j);
-        *value = (*value & ~(std::uint64_t{0xFF} << shift)) |
-                 (std::uint64_t{g->data[j]} << shift);
+    scanned_ += n_stores_;
+    if (scanned_ > kMaxScan) return Stop(ReplayCause::kLogBound, cause);
+    const std::uint64_t end = addr + bytes;
+    for (std::uint32_t i = 0; i < n_stores_; ++i) {
+      const BufferedStore& s = stores_[i];
+      if (s.addr >= end || s.addr + s.bytes <= addr || s.lane > lane) continue;
+      if (s.lane < lane) return Stop(ReplayCause::kConflict, cause);
+      for (std::uint64_t b = std::max(addr, s.addr);
+           b < std::min(end, s.addr + s.bytes); ++b) {
+        const unsigned to = 8 * static_cast<unsigned>(b - addr);
+        const unsigned from = 8 * static_cast<unsigned>(b - s.addr);
+        *value = (*value & ~(std::uint64_t{0xFF} << to)) |
+                 (((s.value >> from) & 0xFF) << to);
       }
     }
     return true;
   }
 
-  // The live entry for `key`; a missing one is created empty when `insert`
-  // (null once kMaxStored granules are live) and null otherwise.
-  Granule* Find(std::uint64_t key, bool insert) {
-    std::uint32_t i = static_cast<std::uint32_t>(
-        (key * 0x9E3779B97F4A7C15ull) >> (64 - std::countr_zero(kSlots)));
-    while (true) {
-      Granule& g = slots_[i];
-      if (g.epoch != epoch_) {
-        if (!insert || stored_.size() == kMaxStored) return nullptr;
-        g = Granule{key, epoch_};
-        return &g;
-      }
-      if (g.key == key) return &g;
-      i = (i + 1) & (kSlots - 1);
-    }
-  }
-
   std::unique_ptr<LoggedLoad[]> loads_;
-  std::uint32_t n_loads_ = 0;
-  std::unique_ptr<Granule[]> slots_;
-  std::uint32_t epoch_ = 1;
-  std::vector<std::uint32_t> stored_;  // slots holding stores, in order
-  std::uint64_t lo_ = ~std::uint64_t{0}, hi_ = 0;  // the stored range
+  std::unique_ptr<BufferedStore[]> stores_;      // in program order
+  std::unique_ptr<BufferedStore[]> by_address_;  // CheckLoads' sorted copy
+  std::uint32_t n_loads_ = 0, n_stores_ = 0;
+  std::uint64_t scanned_ = 0;
+  Range global_, shared_;
 };
 
 // ---- the lane executor --------------------------------------------------------
@@ -662,8 +624,8 @@ class BlockExec {
   // then GlobalMemory's in-page access. Every attempted access consults the
   // policy; in a multi-lane attempt the access log then checks it for
   // conflicts and buffers the store. Alignment is checked by the caller,
-  // once per access. Forced inline: as calls out of the dispatch loop the
-  // served sgemm ran about 5% slower (5 of 6 pairs).
+  // once per access. Forced inline into the lane loops; the fault paths
+  // are cold out-of-line functions (see LdScalar).
   [[gnu::always_inline]] Status Load(std::uint32_t lane, std::uint64_t addr,
                                      std::size_t bytes, std::uint64_t* bits) {
     if (addr & scalar::kSharedTag) {
@@ -988,20 +950,14 @@ Result<bool> BlockExec::Attempt(bool first_phase) {
   log_ = nullptr;
   if (s.ok() && log.CheckLoads(&cause_)) {
     GRD_RETURN_IF_ERROR(log.Commit(
-        [this](std::uint64_t addr, const std::uint8_t* data,
-               std::uint8_t mask) -> Status {
+        [this](std::uint64_t addr, std::uint64_t value,
+               std::size_t bytes) -> Status {
           if (addr & scalar::kSharedTag) {
-            std::uint8_t* dst = shared_.data() + (addr & ~scalar::kSharedTag);
-            for (unsigned j = 0; j < 4; ++j)
-              if ((mask >> j) & 1) dst[j] = data[j];
+            std::memcpy(shared_.data() + (addr & ~scalar::kSharedTag), &value,
+                        bytes);
             return OkStatus();
           }
-          if (mask == 0xF) return memory_->WriteInPage(addr, data, 4);
-          for (unsigned j = 0; j < 4; ++j) {
-            if ((mask >> j) & 1)
-              GRD_RETURN_IF_ERROR(memory_->WriteInPage(addr + j, data + j, 1));
-          }
-          return OkStatus();
+          return memory_->WriteInPage(addr, &value, bytes);
         }));
     return true;
   }
