@@ -546,9 +546,8 @@ class BlockExec {
 
   // A top-level ALU instruction: charges it to every active lane and sets
   // dst = f(lane) where the lane's guard holds. Out of line, one copy per
-  // opcode, so the evaluators' switches stay out of RunGroup: inlined there
-  // they cost the micro-op loops their registers (the served sgemm ran
-  // about 40% slower).
+  // opcode, so the evaluators' switches stay out of RunGroup and its
+  // micro-op loops.
   template <typename F>
   [[gnu::noinline]] void AluLanes(const CompiledInst& inst, F f) {
     stats_->instructions += act_.size();
@@ -561,18 +560,6 @@ class BlockExec {
   // source a register row or an immediate (FusedComp::src_imm). The range
   // covers every active lane; lanes in it that retired compute values no
   // one reads.
-  template <typename F>
-  [[gnu::always_inline]] void Lanes1(const FusedComp& m, std::uint32_t lo,
-                                     std::uint32_t hi, F f) {
-    std::uint64_t* const d = Row(m.dst);
-    if (m.src_imm & 1) {
-      std::fill(d + lo, d + hi, f(m.a));
-      return;
-    }
-    const std::uint64_t* const a = Row(m.a);
-    for (std::uint32_t i = lo; i < hi; ++i) d[i] = f(a[i]);
-  }
-
   template <typename F>
   [[gnu::always_inline]] void Lanes2(const FusedComp& m, std::uint32_t lo,
                                      std::uint32_t hi, F f) {
@@ -1215,7 +1202,7 @@ fused_done:
   goto dispatch;
 
 micro_kMov:
-  Lanes1(*m, lo, hi, [](std::uint64_t a) { return a; });
+  Lanes2(*m, lo, hi, [](std::uint64_t a, std::uint64_t) { return a; });
   GRD_NEXT_MICRO();
 
 micro_kMovSpecial : {
@@ -1232,28 +1219,22 @@ micro_kLdParam:
             params_.args[m->a].bits & m->mask);
   GRD_NEXT_MICRO();
 
-micro_kAdd : {
-  const std::uint64_t mask = m->mask;
-  Lanes2(*m, lo, hi, [mask](std::uint64_t a, std::uint64_t b) {
+micro_kAdd:
+  Lanes2(*m, lo, hi, [mask = m->mask](std::uint64_t a, std::uint64_t b) {
     return (a + b) & mask;
   });
-}
   GRD_NEXT_MICRO();
 
-micro_kSub : {
-  const std::uint64_t mask = m->mask;
-  Lanes2(*m, lo, hi, [mask](std::uint64_t a, std::uint64_t b) {
+micro_kSub:
+  Lanes2(*m, lo, hi, [mask = m->mask](std::uint64_t a, std::uint64_t b) {
     return (a - b) & mask;
   });
-}
   GRD_NEXT_MICRO();
 
-micro_kMulLo : {
-  const std::uint64_t mask = m->mask;
-  Lanes2(*m, lo, hi, [mask](std::uint64_t a, std::uint64_t b) {
+micro_kMulLo:
+  Lanes2(*m, lo, hi, [mask = m->mask](std::uint64_t a, std::uint64_t b) {
     return (a * b) & mask;
   });
-}
   GRD_NEXT_MICRO();
 
 micro_kMulWide : {
@@ -1271,36 +1252,30 @@ micro_kMulWide : {
 }
   GRD_NEXT_MICRO();
 
-micro_kAnd : {
-  const std::uint64_t mask = m->mask;
-  Lanes2(*m, lo, hi,
-         [mask](std::uint64_t a, std::uint64_t b) { return a & b & mask; });
-}
+micro_kAnd:
+  Lanes2(*m, lo, hi, [mask = m->mask](std::uint64_t a, std::uint64_t b) {
+    return a & b & mask;
+  });
   GRD_NEXT_MICRO();
 
-micro_kOr : {
-  const std::uint64_t mask = m->mask;
-  Lanes2(*m, lo, hi, [mask](std::uint64_t a, std::uint64_t b) {
+micro_kOr:
+  Lanes2(*m, lo, hi, [mask = m->mask](std::uint64_t a, std::uint64_t b) {
     return (a | b) & mask;
   });
-}
   GRD_NEXT_MICRO();
 
-micro_kXor : {
-  const std::uint64_t mask = m->mask;
-  Lanes2(*m, lo, hi, [mask](std::uint64_t a, std::uint64_t b) {
+micro_kXor:
+  Lanes2(*m, lo, hi, [mask = m->mask](std::uint64_t a, std::uint64_t b) {
     return (a ^ b) & mask;
   });
-}
   GRD_NEXT_MICRO();
 
-micro_kShl : {
-  const std::uint64_t mask = m->mask;
-  const unsigned shmask = m->shmask;
-  Lanes2(*m, lo, hi, [mask, shmask](std::uint64_t a, std::uint64_t b) {
-    return (a << (b & shmask)) & mask;
-  });
-}
+micro_kShl:
+  Lanes2(*m, lo, hi,
+         [mask = m->mask, shmask = m->shmask](std::uint64_t a,
+                                              std::uint64_t b) {
+           return (a << (b & shmask)) & mask;
+         });
   GRD_NEXT_MICRO();
 
 micro_kShr : {
@@ -1319,13 +1294,11 @@ micro_kShr : {
 }
   GRD_NEXT_MICRO();
 
-micro_kMad : {
-  const std::uint64_t mask = m->mask;
+micro_kMad:
   Lanes3(*m, lo, hi,
-         [mask](std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+         [mask = m->mask](std::uint64_t a, std::uint64_t b, std::uint64_t c) {
            return (a * b + c) & mask;
          });
-}
   GRD_NEXT_MICRO();
 
 micro_kSetp : {

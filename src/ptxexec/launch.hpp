@@ -47,10 +47,10 @@ struct LaunchParams {
 // committing it as one lockstep group (ExecStats::replayed_phases index).
 enum class ReplayCause : std::uint8_t {
   kDivergence,  // the threads' control flow split, or the phase began split
-  kConflict,    // a thread touched a byte another thread stored in the phase
+  kConflict,    // a thread loaded a byte a lower thread stored in the phase
   kFault,       // a thread faulted or reached a step-time error
   kBudget,      // the per-thread instruction budget tripped
-  kLogBound,    // the phase touched more memory than its access table holds
+  kLogBound,    // the phase outgrew its access log (loads, stores or scans)
 };
 inline constexpr std::size_t kReplayCauses = 5;
 
