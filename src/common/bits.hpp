@@ -3,9 +3,7 @@
 #pragma once
 
 #include <bit>
-#include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 namespace grd {
 
@@ -19,41 +17,6 @@ constexpr bool IsPowerOfTwo(std::uint64_t v) noexcept {
 constexpr std::uint64_t NextPowerOfTwo(std::uint64_t v) noexcept {
   if (v > (std::uint64_t{1} << 63)) return 0;
   return std::bit_ceil(v == 0 ? std::uint64_t{1} : v);
-}
-
-// Reads `len` (at most 8) bytes at `src` as a little-endian value,
-// zero-extended. The access sizes kernels issue go through a width-sized
-// temporary: copying them into the low bytes of a zeroed uint64_t and
-// reading that back stalls on a failed store-to-load forward.
-inline std::uint64_t LoadZeroExtended(const void* src,
-                                      std::size_t len) noexcept {
-  switch (len) {
-    case 1: {
-      std::uint8_t v;
-      std::memcpy(&v, src, 1);
-      return v;
-    }
-    case 2: {
-      std::uint16_t v;
-      std::memcpy(&v, src, 2);
-      return v;
-    }
-    case 4: {
-      std::uint32_t v;
-      std::memcpy(&v, src, 4);
-      return v;
-    }
-    case 8: {
-      std::uint64_t v;
-      std::memcpy(&v, src, 8);
-      return v;
-    }
-    default: {
-      std::uint64_t v = 0;
-      std::memcpy(&v, src, len);
-      return v;
-    }
-  }
 }
 
 constexpr std::uint64_t AlignUp(std::uint64_t v, std::uint64_t align) noexcept {

@@ -455,13 +455,14 @@ class AccessLog {
 //
 // A multi-lane attempt leaves exactly what thread order (thread 0's whole
 // phase, then thread 1's, ...) leaves as long as control flow stays uniform,
-// no lane faults or trips its budget, and the access log meets no
-// conflict; its stores wait in the log and commit when the phase ends
-// clean. Otherwise the attempt rolls back to the phase start — registers,
-// stats, the preemption countdown and latch; memory and the shared segment
-// never changed — and the phase replays one lane at a time, in thread
-// order, through the same executor. A one-lane group is thread order by
-// construction: it accesses memory directly and never rolls back.
+// no lane faults, the lanes together stay within one lane's instruction
+// budget, and the access log meets no conflict; its stores wait in the log
+// and commit when the phase ends clean. Otherwise the attempt rolls back to
+// the phase start — registers, stats, the preemption countdown and latch,
+// the recorded fault; memory and the shared segment never changed — and
+// the phase replays one lane at a time, in thread order, through the same
+// executor. A one-lane group is thread order by construction: it accesses
+// memory directly and never rolls back.
 class BlockExec {
  public:
   BlockExec(const CompiledKernel& prog, const LaunchParams& params,
@@ -611,7 +612,8 @@ class BlockExec {
   // then GlobalMemory's in-page access. Every attempted access consults the
   // policy; in a multi-lane attempt the access log then checks it for
   // conflicts and buffers the store. Alignment is checked by the caller,
-  // once per access. Forced inline into the lane loops; the fault paths
+  // once per access. A load fills the low `bytes` bytes of *bits, which
+  // the caller zeroed. Forced inline into the lane loops; the fault paths
   // are cold out-of-line functions (see LdScalar).
   [[gnu::always_inline]] Status Load(std::uint32_t lane, std::uint64_t addr,
                                      std::size_t bytes, std::uint64_t* bits) {
@@ -619,7 +621,7 @@ class BlockExec {
       const std::uint64_t off = addr & ~scalar::kSharedTag;
       if (off + bytes > shared_.size()) [[unlikely]]
         return SharedOutOfRange();
-      *bits = LoadZeroExtended(shared_.data() + off, bytes);
+      std::memcpy(bits, shared_.data() + off, bytes);
       ++stats_->shared_accesses;
     } else {
       GRD_RETURN_IF_ERROR(policy_->CheckAccess(client_, addr, bytes, false));
@@ -734,22 +736,11 @@ class BlockExec {
     return OkStatus();
   }
 
-  // True when a lane reaching `pc` retires there at once: an unguarded
-  // ret/exit, or the end of the program.
-  bool Retires(std::uint32_t pc) const {
-    return pc >= prog_.code.size() ||
-           (prog_.code[pc].op == COp::kRetExit &&
-            prog_.code[pc].pred_slot == kNoPredSlot);
-  }
-
   // Resolves a guarded branch over the active lanes and returns the pc the
-  // group continues at. When the lanes split, the side that begins where
-  // its lanes retire (Retires) leaves the group there, charged as its next
-  // dispatch would charge it; any other split stops a multi-lane attempt
-  // (kStop, cause_ set). `budget` is what the lanes have left.
+  // group continues at. Lanes that split stop a multi-lane attempt (kStop,
+  // cause_ kDivergence); a one-lane group never splits.
   std::uint32_t Branch(std::uint16_t pred_slot, bool negated,
-                       std::uint32_t target, std::uint32_t fallthrough,
-                       std::uint64_t budget) {
+                       std::uint32_t target, std::uint32_t fallthrough) {
     if (pred_slot == kNoPredSlot) return target;
     const std::uint64_t* const pred = Row(pred_slot);
     std::size_t taken = 0;
@@ -757,29 +748,8 @@ class BlockExec {
       taken += ((pred[lane] & 1) != 0) != negated;
     if (taken == act_.size()) return target;
     if (taken == 0) return fallthrough;
-    const bool takers_retire = Retires(target);
-    const std::uint32_t exit_pc = takers_retire ? target : fallthrough;
-    if (!takers_retire && !Retires(fallthrough)) {
-      cause_ = ReplayCause::kDivergence;
-      return kStop;
-    }
-    if (budget == 0) {
-      cause_ = ReplayCause::kBudget;
-      return kStop;
-    }
-    std::size_t kept = 0;
-    for (std::size_t k = 0; k < act_.size(); ++k) {
-      const std::uint32_t lane = act_[k];
-      if ((((pred[lane] & 1) != 0) != negated) == takers_retire)
-        done_[lane] = 1;
-      else
-        act_[kept++] = lane;
-    }
-    const std::size_t retired = act_.size() - kept;
-    act_.resize(kept);
-    SpendCountdown(retired);
-    if (exit_pc < prog_.code.size()) stats_->instructions += retired;
-    return takers_retire ? fallthrough : target;
+    cause_ = ReplayCause::kDivergence;
+    return kStop;
   }
 
   [[gnu::cold, gnu::noinline]] Status Diverged() {
@@ -951,6 +921,7 @@ Result<bool> BlockExec::Attempt(bool first_phase) {
   *stats_ = stats_before;
   preempt_countdown_ = countdown_before;
   preempt_latched_ = latched_before;
+  fault_ = DeviceFault{};
   if (first_phase)
     std::fill(regs_.begin(), regs_.end(), 0);
   else
@@ -984,7 +955,11 @@ Status BlockExec::RunGroup() {
   const std::uint32_t lo = lo_, hi = hi_;
   std::uint32_t pc = pc_[act_.front()];
   const CompiledInst* ip = nullptr;
-  std::uint64_t budget = max_instructions_;
+  // A lane's instruction budget. A multi-lane attempt splits one lane's
+  // budget among its lanes, so an attempt that trips it and replays has
+  // cost at most one budget's worth of lane-instructions.
+  std::uint64_t budget =
+      log_ == nullptr ? max_instructions_ : max_instructions_ / act_.size();
   // Superinstruction state: the current and end component, the components
   // that run, the lanes they run on and the pc after the run.
   const FusedComp* m = nullptr;
@@ -1094,7 +1069,7 @@ op_kSelp:
 
 op_kBra:
   stats_->instructions += act_.size();
-  pc = Branch(ip->pred_slot, ip->pred_negated, ip->target, pc + 1, budget);
+  pc = Branch(ip->pred_slot, ip->pred_negated, ip->target, pc + 1);
   if (pc == kStop) return Status(StatusCode::kAborted);
   goto dispatch;
 
@@ -1415,7 +1390,7 @@ micro_kSt : {
 micro_kBra:
   // Only a run's terminal component; a lane whose guard is false does not
   // retire the branch, like a skipped instruction.
-  next_pc = Branch(m->pred_slot, m->pred_negated, m->target, next_pc, budget);
+  next_pc = Branch(m->pred_slot, m->pred_negated, m->target, next_pc);
   if (next_pc == kStop) return Status(StatusCode::kAborted);
   GRD_NEXT_MICRO();
 }

@@ -19,10 +19,13 @@ GlobalMemory::~GlobalMemory() {
     delete[] pages_[i].load(std::memory_order_relaxed);
 }
 
-Status GlobalMemory::RangeError(std::uint64_t addr, std::uint64_t len) const {
-  return OutOfRange("device access " + ToHex(addr) + "+" +
-                    std::to_string(len) + " beyond device memory (" +
-                    std::to_string(size_) + " bytes)");
+Status GlobalMemory::CheckRange(std::uint64_t addr, std::uint64_t len) const {
+  if (len > size_ || addr > size_ - len) {
+    return OutOfRange("device access " + ToHex(addr) + "+" +
+                      std::to_string(len) + " beyond device memory (" +
+                      std::to_string(size_) + " bytes)");
+  }
+  return OkStatus();
 }
 
 std::uint8_t* GlobalMemory::PageForWrite(std::uint64_t page_index) {

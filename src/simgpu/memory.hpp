@@ -13,14 +13,12 @@
 // (Guardian's partitioning keeps tenants on disjoint ranges).
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <vector>
 
-#include "common/bits.hpp"
 #include "common/status.hpp"
 
 namespace grd::simgpu {
@@ -66,32 +64,26 @@ class GlobalMemory {
 
   // OK when [addr, addr + len) lies inside device memory; otherwise the
   // status Read and Write fail with.
-  Status CheckRange(std::uint64_t addr, std::uint64_t len) const {
-    if (len > size_ || addr > size_ - len) [[unlikely]]
-      return RangeError(addr, len);
-    return OkStatus();
-  }
+  Status CheckRange(std::uint64_t addr, std::uint64_t len) const;
 
   Status Read(std::uint64_t addr, void* dst, std::uint64_t len) const;
   Status Write(std::uint64_t addr, const void* src, std::uint64_t len);
 
   // The kernel engine's per-access path: one access of at most 8 bytes
-  // inside one page, inline. A load hands its bytes back zero-extended in
-  // *value. Falls back to Read/Write for a store to an untouched page and
-  // for any access the fast path does not cover (past the end of device
-  // memory, or crossing a page), so every outcome and status is theirs.
-  Status ReadInPage(std::uint64_t addr, std::uint64_t* value,
-                    std::uint64_t len) const {
+  // inside one page, inline. Falls back to Read/Write for a store to an
+  // untouched page and for any access the fast path does not cover (past
+  // the end of device memory, or crossing a page), so every outcome and
+  // status is theirs.
+  Status ReadInPage(std::uint64_t addr, void* dst, std::uint64_t len) const {
     if (InOnePage(addr, len)) [[likely]] {
-      const std::uint8_t* page = PageForRead(addr / kPageSize);
-      *value = page != nullptr ? LoadZeroExtended(page + addr % kPageSize, len)
-                               : 0;
+      if (const std::uint8_t* page = PageForRead(addr / kPageSize)) {
+        CopySmall(dst, page + addr % kPageSize, len);
+      } else {
+        std::memset(dst, 0, len);
+      }
       return OkStatus();
     }
-    std::uint64_t bits = 0;
-    Status status = Read(addr, &bits, std::min<std::uint64_t>(len, 8));
-    *value = bits;
-    return status;
+    return Read(addr, dst, len);
   }
   Status WriteInPage(std::uint64_t addr, const void* src, std::uint64_t len) {
     if (InOnePage(addr, len)) [[likely]] {
@@ -122,7 +114,6 @@ class GlobalMemory {
  private:
   static constexpr std::uint64_t kPageSize = 64 * 1024;
 
-  Status RangeError(std::uint64_t addr, std::uint64_t len) const;
   bool InOnePage(std::uint64_t addr, std::uint64_t len) const {
     return len <= 8 && addr < size_ && len <= size_ - addr &&
            addr % kPageSize + len <= kPageSize;

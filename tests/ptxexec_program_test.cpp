@@ -1268,7 +1268,7 @@ TEST_F(LockstepParity, LaneRereadsItsOwnStore) {
         std::nullopt);
 }
 
-// Divergence: a split branch replays unless one side retires at once.
+// Divergence: a split branch replays.
 TEST_F(LockstepParity, OddEvenBranchesReplay) {
   Check("and.b32 %r3, %r1, 1; setp.eq.u32 %p1, %r3, 0; @%p1 bra EVEN; "
         "st.global.u32 [%rd3], 1; bra DONE; EVEN: st.global.u32 [%rd3], 2; "
@@ -1282,16 +1282,14 @@ TEST_F(LockstepParity, PerLaneLoopTripCountsReplay) {
         ReplayCause::kDivergence);
 }
 
-TEST_F(LockstepParity, HalfTheLanesExitEarlyAndRetire) {
-  Check("setp.ge.u32 %p1, %r1, 16; @%p1 bra OUT; st.global.u32 [%rd3], 9; "
-        "OUT:",
-        std::nullopt);
+// Lanes that leave through a guarded ret retire and the rest stay in
+// lockstep; a branch that splits the lanes replays, even one to the exit.
+TEST_F(LockstepParity, HalfTheLanesExitEarly) {
   Check("setp.lt.u32 %p1, %r1, 16; @%p1 ret; st.global.u32 [%rd3], 9;",
         std::nullopt);
-  // The fall-through side retires: the branch skips over an exit.
-  Check("setp.ge.u32 %p1, %r1, 16; @%p1 bra ON; ret; ON: "
-        "st.global.u32 [%rd3], 9;",
-        std::nullopt);
+  Check("setp.ge.u32 %p1, %r1, 16; @%p1 bra OUT; st.global.u32 [%rd3], 9; "
+        "OUT:",
+        ReplayCause::kDivergence);
 }
 
 // The divergent phase replays; every lane then parks at the same barrier,
@@ -1339,16 +1337,54 @@ TEST_F(LockstepParity, HighLaneFaultsEarlyLowLaneLater) {
 }
 
 // A budget trip in every lane stops the attempt. In one lane only, the
-// other lanes leave its loop through the exit and retire, and the lone
-// lane trips. Both replay to the reference's trip.
+// other lanes leave its loop through a guarded ret and retire, and the
+// lone lane trips. Both replay to the reference's trip.
 TEST_F(LockstepParity, BudgetTrips) {
   Check("st.global.u32 [%rd3], %r1; SPIN: bra SPIN;", ReplayCause::kBudget,
         32, 0, 500);
   Check("st.global.u32 [%rd3], %r1; setp.eq.u32 %p1, %r1, 5; "
         "selp.u32 %r5, 1000000, 3, %p1; mov.u32 %r3, 0; "
-        "SPIN: add.u32 %r3, %r3, 1; setp.lt.u32 %p2, %r3, %r5; "
-        "@%p2 bra SPIN;",
-        ReplayCause::kBudget, 32, 0, 500);
+        "SPIN: add.u32 %r3, %r3, 1; setp.ge.u32 %p2, %r3, %r5; "
+        "@%p2 ret; bra SPIN;",
+        ReplayCause::kBudget, 32, 0, 32 * 500);
+}
+
+// An attempt's lanes share one lane's budget: 32 lanes of about 165
+// instructions outgrow a budget of 3,200 together but not alone, so the
+// phase replays and completes. Stopping a runaway block therefore costs
+// at most one budget in the attempt plus one in the replay, not one per
+// lane.
+TEST_F(LockstepParity, AttemptLanesShareOneBudget) {
+  const std::string body =
+      "mov.u32 %r3, 0; LOOP: add.u32 %r3, %r3, 1; setp.lt.u32 %p1, %r3, 50; "
+      "@%p1 bra LOOP; st.global.u32 [%rd3], %r3;";
+  Check(body, ReplayCause::kBudget, 32, 0, 3200);
+  Check(body, std::nullopt, 32, 0, 32 * 3200);
+}
+
+// Lane 5 faults in the attempt (a misaligned load); in the replay lane 0
+// stops first, on an unresolved operand, a step error that is no device
+// fault. The reference reports no fault, so the rollback must drop the
+// attempt's.
+TEST_F(LockstepParity, ReplayDropsTheAttemptsFault) {
+  auto module = ptx::Parse(Source(
+      "setp.eq.u32 %p1, %r1, 5; selp.u64 %rd9, 2, 0, %p1; "
+      "add.u64 %rd10, %rd3, %rd9; ld.global.u32 %r4, [%rd10]; "
+      "mov.u32 %r5, bogus;"));
+  ASSERT_TRUE(module.ok()) << module.status();
+  LaunchParams params;
+  params.block = {32, 1, 1};
+  params.args = {KernelArg::U64(kData), KernelArg::U32(0)};
+  ExpectParity(*module, "t", params);
+  simgpu::GlobalMemory memory(kMemBytes);
+  simgpu::AllowAllPolicy allow;
+  Interpreter interp(&memory, &allow, 1);
+  auto run = interp.Execute(*module, "t", params);
+  ASSERT_FALSE(run.ok());
+  EXPECT_NE(run.status().message().find("bogus"), std::string::npos)
+      << run.status();
+  EXPECT_TRUE(interp.last_fault().status.ok()) << interp.last_fault().status;
+  EXPECT_EQ(interp.last_fault().thread_linear_id, 0u);
 }
 
 // A phase logging more loads than the access log holds replays.
