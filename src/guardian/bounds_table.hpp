@@ -1,15 +1,12 @@
-// The partition bounds table (paper §4.2.1): per-application base address,
-// size and fencing mask, consulted on every host-initiated transfer
-// (§4.2.2) and on every kernel launch to append the fencing arguments
-// (§4.2.3).
+// Partition bounds (paper §4.2.1): an application's base address, size and
+// fencing mask. Each ClientSession holds its own copy, which every
+// host-initiated transfer is checked against (§4.2.2) and every sandboxed
+// kernel launch appends as the fencing arguments (§4.2.3).
 #pragma once
 
 #include <cstdint>
-#include <mutex>
-#include <unordered_map>
 
 #include "common/bits.hpp"
-#include "common/status.hpp"
 
 namespace grd::guardian {
 
@@ -24,45 +21,6 @@ struct PartitionBounds {
   bool Contains(std::uint64_t addr, std::uint64_t len) const noexcept {
     return addr >= base && len <= size && addr - base <= size - len;
   }
-};
-
-class SharedServingState;
-struct SharedSessionSlot;
-
-class PartitionBoundsTable {
- public:
-  // Process mode: back the table with the SharedRegion session slots instead
-  // of the private map, so bounds (including in-place partition growth) are
-  // visible to every worker process and the parent supervisor. In that mode
-  // Insert is an upsert into the client's slot and Remove succeeds trivially
-  // — the bounds entry lives and dies with the shared session slot itself.
-  // Lookups stay O(1): slot pointers are stable for the mapping's lifetime,
-  // so they are memoized per client under `mu_` and validated against the
-  // slot's own client id (which changes whenever a slot is recycled).
-  void BindShared(SharedServingState* shared) noexcept { shared_ = shared; }
-
-  Status Insert(ClientId client, PartitionBounds bounds);
-  Status Remove(ClientId client);
-  Result<PartitionBounds> Lookup(ClientId client) const;
-
-  // Validates a host-initiated transfer touching [addr, addr+len) on behalf
-  // of `client` (paper §4.2.2: "every host-initiated transfer is checked at
-  // run-time to verify that it falls in a valid range").
-  Status CheckTransfer(ClientId client, std::uint64_t addr,
-                       std::uint64_t len) const;
-
-  std::size_t size() const;
-
- private:
-  // Resolves the client's shared slot, consulting and refreshing the memo
-  // under `mu_`. Null when the client has no live slot.
-  SharedSessionSlot* ResolveSharedSlot(ClientId client) const;
-
-  SharedServingState* shared_ = nullptr;  // null = threaded mode (map below)
-  mutable std::mutex mu_;
-  std::unordered_map<ClientId, PartitionBounds> table_;
-  // Process mode: client -> slot memo (see BindShared).
-  mutable std::unordered_map<ClientId, SharedSessionSlot*> slot_memo_;
 };
 
 }  // namespace grd::guardian

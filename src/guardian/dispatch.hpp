@@ -116,7 +116,7 @@ Result<std::shared_ptr<ClientSession>> AdoptJournaledSession(
 // block boundary, detaches the partition with its sub-allocator state,
 // copies the partition bytes, re-admits the still-queued work on streams
 // recreated on the target scheduler. Tickets stay valid across the move.
-Status MigrateSession(ExecutionContext& exec, SessionRegistry& sessions,
+Status MigrateSession(ExecutionContext& exec,
                       const std::shared_ptr<ClientSession>& session,
                       std::uint32_t target_device);
 

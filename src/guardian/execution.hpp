@@ -1,13 +1,13 @@
 // Execution layer of the grdManager (see ARCHITECTURE.md).
 //
 // Everything the request handlers share across sessions lives here: the
-// simulated GPU, the partition allocator, the bounds table, the sandbox
-// cache, the device scheduler and the cost counters. Each piece is guarded
+// simulated GPU, the partition allocator, the sandbox cache, the device
+// scheduler and the cost counters. A session's own partition bounds live in
+// its ClientSession, read under the session mutex. Each piece is guarded
 // separately so that concurrent requests only serialize where the
 // hardware model demands it:
-//  - `partition_mu` covers the partition allocator plus the paired bounds
-//    table updates (create/release/grow must be atomic with their bounds
-//    entry) — the only allocator-critical section left;
+//  - `partition_mu` covers the partition allocator — the only
+//    allocator-critical section left;
 //  - device-memory traffic and kernel execution go through the
 //    GpuScheduler: per-stream FIFO queues drained by an executor pool under
 //    an SM-occupancy model, replacing the old `gpu_mu` big lock;
@@ -15,7 +15,7 @@
 //    (unfenced) kernel holds it shared while resident, registration takes
 //    it exclusively after publishing a new session, so an unprotected
 //    kernel never overlaps a partition it did not know about;
-//  - the bounds table and the sandbox cache carry their own internal locks;
+//  - the sandbox cache carries its own internal lock;
 //  - `ManagerStats` counters are relaxed atomics, safe to bump from any
 //    worker or executor.
 #pragma once
@@ -251,7 +251,7 @@ struct DeviceState {
   const std::uint32_t id;
   std::unique_ptr<simcuda::Gpu> owned_gpu;  // null for the borrowed primary
   simcuda::Gpu* gpu;
-  std::mutex partition_mu;  // guards `partitions` + paired bounds updates
+  std::mutex partition_mu;  // guards `partitions`
   PartitionAllocator partitions;
   // Sessions currently placed here (admission load signal; relaxed).
   std::atomic<std::uint64_t> resident_sessions{0};
@@ -305,8 +305,6 @@ struct ExecutionContext {
   ManagerStats owned_stats;  // backing storage when no shared instance given
   ManagerStats& stats;
   SandboxCache sandbox_cache;  // internally locked
-
-  PartitionBoundsTable bounds;  // internally locked (read-mostly)
 
   // Standalone fast-path fence (see file comment). Shared by an executing
   // native kernel, exclusive (empty critical section) by registration.

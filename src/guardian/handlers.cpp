@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -23,6 +24,7 @@
 
 #include "common/cycle_clock.hpp"
 #include "common/logging.hpp"
+#include "common/strings.hpp"
 #include "guardian/dispatch.hpp"
 #include "guardian/execution.hpp"
 #include "guardian/session.hpp"
@@ -53,12 +55,23 @@ Result<IdReq> DecodeId(Reader& req) {
   return out;
 }
 
-// Bounds check shared by every host-initiated transfer (§4.2.2), with the
-// Table-5 accounting the paper reports.
+// §4.2.2 range check of a host-initiated transfer touching [addr, addr+len)
+// against the session's own bounds (the dispatcher holds its mutex).
+Status InPartition(const ClientSession& session, std::uint64_t addr,
+                   std::uint64_t len) {
+  if (session.partition.Contains(addr, len)) return OkStatus();
+  return PermissionDenied("transfer " + ToHex(addr) + "+" +
+                          std::to_string(len) +
+                          " outside partition of client " +
+                          std::to_string(session.id));
+}
+
+// Bounds check shared by every single-range transfer, with the Table-5
+// accounting the paper reports.
 Status CheckTransfer(HandlerContext& ctx, std::uint64_t addr,
                      std::uint64_t len) {
   ++ctx.exec.stats.transfers_checked;
-  const Status check = ctx.exec.bounds.CheckTransfer(ctx.session->id, addr, len);
+  const Status check = InPartition(*ctx.session, addr, len);
   if (!check.ok()) ++ctx.exec.stats.transfers_rejected;
   return check;
 }
@@ -89,22 +102,10 @@ DeviceState& Dev(HandlerContext& ctx) {
           : 0);
 }
 
-// ---- session journal (process mode; null in threaded mode) ----------------
-
-SharedSessionSlot* SharedSlotOf(SessionRegistry& sessions, ClientId id) {
-  SharedServingState* shared = sessions.shared();
-  return shared != nullptr ? shared->FindSession(id) : nullptr;
-}
-
-SharedSessionJournal* JournalOf(HandlerContext& ctx) {
-  SharedSessionSlot* slot = SharedSlotOf(ctx.sessions, ctx.session->id);
-  return slot != nullptr ? &slot->journal : nullptr;
-}
-
-// A session whose control-plane state outgrew the bounded journal simply
-// stops being adoptable; it falls back to the crash-fail path.
-void MarkUnadoptable(SharedSessionJournal& journal) {
-  journal.truncated.store(1, std::memory_order_release);
+// The session's journal (process mode; null in threaded mode).
+SharedSessionJournal* JournalOf(const ClientSession& session) {
+  return session.shared_slot != nullptr ? &session.shared_slot->journal
+                                        : nullptr;
 }
 
 // Legacy default-stream semantics (the half that matters for correctness):
@@ -170,7 +171,6 @@ Result<Writer> ExecuteRegister(HandlerContext& ctx, IdReq& req) {
       return session.status();
     }
     id = (*session)->id;
-    GRD_RETURN_IF_ERROR(exec.bounds.Insert(id, bounds));
     device_id = candidate;
     dev.resident_sessions.fetch_add(1, std::memory_order_relaxed);
     break;
@@ -212,7 +212,6 @@ Result<Writer> ExecuteDisconnect(HandlerContext& ctx, NoPayload&) {
   GRD_RETURN_IF_ERROR(ctx.sessions.Erase(id));
   dev.resident_sessions.fetch_sub(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(dev.partition_mu);
-  GRD_RETURN_IF_ERROR(ctx.exec.bounds.Remove(id));
   GRD_RETURN_IF_ERROR(dev.partitions.ReleasePartition(base));
   return Writer{};
 }
@@ -227,16 +226,8 @@ Result<Writer> ExecuteMalloc(HandlerContext& ctx, IdReq& req) {
     GRD_ASSIGN_OR_RETURN(
         addr, dev.partitions.AllocateIn(ctx.session->partition.base, req.id));
   }
-  if (SharedSessionJournal* journal = JournalOf(ctx)) {
-    const std::uint32_t n =
-        journal->alloc_count.load(std::memory_order_relaxed);
-    if (n < SharedSessionJournal::kMaxAllocs) {
-      journal->allocs[n] = {addr, req.id};
-      journal->alloc_count.store(n + 1, std::memory_order_release);
-    } else {
-      MarkUnadoptable(*journal);
-    }
-  }
+  if (SharedSessionJournal* journal = JournalOf(*ctx.session))
+    journal->AddAlloc(addr, req.id);
   Writer out;
   out.Put<std::uint64_t>(addr);
   return out;
@@ -249,17 +240,8 @@ Result<Writer> ExecuteFree(HandlerContext& ctx, IdReq& req) {
     GRD_RETURN_IF_ERROR(
         dev.partitions.FreeIn(ctx.session->partition.base, req.id));
   }
-  if (SharedSessionJournal* journal = JournalOf(ctx)) {
-    // Compact-remove; the journal is unordered (replay claims exact ranges).
-    const std::uint32_t n =
-        journal->alloc_count.load(std::memory_order_relaxed);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (journal->allocs[i].addr != req.id) continue;
-      journal->allocs[i] = journal->allocs[n - 1];
-      journal->alloc_count.store(n - 1, std::memory_order_release);
-      break;
-    }
-  }
+  if (SharedSessionJournal* journal = JournalOf(*ctx.session))
+    journal->RemoveAlloc(req.id);
   return Writer{};
 }
 
@@ -396,10 +378,8 @@ Status ValidateMemcpyD2D(HandlerContext& ctx, const MemcpyD2DReq& req) {
   // checked — D2D within one GPU address space is the classic cross-tenant
   // vector.
   ctx.exec.stats.transfers_checked += 2;
-  Status check =
-      ctx.exec.bounds.CheckTransfer(ctx.session->id, req.dst, req.size);
-  if (check.ok())
-    check = ctx.exec.bounds.CheckTransfer(ctx.session->id, req.src, req.size);
+  Status check = InPartition(*ctx.session, req.dst, req.size);
+  if (check.ok()) check = InPartition(*ctx.session, req.src, req.size);
   if (!check.ok()) ++ctx.exec.stats.transfers_rejected;
   return check;
 }
@@ -523,22 +503,9 @@ Result<Writer> ExecuteModuleLoad(HandlerContext& ctx, ModuleLoadReq& req) {
       ClientModule module,
       BuildClientModule(ctx.exec, req.ptx_text, content_hash));
   const std::uint64_t id = ctx.session->next_module++;
-  if (SharedSessionJournal* journal = JournalOf(ctx)) {
-    const std::uint32_t n =
-        journal->module_count.load(std::memory_order_relaxed);
-    auto interned =
-        n < SharedSessionJournal::kMaxModules
-            ? ctx.sessions.shared()->InternPtx(req.ptx_text, content_hash)
-            : Result<std::uint64_t>(
-                  Status(OutOfMemory("journal module slots")));
-    if (interned.ok()) {
-      journal->modules[n] = {id, *interned};
-      journal->next_module = ctx.session->next_module;
-      journal->module_count.store(n + 1, std::memory_order_release);
-    } else {
-      MarkUnadoptable(*journal);
-    }
-  }
+  if (SharedSessionJournal* journal = JournalOf(*ctx.session))
+    journal->AddModule(*ctx.sessions.shared(), id, ctx.session->next_module,
+                       req.ptx_text, content_hash);
   ctx.session->modules.emplace(id, std::move(module));
   Writer out;
   out.Put<std::uint64_t>(id);
@@ -569,22 +536,9 @@ Status ValidateGetFunction(HandlerContext& ctx, const GetFunctionReq& req) {
 Result<Writer> ExecuteGetFunction(HandlerContext& ctx, GetFunctionReq& req) {
   const std::uint64_t fn = ctx.session->next_function++;
   ctx.session->pointer_to_symbol[fn] = FunctionEntry{req.module, req.kernel};
-  if (SharedSessionJournal* journal = JournalOf(ctx)) {
-    const std::uint32_t n =
-        journal->function_count.load(std::memory_order_relaxed);
-    if (n < SharedSessionJournal::kMaxFunctions &&
-        req.kernel.size() < SharedSessionJournal::kNameCap) {
-      auto& entry = journal->functions[n];
-      entry.id = fn;
-      entry.module_id = req.module;
-      std::snprintf(entry.name, sizeof(entry.name), "%s",
-                    req.kernel.c_str());
-      journal->next_function = ctx.session->next_function;
-      journal->function_count.store(n + 1, std::memory_order_release);
-    } else {
-      MarkUnadoptable(*journal);
-    }
-  }
+  if (SharedSessionJournal* journal = JournalOf(*ctx.session))
+    journal->AddFunction(fn, ctx.session->next_function, req.module,
+                         req.kernel);
   Writer out;
   out.Put<std::uint64_t>(fn);
   return out;
@@ -626,24 +580,15 @@ Status ValidateLaunch(HandlerContext& ctx, const LaunchReq& req) {
     return InvalidArgument("unknown stream");
   return OkStatus();
 }
-// One kernel launch ready to enqueue. Shared by the RPC handler and the
-// adoption path, which re-admits a journaled in-flight kernel with its
-// completed-block bitmap pre-loaded into the checkpoint.
-struct LaunchPlan {
-  std::uint64_t fn = 0;
-  std::uint64_t stream = 0;
-  ptxexec::LaunchParams params;
-};
 
-Result<GpuTicket> EnqueueKernelLaunch(
-    ExecutionContext& exec, SessionRegistry& sessions_reg,
-    const std::shared_ptr<ClientSession>& session_ref, LaunchPlan plan) {
-  ClientSession& client = *session_ref;
+Result<GpuTicket> EnqueueKernelLaunch(HandlerContext& ctx, LaunchReq& req) {
+  ExecutionContext& exec = ctx.exec;
+  ClientSession& client = *ctx.session;
   ++exec.stats.launches;
 
   // (1) pointerToSymbol lookup (Table 5 "Lookup GPU kernel").
   const std::uint64_t lookup_begin = CycleClock::Now();
-  const auto entry_it = client.pointer_to_symbol.find(plan.fn);
+  const auto entry_it = client.pointer_to_symbol.find(req.fn);
   exec.stats.lookup_cycles += CycleClock::Now() - lookup_begin;
   if (entry_it == client.pointer_to_symbol.end())
     return Status(InvalidArgument("unknown kernel function handle"));
@@ -670,12 +615,12 @@ Result<GpuTicket> EnqueueKernelLaunch(
     std::shared_ptr<const ptxexec::CompiledKernel> sandboxed_program;
   };
   ExecutionContext* exec_ptr = &exec;
-  SessionRegistry* sessions = &sessions_reg;
+  SessionRegistry* sessions = &ctx.sessions;
   DeviceState& enqueue_dev =
       exec.device(client.device_id.load(std::memory_order_relaxed));
   const int footprint =
-      simgpu::SmFootprint(enqueue_dev.gpu->spec(), plan.params.grid.Count(),
-                          plan.params.block.Count());
+      simgpu::SmFootprint(enqueue_dev.gpu->spec(), req.params.grid.Count(),
+                          req.params.block.Count());
   // Trace anchors for the executor-side spans: the launch request's context
   // and the enqueue timestamp (all zero when tracing is off).
   const obs::TraceContext launch_ctx =
@@ -688,76 +633,35 @@ Result<GpuTicket> EnqueueKernelLaunch(
   // kernel per session is replayable across a worker death. Arm the mirror
   // when it is idle; an unmirrored launch is simply lost on a crash and the
   // supervisor's synthetic error response tells the client to retry it.
+  // `mirror` is non-null iff this launch owns the mirror.
   auto state = std::make_shared<LaunchState>();
-  SharedSessionSlot* mirror_slot = SharedSlotOf(sessions_reg, client.id);
-  bool owns_mirror = false;
-  if (mirror_slot != nullptr && exec.options.preemption_enabled) {
-    SharedSessionJournal& j = mirror_slot->journal;
-    bool resume_match = false;
+  SharedSessionJournal* mirror = nullptr;
+  SharedSessionJournal* journal = JournalOf(client);
+  if (journal != nullptr && exec.options.preemption_enabled) {
     if (client.resume_pending) {
       // Adoption left the dead owner's mirror armed; if the retried launch
       // is the mirrored kernel, prepopulate the checkpoint so RunGrid skips
       // every block that already completed. A non-matching first launch
       // drops the stale mirror (that kernel is lost; the client moved on).
       client.resume_pending = false;
-      resume_match =
-          j.pending_state.load(std::memory_order_acquire) == 1 &&
-          j.pending_fn == plan.fn && j.pending_stream == plan.stream &&
-          j.pending_grid[0] == plan.params.grid.x &&
-          j.pending_grid[1] == plan.params.grid.y &&
-          j.pending_grid[2] == plan.params.grid.z &&
-          j.pending_block[0] == plan.params.block.x &&
-          j.pending_block[1] == plan.params.block.y &&
-          j.pending_block[2] == plan.params.block.z &&
-          j.pending_argc == plan.params.args.size();
-      if (!resume_match)
-        j.pending_state.store(0, std::memory_order_release);
-    }
-    if (resume_match) {
-      owns_mirror = true;
-      auto& ckpt = state->checkpoint;
-      ckpt.done_bitmap.assign(SharedSessionJournal::kMaxBitmapWords, 0);
-      for (std::uint32_t w = 0; w < SharedSessionJournal::kMaxBitmapWords;
-           ++w) {
-        ckpt.done_bitmap[w] =
-            j.pending_done[w].load(std::memory_order_acquire);
-        ckpt.blocks_done += static_cast<std::uint64_t>(
-            __builtin_popcountll(ckpt.done_bitmap[w]));
+      if (journal->MatchLaunch(req.fn, req.stream, req.params)) {
+        mirror = journal;
+        state->checkpoint = journal->LoadLaunch();
+        if (state->checkpoint.valid)
+          exec.stats.checkpoint_kernels_resumed.fetch_add(
+              1, std::memory_order_relaxed);
+      } else {
+        journal->DisarmLaunch();
       }
-      ckpt.blocks_total = plan.params.grid.Count();
-      ckpt.valid = ckpt.blocks_done > 0;
-      if (ckpt.valid)
-        exec.stats.checkpoint_kernels_resumed.fetch_add(
-            1, std::memory_order_relaxed);
-    } else if (j.pending_state.load(std::memory_order_relaxed) == 0 &&
-               plan.params.grid.Count() <=
-                   64ull * SharedSessionJournal::kMaxBitmapWords &&
-               plan.params.args.size() <=
-                   SharedSessionJournal::kMaxPendingArgs) {
-      j.pending_fn = plan.fn;
-      j.pending_stream = plan.stream;
-      j.pending_grid[0] = plan.params.grid.x;
-      j.pending_grid[1] = plan.params.grid.y;
-      j.pending_grid[2] = plan.params.grid.z;
-      j.pending_block[0] = plan.params.block.x;
-      j.pending_block[1] = plan.params.block.y;
-      j.pending_block[2] = plan.params.block.z;
-      j.pending_argc = static_cast<std::uint32_t>(plan.params.args.size());
-      for (std::size_t i = 0; i < plan.params.args.size(); ++i) {
-        j.pending_arg_bits[i] = plan.params.args[i].bits;
-        j.pending_arg_size[i] = plan.params.args[i].size;
-      }
-      for (auto& word : j.pending_done)
-        word.store(0, std::memory_order_relaxed);
-      j.pending_state.store(1, std::memory_order_release);
-      owns_mirror = true;
     }
+    if (mirror == nullptr &&
+        journal->ArmLaunch(req.fn, req.stream, req.params))
+      mirror = journal;
   }
-  auto body = [exec_ptr, sessions, session = session_ref, launch_ctx,
-               enqueue_ns, mirror_slot, owns_mirror,
-               native_compiled = module.native_compiled,
+  auto body = [exec_ptr, sessions, session = ctx.session_ref, launch_ctx,
+               enqueue_ns, mirror, native_compiled = module.native_compiled,
                sandboxed_compiled = module.sandboxed_compiled,
-               kernel = entry.kernel, params = std::move(plan.params),
+               kernel = entry.kernel, params = std::move(req.params),
                partition = client.partition, footprint,
                state](KernelSlot& slot) mutable -> Status {
     ExecutionContext& ex = *exec_ptr;
@@ -864,8 +768,7 @@ Result<GpuTicket> EnqueueKernelLaunch(
                             exec_begin_ns, obs::MonotonicNowNs(),
                             instructions, outcome);
     };
-    controls.after_block = [&ex, &dev, footprint, grid_blocks,
-                            mirror_slot, owns_mirror,
+    controls.after_block = [&ex, &dev, footprint, grid_blocks, mirror,
                             state_raw = state.get()](
                                const ptxexec::ExecStats& delta) {
       // Mirrored kernels defer the global block counter to completion (the
@@ -874,7 +777,7 @@ Result<GpuTicket> EnqueueKernelLaunch(
       // otherwise skew kernel_blocks_executed by one — the dead worker
       // contributes nothing here, and the resumed run counts the whole
       // grid exactly once when it finishes.
-      if (!owns_mirror)
+      if (mirror == nullptr)
         ex.stats.kernel_blocks_executed.fetch_add(1,
                                                   std::memory_order_relaxed);
       ex.stats.tier_instructions[2].fetch_add(delta.instructions,
@@ -886,17 +789,10 @@ Result<GpuTicket> EnqueueKernelLaunch(
           ex.stats.replayed_phases[cause].fetch_add(
               delta.replayed_phases[cause], std::memory_order_relaxed);
       }
-      if (owns_mirror && mirror_slot != nullptr) {
-        // RunGrid marks the block done before this hook fires, so the
-        // mirrored bitmap never claims an unfinished block; a crash between
-        // MarkDone and this store merely re-runs that one block.
-        const auto& bitmap = state_raw->checkpoint.done_bitmap;
-        const std::size_t words = std::min<std::size_t>(
-            bitmap.size(), SharedSessionJournal::kMaxBitmapWords);
-        for (std::size_t w = 0; w < words; ++w)
-          mirror_slot->journal.pending_done[w].store(
-              bitmap[w], std::memory_order_release);
-      }
+      // RunGrid marks the block done before this hook fires, so the
+      // mirrored bitmap never claims an unfinished block; a crash between
+      // MarkDone and this store merely re-runs that one block.
+      if (mirror != nullptr) mirror->PublishLaunch(state_raw->checkpoint);
       SimulateDeviceCycles(
           ex, simgpu::KernelDeviceCycles(
                   dev.gpu->spec(), delta.instructions * grid_blocks,
@@ -958,13 +854,13 @@ Result<GpuTicket> EnqueueKernelLaunch(
       ++ex.stats.faults_contained;
       // A faulted kernel is never replayed; release the mirror slot after
       // settling the deferred block count with what actually ran.
-      if (owns_mirror && mirror_slot != nullptr) {
+      if (mirror != nullptr) {
         std::uint64_t done = 0;
         for (const std::uint64_t word : state->checkpoint.done_bitmap)
           done += static_cast<std::uint64_t>(__builtin_popcountll(word));
         ex.stats.kernel_blocks_executed.fetch_add(done,
                                                   std::memory_order_relaxed);
-        mirror_slot->journal.pending_state.store(0, std::memory_order_release);
+        mirror->DisarmLaunch();
       }
       session->failed.store(true, std::memory_order_release);
       GRD_LOG_WARN("grdManager")
@@ -973,20 +869,20 @@ Result<GpuTicket> EnqueueKernelLaunch(
       end_exec_span(0, 3);
       return run.status();
     }
-    if (owns_mirror && mirror_slot != nullptr) {
+    if (mirror != nullptr) {
       // Deferred block accounting (see after_block): one exact grid's worth
       // on completion, covering blocks executed before any crash/migration
       // checkpoint as well as the resumed remainder.
       ex.stats.kernel_blocks_executed.fetch_add(params.grid.Count(),
                                                 std::memory_order_relaxed);
-      mirror_slot->journal.pending_state.store(0, std::memory_order_release);
+      mirror->DisarmLaunch();
     }
     end_exec_span(run->instructions, 0);
     return OkStatus();
   };
 
   auto ticket = enqueue_dev.scheduler.EnqueuePreemptibleKernel(
-      *client.streams.at(plan.stream), std::move(body), footprint);
+      *client.streams.at(req.stream), std::move(body), footprint);
   ++exec.stats.kernels_enqueued;
   return ticket;
 }
@@ -996,16 +892,9 @@ Result<Writer> ExecuteLaunch(HandlerContext& ctx, LaunchReq& req) {
   // session's other streams and the RPC completes (reporting faults)
   // synchronously. Non-default streams are truly async; their faults
   // surface at the next synchronization point.
-  const std::uint64_t stream_id = req.stream;
-  if (stream_id == 0) GRD_RETURN_IF_ERROR(SyncOtherStreams(ctx));
-  LaunchPlan plan;
-  plan.fn = req.fn;
-  plan.stream = stream_id;
-  plan.params = std::move(req.params);
-  GRD_ASSIGN_OR_RETURN(GpuTicket ticket,
-                       EnqueueKernelLaunch(ctx.exec, ctx.sessions,
-                                           ctx.session_ref, std::move(plan)));
-  if (stream_id == 0) GRD_RETURN_IF_ERROR(Dev(ctx).scheduler.Wait(ticket));
+  if (req.stream == 0) GRD_RETURN_IF_ERROR(SyncOtherStreams(ctx));
+  GRD_ASSIGN_OR_RETURN(GpuTicket ticket, EnqueueKernelLaunch(ctx, req));
+  if (req.stream == 0) GRD_RETURN_IF_ERROR(Dev(ctx).scheduler.Wait(ticket));
   return Writer{};
 }
 
@@ -1017,18 +906,8 @@ Result<Writer> ExecuteStreamCreate(HandlerContext& ctx, NoPayload&) {
   const auto priority =
       ctx.session->default_priority.load(std::memory_order_relaxed);
   ctx.session->streams[id] = Dev(ctx).scheduler.CreateStream(priority);
-  if (SharedSessionJournal* journal = JournalOf(ctx)) {
-    const std::uint32_t n =
-        journal->stream_count.load(std::memory_order_relaxed);
-    if (n < SharedSessionJournal::kMaxStreams) {
-      journal->streams[n].id = id;
-      journal->streams[n].priority = static_cast<std::uint8_t>(priority);
-      journal->next_stream = ctx.session->next_stream;
-      journal->stream_count.store(n + 1, std::memory_order_release);
-    } else {
-      MarkUnadoptable(*journal);
-    }
-  }
+  if (SharedSessionJournal* journal = JournalOf(*ctx.session))
+    journal->AddStream(id, ctx.session->next_stream, priority);
   Writer out;
   out.Put<std::uint64_t>(id);
   return out;
@@ -1061,28 +940,21 @@ Status ValidateSetPriority(HandlerContext& ctx, const SetPriorityReq& req) {
 }
 Result<Writer> ExecuteSetPriority(HandlerContext& ctx, SetPriorityReq& req) {
   const auto cls = static_cast<protocol::PriorityClass>(req.priority);
-  SharedSessionJournal* journal = JournalOf(ctx);
+  SharedSessionSlot* slot = ctx.session->shared_slot;
   if (req.scope == 1) {
     Dev(ctx).scheduler.SetStreamPriority(*StreamOf(ctx, req.stream), cls);
-    if (journal != nullptr) {
-      const std::uint32_t n =
-          journal->stream_count.load(std::memory_order_relaxed);
-      for (std::uint32_t i = 0; i < n; ++i)
-        if (journal->streams[i].id == req.stream)
-          journal->streams[i].priority = static_cast<std::uint8_t>(cls);
-    }
   } else {
     ctx.session->default_priority.store(cls, std::memory_order_relaxed);
-    ctx.sessions.PublishPriority(ctx.session->id, cls);
+    // Adoption creates the rebuilt session's default stream at this class.
+    if (slot != nullptr)
+      slot->priority.store(static_cast<std::uint32_t>(cls),
+                           std::memory_order_release);
     for (auto& [id, stream] : ctx.session->streams)
       Dev(ctx).scheduler.SetStreamPriority(*stream, cls);
-    if (journal != nullptr) {
-      const std::uint32_t n =
-          journal->stream_count.load(std::memory_order_relaxed);
-      for (std::uint32_t i = 0; i < n; ++i)
-        journal->streams[i].priority = static_cast<std::uint8_t>(cls);
-    }
   }
+  if (slot != nullptr)
+    slot->journal.SetStreamPriority(
+        req.scope == 1 ? req.stream : SharedSessionJournal::kAllStreams, cls);
   GRD_LOG_INFO("grdManager") << "client " << ctx.session->id << " set "
                              << (req.scope == 1 ? "stream" : "session")
                              << " priority to "
@@ -1101,16 +973,8 @@ Result<Writer> ExecuteStreamDestroy(HandlerContext& ctx, IdReq& req) {
   // now on is InvalidArgument.
   GRD_RETURN_IF_ERROR(Dev(ctx).scheduler.DestroyStream(*it->second));
   ctx.session->streams.erase(it);
-  if (SharedSessionJournal* journal = JournalOf(ctx)) {
-    const std::uint32_t n =
-        journal->stream_count.load(std::memory_order_relaxed);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (journal->streams[i].id != req.id) continue;
-      journal->streams[i] = journal->streams[n - 1];
-      journal->stream_count.store(n - 1, std::memory_order_release);
-      break;
-    }
-  }
+  if (SharedSessionJournal* journal = JournalOf(*ctx.session))
+    journal->RemoveStream(req.id);
   return Writer{};
 }
 
@@ -1137,6 +1001,8 @@ Result<EventCreateReq> DecodeEventCreate(Reader& req) {
 Result<Writer> ExecuteEventCreate(HandlerContext& ctx, EventCreateReq& req) {
   const std::uint64_t id = ctx.session->next_event++;
   ctx.session->events[id] = std::make_shared<GpuEvent>(req.flags);
+  if (SharedSessionJournal* journal = JournalOf(*ctx.session))
+    journal->SetNextEvent(ctx.session->next_event);
   Writer out;
   out.Put<std::uint64_t>(id);
   return out;
@@ -1259,8 +1125,7 @@ void MaybeMigrateSession(HandlerContext& ctx) {
                                     ctx.session->partition.size))
       return;
   }
-  const Status moved =
-      MigrateSession(exec, ctx.sessions, ctx.session_ref, target);
+  const Status moved = MigrateSession(exec, ctx.session_ref, target);
   if (!moved.ok())
     GRD_LOG_WARN("grdManager")
         << "migration of client " << ctx.session->id << " to device "
@@ -1396,11 +1261,11 @@ Result<Writer> ExecuteGrowPartition(HandlerContext& ctx, NoPayload&) {
     std::lock_guard<std::mutex> lock(dev.partition_mu);
     GRD_ASSIGN_OR_RETURN(grown,
                          dev.partitions.GrowPartition(client.partition.base));
-    GRD_RETURN_IF_ERROR(ctx.exec.bounds.Remove(client.id));
-    GRD_RETURN_IF_ERROR(ctx.exec.bounds.Insert(client.id, grown));
   }
   client.partition = grown;
-  ctx.sessions.PublishPartition(client.id, grown);
+  // Adoption rebuilds the partition at its grown size.
+  if (SharedSessionSlot* slot = client.shared_slot)
+    slot->partition_size.store(grown.size, std::memory_order_release);
   GRD_LOG_INFO("grdManager") << "client " << client.id
                              << " partition grown to " << grown.size
                              << " bytes";
@@ -1508,8 +1373,7 @@ Result<std::shared_ptr<ClientSession>> AdoptJournaledSession(
       slot->adoption_pending.load(std::memory_order_acquire) == 0)
     return Status(NotFound("session " + std::to_string(client) +
                            " is not promised to this worker"));
-  SharedSessionJournal& j = slot->journal;
-  if (j.truncated.load(std::memory_order_acquire) != 0) {
+  if (slot->journal.truncated.load(std::memory_order_acquire) != 0) {
     // Outgrew the journal caps at some point: adoption is impossible, fall
     // back to the crash-fail path so the client rebuilds from scratch.
     slot->adoption_pending.store(0, std::memory_order_release);
@@ -1521,6 +1385,7 @@ Result<std::shared_ptr<ClientSession>> AdoptJournaledSession(
                               " outgrew its journal; re-register"));
   }
 
+  const SharedSessionJournal::Entries journal = slot->journal.Live();
   const std::uint32_t device_id = slot->device.load(std::memory_order_acquire);
   DeviceState& dev = exec.device(device_id);
   const PartitionBounds bounds{
@@ -1534,12 +1399,9 @@ Result<std::shared_ptr<ClientSession>> AdoptJournaledSession(
     std::lock_guard<std::mutex> lock(dev.partition_mu);
     GRD_RETURN_IF_ERROR(
         dev.partitions.CreatePartitionAt(bounds.base, bounds.size).status());
-    const std::uint32_t allocs =
-        std::min(j.alloc_count.load(std::memory_order_acquire),
-                 SharedSessionJournal::kMaxAllocs);
-    for (std::uint32_t i = 0; i < allocs; ++i) {
-      const Status replayed = dev.partitions.AllocateExactIn(
-          bounds.base, j.allocs[i].addr, j.allocs[i].size);
+    for (const auto& alloc : journal.allocs) {
+      const Status replayed =
+          dev.partitions.AllocateExactIn(bounds.base, alloc.addr, alloc.size);
       if (!replayed.ok()) {
         (void)dev.partitions.ReleasePartition(bounds.base);
         return replayed;
@@ -1550,16 +1412,12 @@ Result<std::shared_ptr<ClientSession>> AdoptJournaledSession(
   // Replay every fallible piece before touching the registry, so a failure
   // leaves no half-installed session behind.
   std::vector<std::pair<std::uint64_t, ClientModule>> modules;
-  const std::uint32_t module_count =
-      std::min(j.module_count.load(std::memory_order_acquire),
-               SharedSessionJournal::kMaxModules);
-  for (std::uint32_t i = 0; i < module_count; ++i) {
+  for (const auto& entry : journal.modules) {
     auto replay = [&]() -> Status {
-      GRD_ASSIGN_OR_RETURN(std::string ptx,
-                           shared->PtxAt(j.modules[i].ptx_slot));
+      GRD_ASSIGN_OR_RETURN(std::string ptx, shared->PtxAt(entry.ptx_slot));
       GRD_ASSIGN_OR_RETURN(ClientModule module,
                            BuildClientModule(exec, ptx, HashPtxSource(ptx)));
-      modules.emplace_back(j.modules[i].id, std::move(module));
+      modules.emplace_back(entry.id, std::move(module));
       return OkStatus();
     }();
     if (!replay.ok()) {
@@ -1571,40 +1429,33 @@ Result<std::shared_ptr<ClientSession>> AdoptJournaledSession(
 
   const auto priority = static_cast<protocol::PriorityClass>(
       slot->priority.load(std::memory_order_acquire));
-  auto session = sessions.Restore(client, bounds,
+  auto session = sessions.Restore(client, slot, bounds,
                                   dev.scheduler.CreateStream(priority),
                                   device_id);
   session->default_priority.store(priority, std::memory_order_relaxed);
-  session->next_module = j.next_module;
-  session->next_function = j.next_function;
-  session->next_stream = j.next_stream;
-  session->next_event = j.next_event;
+  session->next_module = journal.next_module;
+  session->next_function = journal.next_function;
+  session->next_stream = journal.next_stream;
+  session->next_event = journal.next_event;
   for (auto& [id, module] : modules)
     session->modules.emplace(id, std::move(module));
-  const std::uint32_t function_count =
-      std::min(j.function_count.load(std::memory_order_acquire),
-               SharedSessionJournal::kMaxFunctions);
-  for (std::uint32_t i = 0; i < function_count; ++i) {
-    const auto& fn = j.functions[i];
-    session->pointer_to_symbol[fn.id] =
-        FunctionEntry{fn.module_id, std::string(fn.name)};
-  }
-  const std::uint32_t stream_count =
-      std::min(j.stream_count.load(std::memory_order_acquire),
-               SharedSessionJournal::kMaxStreams);
-  for (std::uint32_t i = 0; i < stream_count; ++i)
-    session->streams[j.streams[i].id] = dev.scheduler.CreateStream(
-        static_cast<protocol::PriorityClass>(j.streams[i].priority));
+  for (const auto& fn : journal.functions)
+    session->pointer_to_symbol[fn.id] = FunctionEntry{
+        fn.module_id,
+        std::string(fn.name, strnlen(fn.name, SharedSessionJournal::kNameCap))};
+  for (const auto& stream : journal.streams)
+    session->streams[stream.id] = dev.scheduler.CreateStream(
+        static_cast<protocol::PriorityClass>(stream.priority));
   // An armed in-flight-kernel mirror stays armed: the launch the client
   // retries resumes it from its completed-block bitmap (EnqueueKernelLaunch).
-  session->resume_pending = j.pending_state.load(std::memory_order_acquire) == 1;
+  session->resume_pending = journal.launch_armed;
 
   dev.resident_sessions.fetch_add(1, std::memory_order_relaxed);
   exec.stats.sessions_adopted.fetch_add(1, std::memory_order_relaxed);
   slot->adoption_pending.store(0, std::memory_order_release);
   GRD_LOG_INFO("grdManager") << "adopted session " << client << " on device "
                              << device_id << " (" << modules.size()
-                             << " modules, " << function_count
+                             << " modules, " << journal.functions.size()
                              << " functions replayed"
                              << (session->resume_pending
                                      ? ", in-flight kernel pending)"
@@ -1612,7 +1463,7 @@ Result<std::shared_ptr<ClientSession>> AdoptJournaledSession(
   return session;
 }
 
-Status MigrateSession(ExecutionContext& exec, SessionRegistry& sessions,
+Status MigrateSession(ExecutionContext& exec,
                       const std::shared_ptr<ClientSession>& session,
                       std::uint32_t target_device) {
   ClientSession& client = *session;
@@ -1704,7 +1555,9 @@ Status MigrateSession(ExecutionContext& exec, SessionRegistry& sessions,
 
   // Retarget: from here on kernel and copy bodies resolve the new device.
   client.device_id.store(target_device, std::memory_order_release);
-  sessions.PublishDevice(client.id, target_device);
+  // Adoption after a later crash lands on the device the session last ran on.
+  if (SharedSessionSlot* slot = client.shared_slot)
+    slot->device.store(target_device, std::memory_order_release);
 
   // Streams: pull the still-queued work, retire the drained source stream,
   // rebuild on the target with the same priority class and re-admit in

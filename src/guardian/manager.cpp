@@ -17,10 +17,7 @@ GrdManager::GrdManager(simcuda::Gpu* gpu, ManagerOptions options)
 GrdManager::GrdManager(simcuda::Gpu* gpu, ManagerOptions options,
                        SharedServingState* shared, std::uint32_t worker_index)
     : exec_(gpu, options, shared != nullptr ? &shared->stats() : nullptr) {
-  if (shared != nullptr) {
-    sessions_.BindShared(shared, worker_index);
-    exec_.bounds.BindShared(shared);
-  }
+  if (shared != nullptr) sessions_.BindShared(shared, worker_index);
   // The recorder is process-wide; any manager asking for tracing turns it
   // on (benches construct tracing-off managers alongside without toggling
   // it back, so disabling is left to the owner of the process).
@@ -38,7 +35,7 @@ Status GrdManager::Migrate(ClientId client, std::uint32_t device) {
   GRD_ASSIGN_OR_RETURN(std::shared_ptr<ClientSession> session,
                        sessions_.Find(client));
   std::lock_guard<std::mutex> session_lock(session->mu);
-  return MigrateSession(exec_, sessions_, session, device);
+  return MigrateSession(exec_, session, device);
 }
 
 ipc::Bytes GrdManager::HandleRequest(const Bytes& request) {

@@ -5,8 +5,8 @@
 //    the §2.2 memory argument against MPS's context-per-client);
 //  - partitions device memory and serves each client's allocations from its
 //    partition (§4.2.1);
-//  - validates every host-initiated transfer against the partition bounds
-//    table (§4.2.2);
+//  - validates every host-initiated transfer against the client's partition
+//    bounds, which its session holds (§4.2.2);
 //  - sandboxes every registered PTX module with the PTX-patcher (through a
 //    content-addressed cache shared across tenants) and, on launch, looks up
 //    the sandboxed kernel in the pointerToSymbol map and appends the
@@ -19,7 +19,7 @@
 // (see ARCHITECTURE.md):
 //   session   — SessionRegistry / ClientSession (session.hpp)
 //   dispatch  — typed handler registry (dispatch.hpp, handlers.cpp)
-//   execution — shared GPU/partition/bounds state (execution.hpp)
+//   execution — shared GPU/partition/scheduler state (execution.hpp)
 // HandleRequest is thread-safe: several ManagerServer pumps, each on its
 // own thread and channels, may share one manager.
 #pragma once
@@ -40,7 +40,7 @@ class GrdManager {
  public:
   GrdManager(simcuda::Gpu* gpu, ManagerOptions options);
 
-  // Process-mode worker: sessions/bounds/stats bind to the forked pool's
+  // Process-mode worker: sessions and stats bind to the forked pool's
   // SharedRegion state (shared_state.hpp) on behalf of worker
   // `worker_index`. Client ids are pool-unique, every registration is
   // visible to the parent supervisor, and the stats counters aggregate

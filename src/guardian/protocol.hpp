@@ -3,8 +3,10 @@
 // Every CUDA runtime/driver call grdLib intercepts becomes one
 // request/response exchange (paper §4.1: "the intercepted CUDA calls are
 // forwarded to another process, the grdManager, which is the only entity
-// with GPU access"). Requests carry the client id assigned at registration;
-// the manager validates it against the channel's owner.
+// with GPU access"). Requests carry the client id assigned at registration,
+// and the manager serves each request as that client's session. It does not
+// check the id against the channel the request arrived on, so a tenant that
+// names another tenant's id acts as that tenant.
 #pragma once
 
 #include <cstdint>

@@ -16,6 +16,7 @@ Result<std::shared_ptr<ClientSession>> SessionRegistry::Create(
     std::uint32_t device) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   ClientId id = 0;
+  SharedSessionSlot* slot = nullptr;
   if (shared_ != nullptr) {
     // Pool-unique id + shared slot (bounds included), stamped with this
     // worker so the supervisor can fail exactly our sessions if we die.
@@ -23,10 +24,12 @@ Result<std::shared_ptr<ClientSession>> SessionRegistry::Create(
         id, shared_->AllocateSession(worker_index_, partition,
                                      protocol::PriorityClass::kNormal,
                                      device));
+    slot = shared_->FindSession(id);
   } else {
     id = next_id_++;
   }
-  auto session = std::make_shared<ClientSession>(id, std::move(default_stream));
+  auto session =
+      std::make_shared<ClientSession>(id, std::move(default_stream), slot);
   session->partition = partition;
   session->device_id.store(device, std::memory_order_relaxed);
   sessions_.emplace(id, session);
@@ -34,10 +37,11 @@ Result<std::shared_ptr<ClientSession>> SessionRegistry::Create(
 }
 
 std::shared_ptr<ClientSession> SessionRegistry::Restore(
-    ClientId id, PartitionBounds partition,
+    ClientId id, SharedSessionSlot* slot, PartitionBounds partition,
     std::shared_ptr<GpuStream> default_stream, std::uint32_t device) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto session = std::make_shared<ClientSession>(id, std::move(default_stream));
+  auto session =
+      std::make_shared<ClientSession>(id, std::move(default_stream), slot);
   session->partition = partition;
   session->device_id.store(device, std::memory_order_relaxed);
   sessions_[id] = session;
@@ -75,30 +79,6 @@ Status SessionRegistry::Erase(ClientId id) {
     return NotFound("unknown client " + std::to_string(id));
   if (shared_ != nullptr) GRD_RETURN_IF_ERROR(shared_->ReleaseSession(id));
   return OkStatus();
-}
-
-void SessionRegistry::PublishPriority(ClientId id,
-                                      protocol::PriorityClass priority) {
-  if (shared_ == nullptr) return;
-  SharedSessionSlot* slot = shared_->FindSession(id);
-  if (slot != nullptr)
-    slot->priority.store(static_cast<std::uint32_t>(priority),
-                         std::memory_order_release);
-}
-
-void SessionRegistry::PublishDevice(ClientId id, std::uint32_t device) {
-  if (shared_ == nullptr) return;
-  SharedSessionSlot* slot = shared_->FindSession(id);
-  if (slot != nullptr)
-    slot->device.store(device, std::memory_order_release);
-}
-
-void SessionRegistry::PublishPartition(ClientId id, PartitionBounds bounds) {
-  if (shared_ == nullptr) return;
-  SharedSessionSlot* slot = shared_->FindSession(id);
-  if (slot == nullptr) return;
-  slot->partition_base.store(bounds.base, std::memory_order_relaxed);
-  slot->partition_size.store(bounds.size, std::memory_order_release);
 }
 
 std::size_t SessionRegistry::size() const {

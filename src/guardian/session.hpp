@@ -1,8 +1,9 @@
 // Session layer of the grdManager (see ARCHITECTURE.md).
 //
 // One ClientSession per registered tenant, owning everything the paper keeps
-// per-application: the partition view, loaded modules, the pointerToSymbol
-// map (§4.2.3), streams and events. Streams are real GpuScheduler work
+// per-application: the partition bounds every transfer check and launch
+// reads (§4.2.1-4.2.3), loaded modules, the pointerToSymbol map (§4.2.3),
+// streams and events. Streams are real GpuScheduler work
 // queues and events carry completion state, so the stream/event RPCs have
 // CUDA semantics instead of being decorative. Each session carries its own
 // mutex — the dispatch layer holds it for the duration of a request, so a
@@ -23,8 +24,11 @@
 // across every forked worker), each Create/Erase publishes/retires a shared
 // session slot stamped with this worker's index, and a Find miss consults
 // the shared slots so a session orphaned by a crashed worker fails with a
-// clean "worker crashed" status instead of "unknown client". The heavy
-// per-session state (modules, compiled programs, streams) stays
+// clean "worker crashed" status instead of "unknown client". Each session
+// keeps a pointer to its slot, so handlers reach the journal without a
+// scan. Every tenant process maps the slots, so the owning worker checks
+// no request against one; only adoption reads a slot back. The session
+// state itself (bounds, modules, compiled programs, streams) stays
 // worker-private — sticky channel claims guarantee a session's requests
 // only ever reach the worker that owns it.
 #pragma once
@@ -65,13 +69,20 @@ struct FunctionEntry {
   std::string kernel;
 };
 
+struct SharedSessionSlot;
+
 struct ClientSession {
-  ClientSession(ClientId id_in, std::shared_ptr<GpuStream> default_stream)
-      : id(id_in) {
+  ClientSession(ClientId id_in, std::shared_ptr<GpuStream> default_stream,
+                SharedSessionSlot* slot)
+      : id(id_in), shared_slot(slot) {
     streams[0] = std::move(default_stream);
   }
 
   const ClientId id;
+  // Process mode: this session's slot in the shared region, which carries
+  // its journal and the fields adoption rebuilds it from. Null in threaded
+  // mode.
+  SharedSessionSlot* const shared_slot;
   // Serializes request handling for this session (held by the dispatcher).
   std::mutex mu;
 
@@ -131,7 +142,7 @@ class SessionRegistry {
   // already exists — the local map entry died with a crashed worker and is
   // being rebuilt from the slot's journal. Never allocates a shared slot.
   std::shared_ptr<ClientSession> Restore(
-      ClientId id, PartitionBounds partition,
+      ClientId id, SharedSessionSlot* slot, PartitionBounds partition,
       std::shared_ptr<GpuStream> default_stream, std::uint32_t device);
 
   // NotFound for ids that never registered or already disconnected;
@@ -140,23 +151,11 @@ class SessionRegistry {
 
   Status Erase(ClientId id);
 
-  // Mirrors a session-scope kSetPriority into the shared slot (no-op in
-  // threaded mode) so the parent supervisor and serving policies in other
-  // processes see the tenant's current class.
-  void PublishPriority(ClientId id, protocol::PriorityClass priority);
-
-  // Mirrors a live migration's device change into the shared slot (no-op in
-  // threaded mode) so adoption after a later crash lands on the right device.
-  void PublishDevice(ClientId id, std::uint32_t device);
-
-  // Mirrors a GrowPartition into the shared slot (no-op in threaded mode) so
-  // adoption rebuilds the partition at its grown size.
-  void PublishPartition(ClientId id, PartitionBounds bounds);
-
   std::size_t size() const;
 
-  // Process-mode bindings (null / 0 in threaded mode); used by the adoption
-  // path to reach the journal of a slot this worker now owns.
+  // Process-mode bindings (null / 0 in threaded mode): the adoption path
+  // finds the slots promised to this worker, and module loads intern their
+  // PTX into the shared arena.
   SharedServingState* shared() const noexcept { return shared_; }
   std::uint32_t worker_index() const noexcept { return worker_index_; }
 

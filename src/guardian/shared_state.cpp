@@ -1,5 +1,6 @@
 #include "guardian/shared_state.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <new>
 
@@ -17,7 +18,179 @@ constexpr std::uint64_t AlignUp(std::uint64_t value, std::uint64_t align) {
 constexpr std::uint64_t kSlotAlign = 64;
 constexpr std::uint64_t kRingAlign = 4096;
 
+// The journal's crash-ordering rule, written once: the entry is stored in
+// full before the count that covers it is published. False when full.
+template <typename Entry, std::size_t N>
+bool Append(Entry (&entries)[N], std::atomic<std::uint32_t>& count,
+            const Entry& entry) noexcept {
+  const std::uint32_t n = count.load(std::memory_order_relaxed);
+  if (n >= N) return false;
+  entries[n] = entry;
+  count.store(n + 1, std::memory_order_release);
+  return true;
+}
+
+// Compact-remove of the first entry `match` accepts; the journal is
+// unordered (replay claims exact ranges and ids).
+template <typename Entry, std::size_t N, typename Match>
+void RemoveFirst(Entry (&entries)[N], std::atomic<std::uint32_t>& count,
+                 Match match) noexcept {
+  const std::uint32_t n = count.load(std::memory_order_relaxed);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (match(entries[i])) {
+      entries[i] = entries[n - 1];
+      count.store(n - 1, std::memory_order_release);
+      return;
+    }
+  }
+}
+
+// The entries a count published, for the adopting reader.
+template <typename Entry, std::size_t N>
+std::span<const Entry> Published(const Entry (&entries)[N],
+                                 const std::atomic<std::uint32_t>& count) {
+  return {entries, std::min<std::size_t>(
+                       count.load(std::memory_order_acquire), N)};
+}
+
 }  // namespace
+
+void SharedSessionJournal::AddAlloc(std::uint64_t addr,
+                                    std::uint64_t size) noexcept {
+  if (!Append(allocs, alloc_count, Alloc{addr, size})) MarkTruncated();
+}
+
+void SharedSessionJournal::RemoveAlloc(std::uint64_t addr) noexcept {
+  RemoveFirst(allocs, alloc_count,
+              [addr](const Alloc& alloc) { return alloc.addr == addr; });
+}
+
+void SharedSessionJournal::AddModule(SharedServingState& shared,
+                                     std::uint64_t id, std::uint64_t next_id,
+                                     const std::string& ptx,
+                                     std::uint64_t content_hash) {
+  next_module = next_id;
+  // A full journal interns nothing: the arena never frees a slot.
+  if (module_count.load(std::memory_order_relaxed) >= kMaxModules)
+    return MarkTruncated();
+  auto interned = shared.InternPtx(ptx, content_hash);
+  if (!interned.ok() || !Append(modules, module_count, Module{id, *interned}))
+    MarkTruncated();
+}
+
+void SharedSessionJournal::AddFunction(std::uint64_t id,
+                                       std::uint64_t next_id,
+                                       std::uint64_t module_id,
+                                       const std::string& kernel) noexcept {
+  next_function = next_id;
+  if (kernel.size() >= kNameCap) return MarkTruncated();
+  Function entry{id, module_id, {}};
+  std::memcpy(entry.name, kernel.c_str(), kernel.size() + 1);
+  if (!Append(functions, function_count, entry)) MarkTruncated();
+}
+
+void SharedSessionJournal::AddStream(
+    std::uint64_t id, std::uint64_t next_id,
+    protocol::PriorityClass priority) noexcept {
+  next_stream = next_id;
+  if (!Append(streams, stream_count,
+              Stream{id, static_cast<std::uint32_t>(priority)}))
+    MarkTruncated();
+}
+
+void SharedSessionJournal::RemoveStream(std::uint64_t id) noexcept {
+  RemoveFirst(streams, stream_count,
+              [id](const Stream& stream) { return stream.id == id; });
+}
+
+void SharedSessionJournal::SetStreamPriority(
+    std::uint64_t stream, protocol::PriorityClass priority) noexcept {
+  const std::uint32_t n = stream_count.load(std::memory_order_relaxed);
+  for (std::uint32_t i = 0; i < n; ++i)
+    if (stream == kAllStreams || streams[i].id == stream)
+      streams[i].priority = static_cast<std::uint32_t>(priority);
+}
+
+void SharedSessionJournal::SetNextEvent(std::uint64_t next_id) noexcept {
+  next_event = next_id;
+}
+
+bool SharedSessionJournal::ArmLaunch(
+    std::uint64_t fn, std::uint64_t stream,
+    const ptxexec::LaunchParams& params) noexcept {
+  if (pending_state.load(std::memory_order_relaxed) != 0 ||
+      params.grid.Count() > 64ull * kMaxBitmapWords ||
+      params.args.size() > kMaxPendingArgs)
+    return false;
+  pending_fn = fn;
+  pending_stream = stream;
+  pending_grid[0] = params.grid.x;
+  pending_grid[1] = params.grid.y;
+  pending_grid[2] = params.grid.z;
+  pending_block[0] = params.block.x;
+  pending_block[1] = params.block.y;
+  pending_block[2] = params.block.z;
+  pending_argc = static_cast<std::uint32_t>(params.args.size());
+  for (std::size_t i = 0; i < params.args.size(); ++i) {
+    pending_arg_bits[i] = params.args[i].bits;
+    pending_arg_size[i] = params.args[i].size;
+  }
+  for (auto& word : pending_done) word.store(0, std::memory_order_relaxed);
+  pending_state.store(1, std::memory_order_release);
+  return true;
+}
+
+bool SharedSessionJournal::MatchLaunch(
+    std::uint64_t fn, std::uint64_t stream,
+    const ptxexec::LaunchParams& params) const noexcept {
+  return pending_state.load(std::memory_order_acquire) == 1 &&
+         pending_fn == fn && pending_stream == stream &&
+         pending_grid[0] == params.grid.x &&
+         pending_grid[1] == params.grid.y &&
+         pending_grid[2] == params.grid.z &&
+         pending_block[0] == params.block.x &&
+         pending_block[1] == params.block.y &&
+         pending_block[2] == params.block.z &&
+         pending_argc == params.args.size();
+}
+
+ptxexec::KernelCheckpoint SharedSessionJournal::LoadLaunch() const {
+  ptxexec::KernelCheckpoint checkpoint;
+  checkpoint.done_bitmap.resize(kMaxBitmapWords);
+  for (std::uint32_t w = 0; w < kMaxBitmapWords; ++w) {
+    checkpoint.done_bitmap[w] = pending_done[w].load(std::memory_order_acquire);
+    checkpoint.blocks_done += static_cast<std::uint64_t>(
+        __builtin_popcountll(checkpoint.done_bitmap[w]));
+  }
+  checkpoint.blocks_total = std::uint64_t{pending_grid[0]} * pending_grid[1] *
+                            pending_grid[2];
+  checkpoint.valid = checkpoint.blocks_done > 0;
+  return checkpoint;
+}
+
+void SharedSessionJournal::PublishLaunch(
+    const ptxexec::KernelCheckpoint& checkpoint) noexcept {
+  const std::size_t words = std::min<std::size_t>(
+      checkpoint.done_bitmap.size(), kMaxBitmapWords);
+  for (std::size_t w = 0; w < words; ++w)
+    pending_done[w].store(checkpoint.done_bitmap[w], std::memory_order_release);
+}
+
+void SharedSessionJournal::DisarmLaunch() noexcept {
+  pending_state.store(0, std::memory_order_release);
+}
+
+SharedSessionJournal::Entries SharedSessionJournal::Live() const noexcept {
+  return Entries{Published(modules, module_count),
+                 Published(functions, function_count),
+                 Published(streams, stream_count),
+                 Published(allocs, alloc_count),
+                 next_module,
+                 next_function,
+                 next_stream,
+                 next_event,
+                 pending_state.load(std::memory_order_acquire) == 1};
+}
 
 std::uint64_t SharedServingState::RegionSize(
     const SharedServingLayout& layout) {

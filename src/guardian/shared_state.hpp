@@ -18,9 +18,12 @@
 //
 // What lives here, per the layered split (ARCHITECTURE.md):
 //  - session slots: the cross-process view of the SessionRegistry — client
-//    id, liveness state, owning worker, the BoundsTable partition bounds
-//    (base/size; authoritative in process mode so a GrowPartition published
-//    by the owner is visible to every process) and the priority class;
+//    id, liveness state, owning worker, the partition bounds (base/size,
+//    republished by GrowPartition), the device, the priority class and the
+//    session journal. Every tenant process maps this region, so the owning
+//    worker never checks a request against a slot: the bounds, device and
+//    priority here are what adoption rebuilds a session from after its
+//    worker dies;
 //  - channel slots: sticky worker-ownership claims (CAS) so exactly one
 //    worker pumps a given client ring at a time, plus the offset of the
 //    channel's rings inside this same region;
@@ -33,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/status.hpp"
@@ -54,13 +58,20 @@ enum class SessionSlotState : std::uint32_t {
   kFailed = 2,
 };
 
+class SharedServingState;
+
 // Replayable record of one session's control-plane state, embedded in its
 // shared slot so it survives the owning worker's death. Written only by the
-// owner while it holds the session mutex (single writer); read by the
-// adopting worker strictly after the supervisor observed the owner's death,
-// so no torn read is possible on the plain fields. Bounded on purpose: a
-// session that outgrows any cap sets `truncated` and simply stops being
-// adoptable — it fails over to the legacy crash-fail + client-rebuild path.
+// owner while it holds the session mutex (single writer), through the record
+// methods below; read by the adopting worker, through Live(), strictly after
+// the supervisor observed the owner's death, so no torn read is possible on
+// the plain fields. Bounded on purpose: a session that outgrows any cap sets
+// `truncated` and simply stops being adoptable — it fails over to the legacy
+// crash-fail + client-rebuild path.
+//
+// Crash ordering: every record writes its entry in full before it publishes
+// the count that covers it (release), so a worker killed between the two
+// stores leaves a count that never includes a torn entry.
 //
 // PTX sources are NOT stored here: modules record an index into the shared
 // PTX arena (deduplicated across sessions), and the adopter replays them
@@ -74,39 +85,97 @@ struct SharedSessionJournal {
   static constexpr std::uint32_t kNameCap = 64;
   static constexpr std::uint32_t kMaxPendingArgs = 12;
   static constexpr std::uint32_t kMaxBitmapWords = 16;  // <= 1024 blocks
+  // SetStreamPriority's stream id for "every journaled stream".
+  static constexpr std::uint64_t kAllStreams = ~std::uint64_t{0};
 
-  std::atomic<std::uint32_t> truncated{0};
+  // ---- records (the owning worker, session mutex held) ----
 
-  std::atomic<std::uint32_t> module_count{0};
+  void AddAlloc(std::uint64_t addr, std::uint64_t size) noexcept;
+  void RemoveAlloc(std::uint64_t addr) noexcept;
+  // Interns `ptx` (whose HashPtxSource is `content_hash`) into `shared`'s
+  // PTX arena and records module `id`; a full journal or arena truncates.
+  void AddModule(SharedServingState& shared, std::uint64_t id,
+                 std::uint64_t next_id, const std::string& ptx,
+                 std::uint64_t content_hash);
+  void AddFunction(std::uint64_t id, std::uint64_t next_id,
+                   std::uint64_t module_id, const std::string& kernel) noexcept;
+  void AddStream(std::uint64_t id, std::uint64_t next_id,
+                 protocol::PriorityClass priority) noexcept;
+  void RemoveStream(std::uint64_t id) noexcept;
+  // Retags journaled stream `stream`, or every one for kAllStreams.
+  void SetStreamPriority(std::uint64_t stream,
+                         protocol::PriorityClass priority) noexcept;
+  void SetNextEvent(std::uint64_t next_id) noexcept;
+
+  // ---- the in-flight kernel mirror ----
+  //
+  // At most one in-flight preemptible kernel is mirrored per session: its
+  // launch descriptor plus a completed-block bitmap the executor body keeps
+  // current (RunGrid marks a block done before after_block fires, so the
+  // mirror is always conservative-exact). Adoption re-admits the kernel
+  // with a checkpoint rebuilt from the bitmap: finished blocks are skipped,
+  // which is what keeps kernel_blocks_executed at the exact grid totals.
+
+  // Mirrors a launch when the mirror is idle and the launch fits; true when
+  // this launch now owns the mirror.
+  bool ArmLaunch(std::uint64_t fn, std::uint64_t stream,
+                 const ptxexec::LaunchParams& params) noexcept;
+  // True when the armed mirror describes this launch.
+  bool MatchLaunch(std::uint64_t fn, std::uint64_t stream,
+                   const ptxexec::LaunchParams& params) const noexcept;
+  // The armed kernel's completed blocks, as the checkpoint to resume from.
+  ptxexec::KernelCheckpoint LoadLaunch() const;
+  void PublishLaunch(const ptxexec::KernelCheckpoint& checkpoint) noexcept;
+  void DisarmLaunch() noexcept;
+
+  // ---- adoption ----
+
   struct Module {
     std::uint64_t id;
     std::uint64_t ptx_slot;  // index into the shared PTX arena
   };
-  Module modules[kMaxModules];
-
-  std::atomic<std::uint32_t> function_count{0};
   struct Function {
     std::uint64_t id;
     std::uint64_t module_id;
     char name[kNameCap];  // NUL-terminated kernel symbol
   };
-  Function functions[kMaxFunctions];
-
-  std::atomic<std::uint32_t> stream_count{0};
   struct Stream {
     std::uint64_t id;
     std::uint32_t priority;  // protocol::PriorityClass
   };
-  Stream streams[kMaxStreams];
-
   // Live cudaMalloc ranges (partition-relative-absolute device addresses):
   // the adopter re-claims them address-exact so handles the client still
   // holds stay valid and later mallocs cannot overlap them.
-  std::atomic<std::uint32_t> alloc_count{0};
   struct Alloc {
     std::uint64_t addr;
     std::uint64_t size;
   };
+
+  // The published entries and id allocators a rebuilt session replays.
+  struct Entries {
+    std::span<const Module> modules;
+    std::span<const Function> functions;
+    std::span<const Stream> streams;
+    std::span<const Alloc> allocs;
+    std::uint64_t next_module;
+    std::uint64_t next_function;
+    std::uint64_t next_stream;
+    std::uint64_t next_event;
+    bool launch_armed;
+  };
+  Entries Live() const noexcept;
+
+  // ---- storage (written only through this type's methods) ----
+
+  std::atomic<std::uint32_t> truncated{0};
+
+  std::atomic<std::uint32_t> module_count{0};
+  Module modules[kMaxModules];
+  std::atomic<std::uint32_t> function_count{0};
+  Function functions[kMaxFunctions];
+  std::atomic<std::uint32_t> stream_count{0};
+  Stream streams[kMaxStreams];
+  std::atomic<std::uint32_t> alloc_count{0};
   Alloc allocs[kMaxAllocs];
 
   // Id allocators, mirrored so a rebuilt session never reissues a live id.
@@ -115,12 +184,7 @@ struct SharedSessionJournal {
   std::uint64_t next_stream = 1;
   std::uint64_t next_event = 1;
 
-  // At most one in-flight preemptible kernel is mirrored per session: its
-  // launch descriptor plus a completed-block bitmap the executor body keeps
-  // current (RunGrid marks a block done before after_block fires, so the
-  // mirror is always conservative-exact). Adoption re-admits the kernel
-  // with a checkpoint rebuilt from the bitmap: finished blocks are skipped,
-  // which is what keeps kernel_blocks_executed at the exact grid totals.
+  // The in-flight kernel mirror (see ArmLaunch).
   std::atomic<std::uint32_t> pending_state{0};  // 0 idle, 1 armed
   std::uint64_t pending_fn = 0;
   std::uint64_t pending_stream = 0;
@@ -143,14 +207,22 @@ struct SharedSessionJournal {
     for (auto& word : pending_done)
       word.store(0, std::memory_order_relaxed);
   }
+
+ private:
+  // A session that outgrew a cap stops being adoptable.
+  void MarkTruncated() noexcept {
+    truncated.store(1, std::memory_order_release);
+  }
 };
 
 struct SharedSessionSlot {
   std::atomic<std::uint64_t> client{0};  // published last on allocation
   std::atomic<std::uint32_t> state{0};   // SessionSlotState
   std::atomic<std::uint32_t> owner_worker{kNoWorker};
-  // Partition bounds (§4.2.1). Base never changes after allocation; size
-  // only grows (GrowPartition doubles in place), so readers need no lock.
+  // Partition bounds (§4.2.1), read back only by adoption: the owner
+  // checks requests against its ClientSession's copy. Base never changes
+  // after allocation; size only grows (GrowPartition doubles in place), so
+  // readers need no lock.
   std::atomic<std::uint64_t> partition_base{0};
   std::atomic<std::uint64_t> partition_size{0};
   std::atomic<std::uint32_t> priority{

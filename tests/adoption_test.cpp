@@ -150,6 +150,8 @@ TEST(AdoptionTest, KilledWorkerSessionIsAdoptedAndKernelResumesMidGrid) {
     if (!fn.ok()) return 12;
     DevicePtr dst = 0;
     if (!lib->cudaMalloc(&dst, kBlocks * 4).ok()) return 13;
+    simcuda::EventId before_kill = 0;
+    if (!lib->cudaEventCreateWithFlags(&before_kill, 0).ok()) return 23;
 
     if (write(ready[1], "L", 1) != 1) return 14;
     simcuda::LaunchConfig config;
@@ -177,6 +179,11 @@ TEST(AdoptionTest, KilledWorkerSessionIsAdoptedAndKernelResumesMidGrid) {
              .ok())
       return 21;
     if (value != kBlocks - 1) return 22;
+
+    // The rebuilt session never reissues an id the client may still hold.
+    simcuda::EventId after_adoption = 0;
+    if (!lib->cudaEventCreateWithFlags(&after_adoption, 0).ok()) return 24;
+    if (after_adoption == before_kill) return 25;
     return 0;
   });
 

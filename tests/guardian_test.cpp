@@ -86,7 +86,7 @@ TEST_F(GuardianTest, TransfersRoundTrip) {
 }
 
 TEST_F(GuardianTest, TransferOutsidePartitionRejected) {
-  // §4.2.2: host-initiated transfers are fenced by the bounds table.
+  // §4.2.2: host-initiated transfers are fenced by the partition bounds.
   auto alice = Connect();
   auto bob = Connect();
   ASSERT_TRUE(alice.ok() && bob.ok());

@@ -484,7 +484,8 @@ TEST(ProcessModeTest, GrowPartitionPublishesBoundsToSharedSlot) {
   ASSERT_EQ(WaitExit(client), 0);
 
   // The worker's in-place doubling is visible to this (parent) process
-  // through the SharedRegion bounds — the cross-process BoundsTable story.
+  // through the SharedRegion bounds, which adoption rebuilds the partition
+  // from after a crash.
   SharedServingState& state = (*server)->state();
   ASSERT_EQ(state.ActiveSessions(), 1u);
   SharedSessionSlot* slot = nullptr;
@@ -494,6 +495,84 @@ TEST(ProcessModeTest, GrowPartitionPublishesBoundsToSharedSlot) {
   EXPECT_EQ(slot->partition_size.load(), 2ull << 20);
   EXPECT_NE(slot->partition_base.load(), 0u);
   (*server)->Stop();
+}
+
+// Every tenant process maps the session slots, so a slot's bounds are
+// attacker-writable. The worker checks each transfer against its private
+// copy of the session's partition: an attacker that widens its own slot to
+// cover a co-tenant on the same worker is still refused both directions.
+TEST(ProcessModeTest, ForgedSlotBoundsDoNotWidenTransferChecks) {
+  ProcessServerOptions options;
+  options.workers = 1;
+  options.channels = 2;
+  auto server = ProcessServer::Create(options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  ASSERT_TRUE((*server)->WaitForChannelOwners());
+  SharedServingState& state = (*server)->state();
+
+  int victim_ready[2];  // victim -> test: its secret buffer's address
+  int victim_stop[2];   // test -> victim: "the attack is over"
+  ASSERT_EQ(pipe(victim_ready), 0);
+  ASSERT_EQ(pipe(victim_stop), 0);
+  constexpr char kSecret[17] = "victim-secret-16";
+
+  const pid_t victim = ForkChild([&]() -> int {
+    ChannelTransport transport(&(*server)->channel(0));
+    auto lib = GrdLib::Connect(&transport, 1 << 20);
+    if (!lib.ok()) return 10;
+    DevicePtr secret = 0;
+    if (!lib->cudaMalloc(&secret, 16).ok()) return 11;
+    if (!lib->cudaMemcpyH2D(secret, kSecret, 16).ok()) return 12;
+    if (write(victim_ready[1], &secret, sizeof(secret)) != sizeof(secret))
+      return 13;
+    char go = 0;
+    if (read(victim_stop[0], &go, 1) != 1) return 14;
+    char after[16] = {};
+    if (!lib->cudaMemcpy(after, secret, 16,
+                         simcuda::MemcpyKind::kDeviceToHost)
+             .ok())
+      return 15;
+    return std::memcmp(after, kSecret, 16) == 0 ? 0 : 16;
+  });
+  close(victim_ready[1]);
+  DevicePtr secret = 0;
+  ASSERT_EQ(read(victim_ready[0], &secret, sizeof(secret)),
+            static_cast<ssize_t>(sizeof(secret)))
+      << "victim exited before publishing its buffer";
+
+  const pid_t attacker = ForkChild([&]() -> int {
+    ChannelTransport transport(&(*server)->channel(1));
+    auto lib = GrdLib::Connect(&transport, 1 << 20);
+    if (!lib.ok()) return 20;
+    SharedSessionSlot* own = nullptr;
+    for (std::uint32_t i = 0; i < options.layout.max_sessions; ++i)
+      if (state.session_slot(i).client.load() == lib->client_id())
+        own = &state.session_slot(i);
+    if (own == nullptr) return 21;
+    // Widen the slot to the whole address space, as any tenant mapping the
+    // region can.
+    own->partition_base.store(0);
+    own->partition_size.store(std::uint64_t{1} << 62);
+    char stolen[16] = {};
+    const Status read_back = lib->cudaMemcpy(
+        stolen, secret, 16, simcuda::MemcpyKind::kDeviceToHost);
+    if (read_back.ok()) return 22;
+    if (read_back.code() != StatusCode::kPermissionDenied) return 23;
+    const Status overwrite = lib->cudaMemcpyH2D(secret, "attacker-bytes-!", 16);
+    if (overwrite.ok()) return 24;
+    if (overwrite.code() != StatusCode::kPermissionDenied) return 25;
+    return 0;
+  });
+  EXPECT_EQ(WaitExit(attacker), 0)
+      << "22: forged D2H read the secret; 24: forged H2D was accepted";
+  EXPECT_EQ(state.stats().transfers_rejected.load(), 2u);
+
+  ASSERT_EQ(write(victim_stop[1], "Q", 1), 1);
+  EXPECT_EQ(WaitExit(victim), 0) << "16: the victim's bytes changed";
+  (*server)->Stop();
+  for (const int fd : {victim_ready[0], victim_stop[0], victim_stop[1]})
+    close(fd);
 }
 
 // The SharedRegion span arena survives its writer: a worker SIGKILLed
