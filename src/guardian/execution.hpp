@@ -1,11 +1,11 @@
 // Execution layer of the grdManager (see ARCHITECTURE.md).
 //
 // Everything the request handlers share across sessions lives here: the
-// simulated GPU, the partition allocator, the sandbox cache, the device
-// scheduler and the cost counters. A session's own partition bounds live in
-// its ClientSession, read under the session mutex. Each piece is guarded
-// separately so that concurrent requests only serialize where the
-// hardware model demands it:
+// simulated GPUs (lent by the caller), their partition allocators and
+// device schedulers, the sandbox cache and the cost counters. A session's
+// own partition bounds live in its ClientSession, read under the session
+// mutex. Each piece is guarded separately so that concurrent requests only
+// serialize where the hardware model demands it:
 //  - `partition_mu` covers the partition allocator — the only
 //    allocator-critical section left;
 //  - device-memory traffic and kernel execution go through the
@@ -89,12 +89,6 @@ struct ManagerOptions {
   // genuinely overlap in wall-clock time (bench_stream_overlap). 0 =
   // functional-only execution, no sleeps.
   double device_time_ns_per_cycle = 0.0;
-  // Multi-device fleet: extra simulated devices this manager serves beyond
-  // the primary one handed to GrdManager. Each gets its own Gpu, partition
-  // space and GpuScheduler; sessions are placed at registration (least
-  // resident sessions, lowest id on ties) and carry their device id for the
-  // life of the session — unless live migration moves them.
-  std::vector<simgpu::DeviceSpec> extra_devices;
   // Live migration: with more than one device, a kBatch arriving for a
   // session whose device has at least this many ops queued while some other
   // device sits idle triggers a migration (revoke running kernels at a block
@@ -230,18 +224,15 @@ inline void BumpCounterMax(std::atomic<std::uint64_t>& counter,
   }
 }
 
-// One simulated device under this manager: its Gpu, its partition carve and
-// its scheduler. Device 0 wraps the Gpu the caller handed to GrdManager;
-// extras (ManagerOptions::extra_devices) are owned. Memory traffic and
-// kernel execution for a session go through its device's scheduler only, so
-// devices never serialize against each other.
+// One simulated device under this manager: the Gpu the caller lent it, its
+// partition carve and its scheduler. Memory traffic and kernel execution
+// for a session go through its device's scheduler only, so devices never
+// serialize against each other.
 struct DeviceState {
-  DeviceState(std::uint32_t id_in, simcuda::Gpu* borrowed,
-              std::unique_ptr<simcuda::Gpu> owned,
+  DeviceState(std::uint32_t id_in, simcuda::Gpu* gpu_in,
               const ManagerOptions& options, ManagerStats* stats)
       : id(id_in),
-        owned_gpu(std::move(owned)),
-        gpu(owned_gpu != nullptr ? owned_gpu.get() : borrowed),
+        gpu(gpu_in),
         partitions(gpu->spec().global_mem_bytes),
         scheduler(gpu->spec(), options.scheduler_executors, stats,
                   PreemptionConfig{options.preemption_enabled,
@@ -249,8 +240,7 @@ struct DeviceState {
                                    options.aging_quantum_ns}) {}
 
   const std::uint32_t id;
-  std::unique_ptr<simcuda::Gpu> owned_gpu;  // null for the borrowed primary
-  simcuda::Gpu* gpu;
+  simcuda::Gpu* const gpu;  // borrowed; outlives the manager
   std::mutex partition_mu;  // guards `partitions`
   PartitionAllocator partitions;
   // Sessions currently placed here (admission load signal; relaxed).
@@ -261,21 +251,23 @@ struct DeviceState {
 };
 
 struct ExecutionContext {
-  // `shared_stats` (process mode) points the counters at a ManagerStats
-  // living in the workers' SharedRegion, so the whole forked pool aggregates
-  // into one instance exactly like the threaded workers do; null keeps the
-  // private `owned_stats` below.
-  ExecutionContext(simcuda::Gpu* gpu_in, ManagerOptions options_in,
+  // Serves `gpus` (at least one; device i is gpus[i]), which the caller
+  // owns. Sessions are placed across them at registration (least resident
+  // sessions, lowest id on ties) and keep their device for the life of the
+  // session unless live migration moves them. `shared_stats` (process mode)
+  // points the counters at a ManagerStats living in the workers'
+  // SharedRegion, so the whole forked pool aggregates into one instance
+  // exactly like the threaded workers do; null keeps the private
+  // `owned_stats` below.
+  ExecutionContext(const std::vector<simcuda::Gpu*>& gpus,
+                   ManagerOptions options_in,
                    ManagerStats* shared_stats = nullptr)
       : options(std::move(options_in)),
         stats(shared_stats != nullptr ? *shared_stats : owned_stats),
         sandbox_cache(options.sandbox_cache_bytes) {
-    devices.push_back(
-        std::make_unique<DeviceState>(0, gpu_in, nullptr, options, &stats));
-    for (const simgpu::DeviceSpec& spec : options.extra_devices)
+    for (simcuda::Gpu* gpu : gpus)
       devices.push_back(std::make_unique<DeviceState>(
-          static_cast<std::uint32_t>(devices.size()), nullptr,
-          std::make_unique<simcuda::Gpu>(spec), options, &stats));
+          static_cast<std::uint32_t>(devices.size()), gpu, options, &stats));
   }
 
   // Out-of-range ids clamp to device 0 rather than fault: a journal recorded

@@ -48,9 +48,11 @@ class ScopedRecoveryFlag {
 bool GrdLib::IsRetryable(Op op) {
   // Safe to re-send verbatim against a freshly recovered session: no
   // server-side handles in the payload (module/function/stream/event ids
-  // from the dead session would be stale) and no side effect that could
-  // double-apply. kModuleLoadData qualifies — the payload is the PTX text,
-  // and a duplicate load is a sandbox-cache hit, not a second module.
+  // from the dead session would be stale) and no side effect the client
+  // can observe twice. kModuleLoadData qualifies — the payload is the PTX
+  // text. A load the crash interrupted after it completed leaves a module
+  // the client never learned of: the re-sent load is a sandbox-cache hit
+  // but still gets a new module id and journal entry.
   switch (op) {
     case Op::kGetDeviceSpec:
     case Op::kModuleLoadData:

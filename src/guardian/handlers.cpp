@@ -184,6 +184,13 @@ Result<Writer> ExecuteRegister(HandlerContext& ctx, IdReq& req) {
     // see the new tenant count and sandbox themselves.
     std::unique_lock<std::shared_mutex> fence(exec.native_mu);
   }
+  // A departed tenant's bytes may still sit in the range, so a new
+  // partition starts zeroed: after the fence, so no unfenced kernel writes
+  // it afterwards. The carve lies inside device memory, so this cannot
+  // fail. Adoption and migration rebuild partitions through
+  // CreatePartitionAt and Attach instead, which keep their bytes.
+  GRD_RETURN_IF_ERROR(
+      exec.device(device_id).gpu->memory().Zero(bounds.base, bounds.size));
   GRD_LOG_INFO("grdManager") << "client " << id << " registered, partition ["
                              << bounds.base << ", " << bounds.end()
                              << ") on device " << device_id;
@@ -1262,6 +1269,9 @@ Result<Writer> ExecuteGrowPartition(HandlerContext& ctx, NoPayload&) {
     GRD_ASSIGN_OR_RETURN(grown,
                          dev.partitions.GrowPartition(client.partition.base));
   }
+  // The added upper half may hold a departed tenant's bytes.
+  GRD_RETURN_IF_ERROR(dev.gpu->memory().Zero(grown.base + grown.size / 2,
+                                             grown.size / 2));
   client.partition = grown;
   // Adoption rebuilds the partition at its grown size.
   if (SharedSessionSlot* slot = client.shared_slot)

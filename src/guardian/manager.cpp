@@ -12,11 +12,12 @@ using ipc::Reader;
 using ipc::Writer;
 
 GrdManager::GrdManager(simcuda::Gpu* gpu, ManagerOptions options)
-    : GrdManager(gpu, options, nullptr, 0) {}
+    : GrdManager(std::vector<simcuda::Gpu*>{gpu}, std::move(options)) {}
 
-GrdManager::GrdManager(simcuda::Gpu* gpu, ManagerOptions options,
-                       SharedServingState* shared, std::uint32_t worker_index)
-    : exec_(gpu, options, shared != nullptr ? &shared->stats() : nullptr) {
+GrdManager::GrdManager(const std::vector<simcuda::Gpu*>& gpus,
+                       ManagerOptions options, SharedServingState* shared,
+                       std::uint32_t worker_index)
+    : exec_(gpus, options, shared != nullptr ? &shared->stats() : nullptr) {
   if (shared != nullptr) sessions_.BindShared(shared, worker_index);
   // The recorder is process-wide; any manager asking for tracing turns it
   // on (benches construct tracing-off managers alongside without toggling

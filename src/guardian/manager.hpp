@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "guardian/dispatch.hpp"
 #include "guardian/execution.hpp"
@@ -38,15 +39,18 @@ class SharedServingState;
 
 class GrdManager {
  public:
+  // Serves one device, which the caller owns.
   GrdManager(simcuda::Gpu* gpu, ManagerOptions options);
 
-  // Process-mode worker: sessions and stats bind to the forked pool's
-  // SharedRegion state (shared_state.hpp) on behalf of worker
-  // `worker_index`. Client ids are pool-unique, every registration is
-  // visible to the parent supervisor, and the stats counters aggregate
-  // across all workers.
-  GrdManager(simcuda::Gpu* gpu, ManagerOptions options,
-             SharedServingState* shared, std::uint32_t worker_index);
+  // Serves `gpus` (at least one), which the caller owns and which must
+  // outlive the manager. With `shared` set (process-mode worker), sessions
+  // and stats bind to the forked pool's SharedRegion state
+  // (shared_state.hpp) on behalf of worker `worker_index`: client ids are
+  // pool-unique, every registration is visible to the parent supervisor,
+  // and the stats counters aggregate across all workers.
+  GrdManager(const std::vector<simcuda::Gpu*>& gpus, ManagerOptions options,
+             SharedServingState* shared = nullptr,
+             std::uint32_t worker_index = 0);
   // Quiesces the device scheduler (cancelling queued work, joining the
   // executor pool) before any session state is torn down.
   ~GrdManager();

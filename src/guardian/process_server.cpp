@@ -59,6 +59,15 @@ Result<std::unique_ptr<ProcessServer>> ProcessServer::Create(
   server->state_ =
       SharedServingState::Initialize(server->region_->addr(), opts.layout);
 
+  // Each slot's devices, mapped here so that the slot's worker and every
+  // replacement forked into it share the same device bytes.
+  server->devices_.resize(opts.workers);
+  for (auto& gpus : server->devices_) {
+    gpus.push_back(std::make_unique<simcuda::Gpu>(opts.device));
+    for (const simgpu::DeviceSpec& spec : opts.extra_devices)
+      gpus.push_back(std::make_unique<simcuda::Gpu>(spec));
+  }
+
   for (std::uint32_t i = 0; i < opts.channels; ++i) {
     server->channels_.push_back(std::make_unique<ipc::Channel>(
         server->state_->channel_region(i), opts.layout.ring_bytes,
@@ -103,15 +112,12 @@ Status ProcessServer::SpawnWorker(std::uint32_t index) {
 }
 
 void ProcessServer::WorkerMain(std::uint32_t index) {
-  // Fresh address space (post-fork): build this worker's own device fleet
-  // and manager, bound to the pool's shared registry/bounds/stats.
+  // Fresh address space (post-fork) over the slot's devices: build the
+  // manager, bound to the pool's shared registry, journals and stats.
   {
-    simcuda::Gpu gpu(options_.device);
-    ManagerOptions manager_options = options_.manager;
-    // Per-worker fleet: the extra devices are constructed inside the child
-    // (ExecutionContext owns them), so device memory stays worker-private.
-    manager_options.extra_devices = options_.extra_devices;
-    GrdManager manager(&gpu, manager_options, state_, index);
+    std::vector<simcuda::Gpu*> gpus;
+    for (const auto& gpu : devices_[index]) gpus.push_back(gpu.get());
+    GrdManager manager(gpus, options_.manager, state_, index);
 
     // Sticky claims: CAS our preferred channels; a channel claimed once is
     // pumped by this worker until it dies (the supervisor releases claims).

@@ -8,27 +8,36 @@
 // labor:
 //
 //  - Parent (ProcessServer): creates the region, lays out channels, assigns
-//    each channel a preferred worker, forks the workers, then supervises —
-//    waitpid-reaps dead workers, fails their sessions in the shared
-//    registry, writes synthetic error responses for requests a dead worker
-//    consumed but never answered (so a blocked client's Call returns a
-//    clean Unavailable instead of hanging), releases the dead worker's
-//    channel claims and respawns a replacement into the same slot. The
-//    parent never touches a GPU.
+//    each channel a preferred worker, builds each worker slot's simulated
+//    devices, forks the workers, then supervises — waitpid-reaps dead
+//    workers, fails their sessions in the shared registry, writes synthetic
+//    error responses for requests a dead worker consumed but never answered
+//    (so a blocked client's Call returns a clean Unavailable instead of
+//    hanging), releases the dead worker's channel claims and respawns a
+//    replacement into the same slot. The parent maps the devices but never
+//    serves from them.
 //
-//  - Worker (forked child): constructs its own simulated GPU + GrdManager
-//    bound to the shared state (pool-unique client ids, shared bounds,
+//  - Worker (forked child): constructs a GrdManager over its slot's devices,
+//    bound to the shared state (pool-unique client ids, shared journals,
 //    shared ManagerStats), sticky-claims its preferred channels by CAS, and
 //    runs one ManagerServer pump (transport.hpp) over them until the shared
 //    stop flag rises. A worker crash takes down only the sessions it owned:
 //    claims are sticky, so no other worker ever held state for them.
+//
+// Device memory is a MAP_SHARED mapping (simgpu/memory.hpp) made before
+// the fork, so the slot's worker and every replacement respawned into it
+// read and write the same bytes: an adopted session finds its allocations,
+// and the blocks its interrupted kernel completed, where the dead worker
+// left them. Every process forked from the parent after Create — tenant
+// processes included — maps those bytes as well.
 //
 // Crash-containment contract (proven by tests/process_mode_test.cpp and
 // tests/adoption_test.cpp):
 //  1. a SIGKILLed worker's in-flight requests answer with kUnavailable;
 //  2. with respawn enabled, its journaled sessions are re-homed onto the
 //     replacement worker (adoption_pending) and rebuilt from their shared
-//     journals on first touch — same client id, same partition bounds;
+//     journals on first touch — same client id, same partition bounds,
+//     same device bytes;
 //     sessions whose journal overflowed (or with respawn disabled) move to
 //     kFailed and later requests get a clean "worker crashed" status;
 //  3. sessions on surviving workers are untouched and keep serving;
@@ -47,6 +56,7 @@
 #include "guardian/execution.hpp"
 #include "guardian/shared_state.hpp"
 #include "ipc/channel.hpp"
+#include "simcuda/gpu.hpp"
 #include "simgpu/device_spec.hpp"
 
 namespace grd::guardian {
@@ -58,13 +68,13 @@ struct ProcessServerOptions {
   SharedServingLayout layout;
   // Options each worker's GrdManager is constructed with.
   ManagerOptions manager;
-  // Device each worker simulates. Workers are replicas: device *memory* is
-  // worker-private, the shared registry is the pool's control plane.
+  // Device each worker slot serves. Create maps every slot's device memory
+  // before the workers fork, so a worker respawned into a slot serves the
+  // bytes its predecessor wrote; slots never share devices.
   simgpu::DeviceSpec device = simgpu::QuadroRtxA4000();
-  // Additional devices EACH worker owns beyond `device` (multi-device
-  // fleet): forwarded into ManagerOptions::extra_devices at fork time so
-  // every worker places sessions across its local fleet and can live-migrate
-  // between its devices.
+  // Additional devices EACH worker slot serves beyond `device` (multi-device
+  // fleet), built the same way: every worker places sessions across its
+  // local fleet and can live-migrate between its devices.
   std::vector<simgpu::DeviceSpec> extra_devices;
   // Respawn crashed workers (tests may disable to observe the bare failure).
   bool respawn = true;
@@ -119,6 +129,8 @@ class ProcessServer {
   void WriteSyntheticResponses(std::uint32_t worker);
 
   ProcessServerOptions options_;
+  // Per worker slot: `device`, then `extra_devices`.
+  std::vector<std::vector<std::unique_ptr<simcuda::Gpu>>> devices_;
   std::unique_ptr<ipc::SharedRegion> region_;
   SharedServingState* state_ = nullptr;
   // Parent-side channel objects over the shared rings (creator side).

@@ -119,8 +119,7 @@ bool SharedSessionJournal::ArmLaunch(
     std::uint64_t fn, std::uint64_t stream,
     const ptxexec::LaunchParams& params) noexcept {
   if (pending_state.load(std::memory_order_relaxed) != 0 ||
-      params.grid.Count() > 64ull * kMaxBitmapWords ||
-      params.args.size() > kMaxPendingArgs)
+      params.grid.Count() > 64ull * kMaxBitmapWords)
     return false;
   pending_fn = fn;
   pending_stream = stream;
@@ -131,10 +130,6 @@ bool SharedSessionJournal::ArmLaunch(
   pending_block[1] = params.block.y;
   pending_block[2] = params.block.z;
   pending_argc = static_cast<std::uint32_t>(params.args.size());
-  for (std::size_t i = 0; i < params.args.size(); ++i) {
-    pending_arg_bits[i] = params.args[i].bits;
-    pending_arg_size[i] = params.args[i].size;
-  }
   for (auto& word : pending_done) word.store(0, std::memory_order_relaxed);
   pending_state.store(1, std::memory_order_release);
   return true;

@@ -83,7 +83,6 @@ struct SharedSessionJournal {
   static constexpr std::uint32_t kMaxStreams = 8;
   static constexpr std::uint32_t kMaxAllocs = 32;
   static constexpr std::uint32_t kNameCap = 64;
-  static constexpr std::uint32_t kMaxPendingArgs = 12;
   static constexpr std::uint32_t kMaxBitmapWords = 16;  // <= 1024 blocks
   // SetStreamPriority's stream id for "every journaled stream".
   static constexpr std::uint64_t kAllStreams = ~std::uint64_t{0};
@@ -116,11 +115,13 @@ struct SharedSessionJournal {
   // with a checkpoint rebuilt from the bitmap: finished blocks are skipped,
   // which is what keeps kernel_blocks_executed at the exact grid totals.
 
-  // Mirrors a launch when the mirror is idle and the launch fits; true when
-  // this launch now owns the mirror.
+  // Mirrors a launch when the mirror is idle and its grid fits the bitmap;
+  // true when this launch now owns the mirror. The mirror keeps the
+  // launch's shape (function, stream, grid, block, argument count), not its
+  // argument values: a resumed launch runs the client's retried call.
   bool ArmLaunch(std::uint64_t fn, std::uint64_t stream,
                  const ptxexec::LaunchParams& params) noexcept;
-  // True when the armed mirror describes this launch.
+  // True when the armed mirror describes this launch's shape.
   bool MatchLaunch(std::uint64_t fn, std::uint64_t stream,
                    const ptxexec::LaunchParams& params) const noexcept;
   // The armed kernel's completed blocks, as the checkpoint to resume from.
@@ -191,8 +192,6 @@ struct SharedSessionJournal {
   std::uint32_t pending_grid[3] = {};
   std::uint32_t pending_block[3] = {};
   std::uint32_t pending_argc = 0;
-  std::uint64_t pending_arg_bits[kMaxPendingArgs] = {};
-  std::uint8_t pending_arg_size[kMaxPendingArgs] = {};
   std::atomic<std::uint64_t> pending_done[kMaxBitmapWords] = {};
 
   // Slot-recycle reset (allocation holds the registry mutex).
@@ -411,7 +410,9 @@ class SharedServingState {
   // v3: per-slot session journal + device/adoption fields, and the PTX
   // intern arena appended after the span arena (multi-device adoption).
   // v4: channel slots drop the last-client hint; the stop word is a bool.
-  static constexpr std::uint32_t kVersion = 4;
+  // v5: the launch mirror drops its argument values (a resumed launch runs
+  // the arguments of the client's retried call).
+  static constexpr std::uint32_t kVersion = 5;
   static constexpr std::uint32_t kActiveRaw =
       static_cast<std::uint32_t>(SessionSlotState::kActive);
   static constexpr std::uint32_t kFailedRaw =

@@ -609,8 +609,8 @@ class BlockExec {
 
   // The one path every ld/st lane takes, top-level or fused: the block's
   // shared segment for a tagged address, else the tenant access policy and
-  // then GlobalMemory's in-page access. Every attempted access consults the
-  // policy; in a multi-lane attempt the access log then checks it for
+  // then GlobalMemory's inline Read/Write. Every attempted access consults
+  // the policy; in a multi-lane attempt the access log then checks it for
   // conflicts and buffers the store. Alignment is checked by the caller,
   // once per access. A load fills the low `bytes` bytes of *bits, which
   // the caller zeroed. Forced inline into the lane loops; the fault paths
@@ -625,7 +625,7 @@ class BlockExec {
       ++stats_->shared_accesses;
     } else {
       GRD_RETURN_IF_ERROR(policy_->CheckAccess(client_, addr, bytes, false));
-      GRD_RETURN_IF_ERROR(memory_->ReadInPage(addr, bits, bytes));
+      GRD_RETURN_IF_ERROR(memory_->Read(addr, bits, bytes));
       ++stats_->global_loads;
     }
     if (log_ != nullptr && !log_->Load(lane, addr, bytes, bits, &cause_))
@@ -646,7 +646,7 @@ class BlockExec {
       GRD_RETURN_IF_ERROR(policy_->CheckAccess(client_, addr, bytes, true));
       // A buffered store must be one the commit can write.
       GRD_RETURN_IF_ERROR(log_ == nullptr
-                              ? memory_->WriteInPage(addr, &bits, bytes)
+                              ? memory_->Write(addr, &bits, bytes)
                               : memory_->CheckRange(addr, bytes));
       ++stats_->global_stores;
     }
@@ -914,7 +914,7 @@ Result<bool> BlockExec::Attempt(bool first_phase) {
                         bytes);
             return OkStatus();
           }
-          return memory_->WriteInPage(addr, &value, bytes);
+          return memory_->Write(addr, &value, bytes);
         }));
     return true;
   }

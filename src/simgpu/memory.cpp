@@ -1,104 +1,68 @@
 #include "simgpu/memory.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <new>
 
 #include "common/strings.hpp"
 
 namespace grd::simgpu {
+namespace {
 
-GlobalMemory::GlobalMemory(std::uint64_t size_bytes)
-    : size_(size_bytes),
-      page_count_((size_bytes + kPageSize - 1) / kPageSize),
-      pages_(new std::atomic<std::uint8_t*>[page_count_]) {
-  for (std::uint64_t i = 0; i < page_count_; ++i)
-    pages_[i].store(nullptr, std::memory_order_relaxed);
+// mmap takes no empty mapping; a zero-byte device maps one byte it never
+// lets anyone reach.
+std::uint64_t MappedBytes(std::uint64_t size) {
+  return std::max<std::uint64_t>(size, 1);
 }
 
-GlobalMemory::~GlobalMemory() {
-  for (std::uint64_t i = 0; i < page_count_; ++i)
-    delete[] pages_[i].load(std::memory_order_relaxed);
+}  // namespace
+
+GlobalMemory::GlobalMemory(std::uint64_t size_bytes) : size_(size_bytes) {
+  void* base = ::mmap(nullptr, MappedBytes(size_), PROT_READ | PROT_WRITE,
+                      MAP_SHARED | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (base == MAP_FAILED) throw std::bad_alloc();
+  base_ = static_cast<std::uint8_t*>(base);
 }
 
-Status GlobalMemory::CheckRange(std::uint64_t addr, std::uint64_t len) const {
-  if (len > size_ || addr > size_ - len) {
-    return OutOfRange("device access " + ToHex(addr) + "+" +
-                      std::to_string(len) + " beyond device memory (" +
-                      std::to_string(size_) + " bytes)");
-  }
-  return OkStatus();
-}
+GlobalMemory::~GlobalMemory() { ::munmap(base_, MappedBytes(size_)); }
 
-std::uint8_t* GlobalMemory::PageForWrite(std::uint64_t page_index) {
-  std::uint8_t* page = pages_[page_index].load(std::memory_order_acquire);
-  if (page != nullptr) return page;
-  auto fresh = std::make_unique<std::uint8_t[]>(kPageSize);
-  std::memset(fresh.get(), 0, kPageSize);
-  std::uint8_t* expected = nullptr;
-  if (pages_[page_index].compare_exchange_strong(expected, fresh.get(),
-                                                 std::memory_order_acq_rel)) {
-    resident_pages_.fetch_add(1, std::memory_order_relaxed);
-    return fresh.release();
-  }
-  return expected;  // another thread installed it first; `fresh` is dropped
-}
-
-Status GlobalMemory::Read(std::uint64_t addr, void* dst,
-                          std::uint64_t len) const {
-  GRD_RETURN_IF_ERROR(CheckRange(addr, len));
-  auto* out = static_cast<std::uint8_t*>(dst);
-  while (len > 0) {
-    const std::uint64_t page_index = addr / kPageSize;
-    const std::uint64_t offset = addr % kPageSize;
-    const std::uint64_t chunk = std::min(len, kPageSize - offset);
-    if (const std::uint8_t* page = PageForRead(page_index)) {
-      std::memcpy(out, page + offset, chunk);
-    } else {
-      std::memset(out, 0, chunk);
-    }
-    out += chunk;
-    addr += chunk;
-    len -= chunk;
-  }
-  return OkStatus();
-}
-
-Status GlobalMemory::Write(std::uint64_t addr, const void* src,
-                           std::uint64_t len) {
-  GRD_RETURN_IF_ERROR(CheckRange(addr, len));
-  const auto* in = static_cast<const std::uint8_t*>(src);
-  while (len > 0) {
-    const std::uint64_t page_index = addr / kPageSize;
-    const std::uint64_t offset = addr % kPageSize;
-    const std::uint64_t chunk = std::min(len, kPageSize - offset);
-    std::memcpy(PageForWrite(page_index) + offset, in, chunk);
-    in += chunk;
-    addr += chunk;
-    len -= chunk;
-  }
-  return OkStatus();
+Status GlobalMemory::RangeError(std::uint64_t addr, std::uint64_t len) const {
+  return OutOfRange("device access " + ToHex(addr) + "+" +
+                    std::to_string(len) + " beyond device memory (" +
+                    std::to_string(size_) + " bytes)");
 }
 
 Status GlobalMemory::Fill(std::uint64_t addr, std::uint8_t value,
                           std::uint64_t len) {
-  GRD_RETURN_IF_ERROR(CheckRange(addr, len));
-  while (len > 0) {
-    const std::uint64_t page_index = addr / kPageSize;
-    const std::uint64_t offset = addr % kPageSize;
-    const std::uint64_t chunk = std::min(len, kPageSize - offset);
-    std::memset(PageForWrite(page_index) + offset, value, chunk);
-    addr += chunk;
-    len -= chunk;
-  }
+  if (!InRange(addr, len)) return RangeError(addr, len);
+  std::memset(base_ + addr, value, len);
   return OkStatus();
 }
 
 Status GlobalMemory::Copy(std::uint64_t dst, std::uint64_t src,
                           std::uint64_t len) {
-  GRD_RETURN_IF_ERROR(CheckRange(dst, len));
-  GRD_RETURN_IF_ERROR(CheckRange(src, len));
-  std::vector<std::uint8_t> buffer(static_cast<std::size_t>(len));
-  GRD_RETURN_IF_ERROR(Read(src, buffer.data(), len));
-  return Write(dst, buffer.data(), len);
+  if (!InRange(dst, len)) return RangeError(dst, len);
+  if (!InRange(src, len)) return RangeError(src, len);
+  std::memmove(base_ + dst, base_ + src, len);
+  return OkStatus();
+}
+
+Status GlobalMemory::Zero(std::uint64_t addr, std::uint64_t len) {
+  if (!InRange(addr, len)) return RangeError(addr, len);
+  static const std::uint64_t kPage =
+      static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  const std::uint64_t first = (addr + kPage - 1) / kPage * kPage;
+  const std::uint64_t last = (addr + len) / kPage * kPage;
+  if (first >= last ||
+      ::madvise(base_ + first, last - first, MADV_REMOVE) != 0) {
+    std::memset(base_ + addr, 0, len);
+    return OkStatus();
+  }
+  std::memset(base_ + addr, 0, first - addr);
+  std::memset(base_ + last, 0, addr + len - last);
+  return OkStatus();
 }
 
 }  // namespace grd::simgpu

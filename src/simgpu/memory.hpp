@@ -1,23 +1,27 @@
-// Simulated GPU global memory: a sparse, byte-addressable store over the
-// device address range [0, global_mem_bytes). Sparse 64 KiB paging keeps a
-// "16 GB" device cheap to host. Kernels executed by ptxexec really read and
-// write this store, so cross-tenant corruption and wrap-around effects are
-// observable, not just modeled.
+// Simulated GPU global memory: a byte-addressable store over the device
+// address range [0, global_mem_bytes). Kernels executed by ptxexec really
+// read and write this store, so cross-tenant corruption and wrap-around
+// effects are observable, not just modeled.
 //
-// Concurrency: the page directory is a fixed array of atomic page pointers
-// (2 MiB of directory for a 16 GB device), so co-resident kernels under the
-// guardian device scheduler access memory without taking any lock — first
-// touch installs a page with a CAS, losers discard their allocation. Byte
-// ranges are NOT serialized against each other: racing writes to the *same*
-// bytes are a device-level data race exactly as on real hardware
-// (Guardian's partitioning keeps tenants on disjoint ranges).
+// The store is one MAP_SHARED | MAP_ANONYMOUS | MAP_NORESERVE mapping of the
+// whole device, so a "16 GB" device costs address space, not memory: the
+// kernel backs a page on its first touch and bytes never written read as
+// zero. Reads commit pages too (shared anonymous memory has no shared zero
+// page), so reading an untouched range costs the same memory as writing it.
+// Every access is one range check and one memcpy/memset/memmove at
+// `base + addr`. Because the mapping is shared, a process forked after the
+// GlobalMemory was built reads and writes the same bytes as its parent:
+// ProcessServer builds its workers' devices before forking, so a respawned
+// worker serves the bytes its dead predecessor wrote.
+//
+// Concurrency: no lock. Co-resident kernels under the guardian device
+// scheduler access the mapping directly; racing writes to the *same* bytes
+// are a device-level data race exactly as on real hardware (Guardian's
+// partitioning keeps tenants on disjoint ranges).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <memory>
-#include <vector>
 
 #include "common/status.hpp"
 
@@ -49,6 +53,8 @@ class AllowAllPolicy final : public AccessPolicy {
 
 class GlobalMemory {
  public:
+  // Maps the device; throws std::bad_alloc when the address space is
+  // exhausted.
   explicit GlobalMemory(std::uint64_t size_bytes);
   ~GlobalMemory();
 
@@ -57,48 +63,36 @@ class GlobalMemory {
 
   std::uint64_t size() const noexcept { return size_; }
 
-  // Bytes currently backed by host pages (diagnostics).
-  std::uint64_t resident_bytes() const noexcept {
-    return resident_pages_.load(std::memory_order_relaxed) * kPageSize;
-  }
-
   // OK when [addr, addr + len) lies inside device memory; otherwise the
-  // status Read and Write fail with.
-  Status CheckRange(std::uint64_t addr, std::uint64_t len) const;
-
-  Status Read(std::uint64_t addr, void* dst, std::uint64_t len) const;
-  Status Write(std::uint64_t addr, const void* src, std::uint64_t len);
-
-  // The kernel engine's per-access path: one access of at most 8 bytes
-  // inside one page, inline. Falls back to Read/Write for a store to an
-  // untouched page and for any access the fast path does not cover (past
-  // the end of device memory, or crossing a page), so every outcome and
-  // status is theirs.
-  Status ReadInPage(std::uint64_t addr, void* dst, std::uint64_t len) const {
-    if (InOnePage(addr, len)) [[likely]] {
-      if (const std::uint8_t* page = PageForRead(addr / kPageSize)) {
-        CopySmall(dst, page + addr % kPageSize, len);
-      } else {
-        std::memset(dst, 0, len);
-      }
+  // OutOfRange status every access below fails with.
+  Status CheckRange(std::uint64_t addr, std::uint64_t len) const {
+    if (InRange(addr, len)) [[likely]]
       return OkStatus();
-    }
-    return Read(addr, dst, len);
+    return RangeError(addr, len);
   }
-  Status WriteInPage(std::uint64_t addr, const void* src, std::uint64_t len) {
-    if (InOnePage(addr, len)) [[likely]] {
-      if (std::uint8_t* page =
-              pages_[addr / kPageSize].load(std::memory_order_acquire)) {
-        CopySmall(page + addr % kPageSize, src, len);
-        return OkStatus();
-      }
-    }
-    return Write(addr, src, len);
+
+  // Inline: the kernel engine's per-access path.
+  Status Read(std::uint64_t addr, void* dst, std::uint64_t len) const {
+    if (!InRange(addr, len)) [[unlikely]]
+      return RangeError(addr, len);
+    CopyBytes(dst, base_ + addr, len);
+    return OkStatus();
+  }
+  Status Write(std::uint64_t addr, const void* src, std::uint64_t len) {
+    if (!InRange(addr, len)) [[unlikely]]
+      return RangeError(addr, len);
+    CopyBytes(base_ + addr, src, len);
+    return OkStatus();
   }
 
   Status Fill(std::uint64_t addr, std::uint8_t value, std::uint64_t len);
-  // Device-to-device copy (cudaMemcpyD2D path).
+  // Device-to-device copy (cudaMemcpyD2D path); the ranges may overlap.
   Status Copy(std::uint64_t dst, std::uint64_t src, std::uint64_t len);
+  // Zeroes [addr, addr + len) and hands its whole pages back to the kernel
+  // (MADV_REMOVE), so a range a departed tenant dirtied costs no memory
+  // until it is touched again. The partial pages at either end are
+  // memset, so bytes outside the range are never disturbed.
+  Status Zero(std::uint64_t addr, std::uint64_t len);
 
   template <typename T>
   Result<T> Load(std::uint64_t addr) const {
@@ -112,15 +106,14 @@ class GlobalMemory {
   }
 
  private:
-  static constexpr std::uint64_t kPageSize = 64 * 1024;
-
-  bool InOnePage(std::uint64_t addr, std::uint64_t len) const {
-    return len <= 8 && addr < size_ && len <= size_ - addr &&
-           addr % kPageSize + len <= kPageSize;
+  bool InRange(std::uint64_t addr, std::uint64_t len) const {
+    return len <= size_ && addr <= size_ - len;
   }
+  [[gnu::cold]] Status RangeError(std::uint64_t addr,
+                                  std::uint64_t len) const;
   // memcpy with the access sizes the engine issues spelled out, so each
   // compiles to one move instead of a library call.
-  static void CopySmall(void* dst, const void* src, std::uint64_t len) {
+  static void CopyBytes(void* dst, const void* src, std::uint64_t len) {
     switch (len) {
       case 1: std::memcpy(dst, src, 1); break;
       case 2: std::memcpy(dst, src, 2); break;
@@ -129,19 +122,9 @@ class GlobalMemory {
       default: std::memcpy(dst, src, len); break;
     }
   }
-  // Null when the page was never touched (reads as zero).
-  const std::uint8_t* PageForRead(std::uint64_t page_index) const {
-    return pages_[page_index].load(std::memory_order_acquire);
-  }
-  // Installs a zeroed page on first touch (lock-free, CAS losers discard).
-  std::uint8_t* PageForWrite(std::uint64_t page_index);
 
   std::uint64_t size_;
-  std::uint64_t page_count_;
-  std::atomic<std::uint64_t> resident_pages_{0};
-  // Copy-on-first-touch 64 KiB pages behind atomic pointers; absent pages
-  // read as zero. Owned; freed in the destructor.
-  std::unique_ptr<std::atomic<std::uint8_t*>[]> pages_;
+  std::uint8_t* base_ = nullptr;
 };
 
 }  // namespace grd::simgpu

@@ -94,7 +94,7 @@ TEST(DispatcherTest, TypedRegistrationRunsAllThreeStages) {
   ASSERT_NE(descriptor, nullptr);
 
   simcuda::Gpu gpu(simgpu::QuadroRtxA4000());
-  ExecutionContext exec(&gpu, ManagerOptions{});
+  ExecutionContext exec({&gpu}, ManagerOptions{});
   SessionRegistry sessions;
   HandlerContext ctx{exec, sessions, nullptr, nullptr, &dispatcher};
 

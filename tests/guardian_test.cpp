@@ -388,6 +388,50 @@ TEST_F(GuardianTest, DisconnectReleasesPartition) {
   ASSERT_TRUE(next.ok());
 }
 
+// A partition is zeroed when it is handed out: a tenant registering on a
+// range a departed tenant wrote, or growing into one, reads zeros.
+TEST_F(GuardianTest, NewPartitionReadsNoBytesOfADepartedTenant) {
+  const std::vector<std::uint8_t> residue(4096, 0x5A);
+  const std::vector<std::uint8_t> zeros(4096, 0);
+  std::vector<std::uint8_t> back(4096);
+
+  auto a = Connect(1 << 20);
+  ASSERT_TRUE(a.ok());
+  DevicePtr pa = 0;
+  ASSERT_TRUE(a->cudaMalloc(&pa, residue.size()).ok());
+  ASSERT_TRUE(a->cudaMemcpyH2D(pa, residue.data(), residue.size()).ok());
+  const std::uint64_t base = a->partition_base();
+  ASSERT_TRUE(a->Disconnect().ok());
+
+  auto b = Connect(1 << 20);
+  ASSERT_TRUE(b.ok());
+  ASSERT_EQ(b->partition_base(), base) << "B must inherit A's range";
+  DevicePtr pb = 0;
+  ASSERT_TRUE(b->cudaMalloc(&pb, back.size()).ok());
+  ASSERT_EQ(pb, pa);
+  ASSERT_TRUE(
+      b->cudaMemcpy(back.data(), pb, back.size(), MemcpyKind::kDeviceToHost)
+          .ok());
+  EXPECT_EQ(back, zeros) << "B read A's bytes at registration";
+
+  // C takes the range right above B (F first fills the free range below
+  // B, which first fit would otherwise hand C), dirties it and leaves; B
+  // grows into it.
+  auto f = Connect(512 << 10);
+  auto c = Connect(512 << 10);
+  ASSERT_TRUE(f.ok() && c.ok());
+  ASSERT_EQ(c->partition_base(), base + b->partition_size());
+  DevicePtr pc = 0;
+  ASSERT_TRUE(c->cudaMalloc(&pc, residue.size()).ok());
+  ASSERT_TRUE(c->cudaMemcpyH2D(pc, residue.data(), residue.size()).ok());
+  ASSERT_TRUE(c->Disconnect().ok());
+  ASSERT_TRUE(b->GrowPartition().ok());
+  ASSERT_TRUE(
+      b->cudaMemcpy(back.data(), pc, back.size(), MemcpyKind::kDeviceToHost)
+          .ok());
+  EXPECT_EQ(back, zeros) << "B read C's bytes after growing";
+}
+
 TEST_F(GuardianTest, UnknownClientRejected) {
   ipc::Writer request;
   protocol::WriteHeader(request, protocol::Op::kMalloc, 999);

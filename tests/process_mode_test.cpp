@@ -229,6 +229,26 @@ TEST(SharedStateTest, AuditReleasesSlotTornMidAllocation) {
   EXPECT_EQ(state->AuditAfterWorkerDeath(), 0u);  // clean registry: no-op
 }
 
+// The launch mirror keeps a launch's shape, not its argument values, so a
+// launch is mirrored (and resumable after adoption) whatever its argument
+// count.
+TEST(SharedStateTest, LaunchMirrorArmsAndMatchesThirteenArgumentLaunch) {
+  SharedSessionJournal journal;
+  ptxexec::LaunchParams params;
+  params.grid = {4, 1, 1};
+  params.block = {32, 1, 1};
+  for (std::uint32_t i = 0; i < 13; ++i)
+    params.args.push_back(KernelArg::U32(i));
+  ASSERT_TRUE(journal.ArmLaunch(7, 1, params));
+  EXPECT_TRUE(journal.MatchLaunch(7, 1, params));
+  EXPECT_FALSE(journal.MatchLaunch(7, 2, params)) << "another stream";
+  params.args.pop_back();
+  EXPECT_FALSE(journal.MatchLaunch(7, 1, params)) << "another argument count";
+  journal.DisarmLaunch();
+  params.args.push_back(KernelArg::U32(12));
+  EXPECT_FALSE(journal.MatchLaunch(7, 1, params)) << "disarmed";
+}
+
 TEST(RobustMutexTest, LockRecoversFromOwnerKilledInCriticalSection) {
   auto region = ipc::SharedRegion::Create(sizeof(ipc::RobustMutex));
   ASSERT_TRUE(region.ok());
@@ -374,6 +394,62 @@ TEST(ProcessModeTest, CrashAdoptsItsSessionsSurvivorsServeAndParentRespawns) {
   (*server)->Stop();
   for (const int fd : {victim_ready[0], survivor_stop[0], survivor_stop[1]})
     close(fd);
+}
+
+// Device memory is mapped before the workers fork, so a worker respawned
+// into a slot serves the bytes its predecessor wrote: a session adopted
+// from an idle worker reads back what it copied in before the kill.
+TEST(ProcessModeTest, AdoptedSessionReadsBackBytesWrittenBeforeTheKill) {
+  ProcessServerOptions options;
+  options.workers = 1;
+  options.channels = 1;
+  auto server = ProcessServer::Create(options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  ASSERT_TRUE((*server)->WaitForChannelOwners());
+
+  int written[2];  // client -> test: "the pattern is on the device"
+  int adopted[2];  // test -> client: "the worker was replaced"
+  ASSERT_EQ(pipe(written), 0);
+  ASSERT_EQ(pipe(adopted), 0);
+  constexpr std::uint32_t kBytes = 64 << 10;  // spans many pages
+
+  const pid_t client = ForkChild([&]() -> int {
+    ChannelTransport transport(&(*server)->channel(0));
+    auto lib = GrdLib::Connect(&transport, 1 << 20);
+    if (!lib.ok()) return 10;
+    std::vector<std::uint8_t> pattern(kBytes);
+    for (std::uint32_t i = 0; i < kBytes; ++i)
+      pattern[i] = static_cast<std::uint8_t>(0xAB ^ i ^ (i >> 8));
+    DevicePtr buf = 0;
+    if (!lib->cudaMalloc(&buf, kBytes).ok()) return 11;
+    if (!lib->cudaMemcpyH2D(buf, pattern.data(), kBytes).ok()) return 12;
+    if (write(written[1], "W", 1) != 1) return 13;
+    char go = 0;
+    if (read(adopted[0], &go, 1) != 1) return 14;
+    std::vector<std::uint8_t> back(kBytes);
+    const Status read_back = lib->cudaMemcpy(
+        back.data(), buf, kBytes, simcuda::MemcpyKind::kDeviceToHost);
+    if (!read_back.ok()) return 15;
+    return back == pattern ? 0 : 16;
+  });
+
+  close(written[1]);
+  char ready = 0;
+  ASSERT_EQ(read(written[0], &ready, 1), 1)
+      << "client exited before writing its pattern";
+  SharedServingState& state = (*server)->state();
+  ASSERT_EQ(kill((*server)->worker_pid(0), SIGKILL), 0);
+  ASSERT_TRUE(PollUntil(
+      [&] { return state.counters().workers_respawned.load() >= 1; }, 5000));
+  ASSERT_TRUE((*server)->WaitForChannelOwners());
+  ASSERT_EQ(write(adopted[1], "A", 1), 1);
+
+  EXPECT_EQ(WaitExit(client), 0) << "16: the adopted session's bytes changed";
+  EXPECT_EQ(state.counters().sessions_adopted.load(), 1u);
+  EXPECT_EQ(state.stats().sessions_adopted.load(), 1u);
+  (*server)->Stop();
+  for (const int fd : {written[0], adopted[0], adopted[1]}) close(fd);
 }
 
 TEST(ProcessModeTest, StressRegisterLaunchUnregisterAcrossProcesses) {

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <utility>
+#include <vector>
+
 #include "simgpu/device_spec.hpp"
 #include "simgpu/engine.hpp"
 #include "simgpu/memory.hpp"
@@ -39,16 +45,24 @@ TEST(GlobalMemory, ReadWriteRoundTrip) {
   EXPECT_EQ(*r, v);
 }
 
+// A "16 GB" device is one reserved mapping: bytes never written anywhere
+// in it read as zero, next to written ones too.
 TEST(GlobalMemory, UntouchedReadsZero) {
-  GlobalMemory mem(1 << 20);
-  auto r = mem.Load<std::uint64_t>(123456);
+  GlobalMemory mem(16ull << 30);
+  for (const std::uint64_t addr : {123456ull, 8ull << 30, (16ull << 30) - 8}) {
+    auto r = mem.Load<std::uint64_t>(addr);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, 0u) << addr;
+  }
+  ASSERT_TRUE(mem.Store<std::uint32_t>(8ull << 30, 7).ok());
+  auto r = mem.Load<std::uint32_t>((8ull << 30) + 4);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, 0u);
 }
 
 TEST(GlobalMemory, CrossPageAccess) {
   GlobalMemory mem(1 << 20);
-  // 64 KiB pages: write 8 bytes straddling the first boundary.
+  // 8 bytes straddling a host page boundary.
   const std::uint64_t addr = 64 * 1024 - 4;
   const std::uint64_t v = 0x1122334455667788ull;
   ASSERT_TRUE(mem.Store<std::uint64_t>(addr, v).ok());
@@ -57,13 +71,29 @@ TEST(GlobalMemory, CrossPageAccess) {
   EXPECT_EQ(*r, v);
 }
 
+// Every access outside device memory fails with the same OutOfRange status,
+// whichever call makes it.
 TEST(GlobalMemory, OutOfDeviceRangeFails) {
-  GlobalMemory mem(1 << 20);
-  EXPECT_EQ(mem.Store<std::uint32_t>((1 << 20) - 2, 1).code(),
+  constexpr std::uint64_t kSize = 1 << 20;
+  GlobalMemory mem(kSize);
+  EXPECT_EQ(mem.Store<std::uint32_t>(kSize - 2, 1).code(),
             StatusCode::kOutOfRange);
-  EXPECT_FALSE(mem.Load<std::uint32_t>(1 << 20).ok());
-  std::uint8_t buf[4];
-  EXPECT_FALSE(mem.Read((1u << 20) - 1, buf, 4).ok());
+  EXPECT_FALSE(mem.Load<std::uint32_t>(kSize).ok());
+  std::uint8_t buf[4] = {};
+  const Status read = mem.Read(kSize - 1, buf, 4);
+  EXPECT_EQ(read.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(read.message(),
+            "device access 0xfffff+4 beyond device memory (1048576 bytes)");
+  for (const Status& s :
+       {mem.Write(kSize - 1, buf, 4), mem.Fill(kSize - 1, 0, 4),
+        mem.Zero(kSize - 1, 4), mem.CheckRange(kSize - 1, 4),
+        mem.Copy(kSize - 1, 0, 4), mem.Copy(0, kSize - 1, 4)}) {
+    EXPECT_EQ(s.code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(s.message(), read.message());
+  }
+  // An access ending exactly at the end of device memory is in range.
+  EXPECT_TRUE(mem.Read(kSize - 4, buf, 4).ok());
+  EXPECT_TRUE(mem.Zero(0, kSize).ok());
 }
 
 TEST(GlobalMemory, FillAndCopy) {
@@ -78,48 +108,62 @@ TEST(GlobalMemory, FillAndCopy) {
   EXPECT_EQ(*r2, 0xAB);
 }
 
-TEST(GlobalMemory, SparseResidency) {
-  GlobalMemory mem(16ull << 30);  // a "16 GB" device costs nothing up front
-  EXPECT_EQ(mem.resident_bytes(), 0u);
-  ASSERT_TRUE(mem.Store<std::uint32_t>(8ull << 30, 7).ok());
-  EXPECT_EQ(mem.resident_bytes(), 64u * 1024);
+TEST(GlobalMemory, OverlappingCopyMovesTheSourceBytes) {
+  GlobalMemory mem(1 << 20);
+  std::uint8_t bytes[16];
+  for (std::uint8_t i = 0; i < 16; ++i) bytes[i] = i;
+  ASSERT_TRUE(mem.Write(64, bytes, 16).ok());
+  ASSERT_TRUE(mem.Copy(68, 64, 16).ok());
+  std::uint8_t back[16] = {};
+  ASSERT_TRUE(mem.Read(68, back, 16).ok());
+  for (std::uint8_t i = 0; i < 16; ++i) EXPECT_EQ(back[i], i);
 }
 
-// The engine's in-page path agrees with Read/Write everywhere, including
-// the cases it hands to them: a store to an untouched page, an access past
-// the end of device memory, and one that crosses a page.
-TEST(GlobalMemory, InPageAccessMatchesReadWrite) {
+// Zero clears exactly [addr, addr + len): whole pages inside the range and
+// its unaligned edges, and not one byte on either side.
+TEST(GlobalMemory, ZeroClearsExactlyItsRange) {
+  constexpr std::uint64_t kSpan = 5 * 4096;
   GlobalMemory mem(1 << 20);
-  std::uint64_t bits = 1;
-  ASSERT_TRUE(mem.ReadInPage(4096, &bits, 8).ok());
-  EXPECT_EQ(bits, 0u) << "an untouched page reads as zero";
-  EXPECT_EQ(mem.resident_bytes(), 0u) << "a read installs no page";
-
-  const std::uint32_t v = 0xCAFEF00D;
-  ASSERT_TRUE(mem.WriteInPage(4096, &v, 4).ok());
-  EXPECT_EQ(mem.resident_bytes(), 64u * 1024) << "first store installs it";
-  ASSERT_TRUE(mem.WriteInPage(4100, &v, 2).ok());
-  ASSERT_TRUE(mem.ReadInPage(4096, &bits, 8).ok());
-  EXPECT_EQ(bits, 0xF00D'CAFE'F00Dull);
-
-  const std::uint64_t w = 0x1122334455667788ull;
-  const std::uint64_t straddle = 64 * 1024 - 4;
-  ASSERT_TRUE(mem.WriteInPage(straddle, &w, 8).ok());
-  auto r = mem.Load<std::uint64_t>(straddle);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, w);
-  ASSERT_TRUE(mem.ReadInPage(straddle, &bits, 8).ok());
-  EXPECT_EQ(bits, w);
-
-  for (const std::uint64_t addr : {(1ull << 20) - 2, 1ull << 20}) {
-    const Status in_page_read = mem.ReadInPage(addr, &bits, 4);
-    const Status read = mem.Read(addr, &bits, 4);
-    EXPECT_EQ(in_page_read.code(), StatusCode::kOutOfRange);
-    EXPECT_EQ(in_page_read.message(), read.message());
-    const Status in_page_write = mem.WriteInPage(addr, &v, 4);
-    EXPECT_EQ(in_page_write.code(), StatusCode::kOutOfRange);
-    EXPECT_EQ(in_page_write.message(), mem.Write(addr, &v, 4).message());
+  for (const auto& [addr, len] :
+       std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+           {4096 + 3, 3 * 4096 - 7},  // unaligned edges around whole pages
+           {2 * 4096, 2 * 4096},      // page-aligned both ends
+           {4096 + 100, 50},          // inside one page
+           {4096 - 5, 10}}) {         // straddles one page boundary
+    ASSERT_TRUE(mem.Fill(0, 0xC3, kSpan).ok());
+    ASSERT_TRUE(mem.Zero(addr, len).ok());
+    std::vector<std::uint8_t> back(kSpan);
+    ASSERT_TRUE(mem.Read(0, back.data(), kSpan).ok());
+    for (std::uint64_t i = 0; i < kSpan; ++i) {
+      const std::uint8_t want = i >= addr && i < addr + len ? 0 : 0xC3;
+      ASSERT_EQ(back[i], want) << "byte " << i << " of Zero(" << addr
+                               << ", " << len << ")";
+    }
   }
+}
+
+// The mapping is shared: a process forked after the memory was built writes
+// the same bytes its parent reads.
+TEST(GlobalMemory, ForkedChildWriteIsVisibleToParent) {
+  GlobalMemory mem(1 << 20);
+  ASSERT_TRUE(mem.Store<std::uint64_t>(4096, 1).ok());
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const bool ok = mem.Store<std::uint64_t>(4096, 0x1122334455667788ull)
+                        .ok() &&
+                    mem.Fill(65536, 0xEE, 16).ok();
+    _exit(ok ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  auto r = mem.Load<std::uint64_t>(4096);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, 0x1122334455667788ull);
+  auto filled = mem.Load<std::uint8_t>(65536 + 15);
+  ASSERT_TRUE(filled.ok());
+  EXPECT_EQ(*filled, 0xEE);
 }
 
 TEST(Timing, AverageLatencyMatchesFigure5Extremes) {
