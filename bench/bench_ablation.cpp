@@ -197,8 +197,7 @@ int main() {
     flavor.cold_load_ms = load_ms[load_ms.size() / 2];
 
     simgpu::GlobalMemory memory(4ull << 20);
-    simgpu::AllowAllPolicy allow;
-    ptxexec::Interpreter interp(&memory, &allow, 1);
+    ptxexec::Interpreter interp(&memory, nullptr, 1);
     for (const ptx::Kernel& kernel : corpus.kernels) {
       LaunchParams params;
       params.block = {32, 1, 1};

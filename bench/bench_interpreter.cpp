@@ -4,7 +4,7 @@
 //  phase 1 — Minstr/s on an ALU-heavy loop kernel, on a patched (fenced)
 //            memory-copy kernel, and on the two kernels guardbench's
 //            tenants launch most, patched and run as the manager runs them
-//            (bitwise fencing with guard elision, AllowAllPolicy): cuBLAS
+//            (bitwise fencing with guard elision, no access policy): cuBLAS
 //            grd_sgemm at 32x32x32 and saxpy over 1024 floats. Each runs
 //            three ways:
 //              cold     — the seed string-map reference engine
@@ -13,6 +13,9 @@
 //              engine   — the engine on FuseKernel output, which is what
 //                         every launch runs: the whole loop body retires
 //                         per dispatch
+//            The served kernels' fused program is also launched one launch
+//            at a time (200 launches quick, 400 full), and the median wall
+//            time per launch is reported.
 //  phase 2 — ModuleLoad + first-launch latency for a cold tenant (parse +
 //            patch + compile + fuse) vs fresh tenants whose identical PTX
 //            hits the sandbox cache (hash + source compare only); the
@@ -28,9 +31,10 @@
 // load compiled exactly one fused program (superinstructions counted) whose
 // first launch retired every instruction in the engine's slot, the cache
 // hits compiled nothing and cost at most 0.15x the cold load, and tracing
-// stays within 5%. The served kernels carry no gate: their rates are wall
-// time, and their instruction counts and replayed block phases (0 while
-// they run in lockstep) are reported for comparison. Writes
+// stays within 5%. The served kernels carry no gate: their rates and their
+// median per-launch wall times are wall time, and their instruction counts
+// and replayed block phases (0 while they run in lockstep) are reported for
+// comparison. Writes
 // the machine-readable line to stdout AND to ./BENCH_interpreter.json.
 // GRD_BENCH_QUICK=1 shrinks the workload for CI smoke runs.
 #include <algorithm>
@@ -97,6 +101,12 @@ LOOP:
 }
 )";
 
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
+
 struct EngineScore {
   double mips = 0.0;  // million interpreted instructions per second
   std::uint64_t instructions = 0;
@@ -125,14 +135,18 @@ struct EngineScores {
   EngineScore unfused;  // the engine on CompileKernel output
   EngineScore engine;   // the engine on FuseKernel output
   std::uint32_t superinstructions = 0;
+  double launch_us = 0.0;  // median wall time of one fused launch
 };
 
+// `timed_launches` > 0 also times that many back-to-back launches of the
+// fused program, one at a time, into EngineScores::launch_us: a median of
+// many short launches moves less with the host than a best-of-reps rate.
 EngineScores Race(const ptx::Module& module, const std::string& kernel,
-                  const LaunchParams& params, int reps) {
+                  const LaunchParams& params, int reps,
+                  int timed_launches = 0) {
   simgpu::GlobalMemory memory(16ull << 20);
-  simgpu::AllowAllPolicy allow;
-  ptxexec::Interpreter interp(&memory, &allow, 1);
-  ptxexec::ReferenceInterpreter reference(&memory, &allow, 1);
+  ptxexec::Interpreter interp(&memory, nullptr, 1);
+  ptxexec::ReferenceInterpreter reference(&memory, nullptr, 1);
   EngineScores out;
 
   for (int rep = 0; rep < reps; ++rep) {
@@ -172,13 +186,16 @@ EngineScores Race(const ptx::Module& module, const std::string& kernel,
     KeepBest(&out.unfused, [&] { return run(*compiled); });
     KeepBest(&out.engine, [&] { return run(fused); });
   }
+  std::vector<double> launch_us;
+  for (int l = 0; l < timed_launches; ++l) {
+    const auto begin = std::chrono::steady_clock::now();
+    (void)run(fused);
+    launch_us.push_back(std::chrono::duration<double, std::micro>(
+                            std::chrono::steady_clock::now() - begin)
+                            .count());
+  }
+  if (!launch_us.empty()) out.launch_us = Median(std::move(launch_us));
   return out;
-}
-
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
 }
 
 struct LaunchLatency {
@@ -290,8 +307,9 @@ int main() {
                        KernelArg::U32(kGemm), KernelArg::U32(kGemm),
                        KernelArg::U64(served_grd.arg0),
                        KernelArg::U64(served_grd.arg1)};
-  const EngineScores sgemm =
-      Race(*served_sgemm, "grd_sgemm", sgemm_params, reps);
+  const int timed_launches = quick ? 200 : 400;
+  const EngineScores sgemm = Race(*served_sgemm, "grd_sgemm", sgemm_params,
+                                  reps, timed_launches);
   constexpr std::uint32_t kVector = 1024;
   LaunchParams saxpy_params;
   saxpy_params.grid = {kVector / 256, 1, 1};
@@ -300,7 +318,8 @@ int main() {
                        KernelArg::F32(1.5f), KernelArg::U32(kVector),
                        KernelArg::U64(served_grd.arg0),
                        KernelArg::U64(served_grd.arg1)};
-  const EngineScores saxpy = Race(*served_saxpy, "saxpy", saxpy_params, reps);
+  const EngineScores saxpy =
+      Race(*served_saxpy, "saxpy", saxpy_params, reps, timed_launches);
 
   const auto ratio = [](double num, double den) {
     return den > 0.0 ? num / den : 0.0;
@@ -336,6 +355,9 @@ int main() {
               static_cast<unsigned long long>(saxpy.engine.instructions),
               static_cast<unsigned long long>(sgemm.engine.replays),
               static_cast<unsigned long long>(saxpy.engine.replays));
+  std::printf("served launch wall time (median of %d fused launches): "
+              "sgemm %.1f us, saxpy %.1f us\n",
+              timed_launches, sgemm.launch_us, saxpy.launch_us);
 
   // ---- phase 2: cold vs cached launch -------------------------------------
   simcuda::Gpu gpu(simgpu::QuadroRtxA4000());
@@ -507,7 +529,9 @@ int main() {
            ratio(saxpy.engine.mips, saxpy.unfused.mips), 2)
       .Add("saxpy_instructions", saxpy.engine.instructions)
       .Add("sgemm_replays", sgemm.engine.replays)
-      .Add("saxpy_replays", saxpy.engine.replays);
+      .Add("saxpy_replays", saxpy.engine.replays)
+      .Add("sgemm_launch_us", sgemm.launch_us, 1)
+      .Add("saxpy_launch_us", saxpy.launch_us, 1);
   json.Emit("interpreter");
 
   bool ok = true;

@@ -28,8 +28,8 @@ const std::string kPtx = ptx::Print(ptx::MakeSampleModule());
 void SharedContextScenario() {
   std::printf("--- 1. bare shared context (spatial sharing, no checks) ---\n");
   simgpu::GlobalMemory memory(64ull << 20);
-  simgpu::AllowAllPolicy allow_all;  // one context, one address space
-  ptxexec::Interpreter interp(&memory, &allow_all, /*client=*/1);
+  // One context, one address space: no per-access policy.
+  ptxexec::Interpreter interp(&memory, /*policy=*/nullptr, /*client=*/1);
   auto module = ptx::Parse(kPtx);
 
   const std::uint64_t attacker_buf = 1ull << 20;

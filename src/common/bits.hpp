@@ -3,9 +3,47 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace grd {
+
+// The `bytes` (1, 2, 4 or 8) bytes at `p` in host byte order, zero-extended,
+// and its inverse. Each size is spelled out, so an access compiles to one
+// move between memory and a register: a variable-length memcpy would make
+// the caller's value live in a stack slot.
+template <typename Word>
+inline std::uint64_t LoadAs(const void* p) noexcept {
+  Word v;
+  std::memcpy(&v, p, sizeof(Word));
+  return v;
+}
+
+template <typename Word>
+inline void StoreAs(void* p, std::uint64_t value) noexcept {
+  const auto v = static_cast<Word>(value);
+  std::memcpy(p, &v, sizeof(Word));
+}
+
+inline std::uint64_t LoadWord(const void* p, std::size_t bytes) noexcept {
+  switch (bytes) {
+    case 1: return LoadAs<std::uint8_t>(p);
+    case 2: return LoadAs<std::uint16_t>(p);
+    case 4: return LoadAs<std::uint32_t>(p);
+    default: return LoadAs<std::uint64_t>(p);
+  }
+}
+
+inline void StoreWord(void* p, std::size_t bytes,
+                      std::uint64_t value) noexcept {
+  switch (bytes) {
+    case 1: return StoreAs<std::uint8_t>(p, value);
+    case 2: return StoreAs<std::uint16_t>(p, value);
+    case 4: return StoreAs<std::uint32_t>(p, value);
+    default: return StoreAs<std::uint64_t>(p, value);
+  }
+}
 
 constexpr bool IsPowerOfTwo(std::uint64_t v) noexcept {
   return v != 0 && (v & (v - 1)) == 0;

@@ -101,15 +101,18 @@ class Dispatcher {
 // Populates `dispatcher` with every RPC of the wire protocol (handlers.cpp).
 void RegisterBuiltinHandlers(Dispatcher& dispatcher);
 
-// Session adoption (process mode): rebuilds client `client` from its
-// shared-slot journal after the supervisor re-homed the slot onto this
-// worker — partition at its exact prior bounds, live mallocs address-exact,
-// modules replayed from the shared PTX arena through the sandbox cache,
-// functions, streams, id counters. An armed pending-kernel mirror is left
-// in place: the client's retried launch resumes it from its completed-block
-// bitmap. NotFound when the slot was not promised to this worker.
-Result<std::shared_ptr<ClientSession>> AdoptJournaledSession(
-    ExecutionContext& exec, SessionRegistry& sessions, std::uint64_t client);
+// Session adoption (process mode): rebuilds every session the supervisor
+// re-homed onto this worker (adoption_pending) from its shared-slot
+// journal — partition at its exact prior bounds, live mallocs
+// address-exact, modules replayed from the shared PTX arena through the
+// sandbox cache, functions, streams, id counters. An armed pending-kernel
+// mirror is left in place: the client's retried launch resumes it from its
+// completed-block bitmap. A session that cannot be rebuilt is crash-failed.
+// A replacement worker runs this before it serves any request, so a fresh
+// registration can never be handed an adopted session's partition. Returns
+// the number of sessions adopted; 0 without a shared registry.
+std::size_t AdoptPendingSessions(ExecutionContext& exec,
+                                 SessionRegistry& sessions);
 
 // Live migration: moves `session` (mutex held by the caller) to
 // `target_device` — pauses its streams, revokes any running kernel at a

@@ -721,12 +721,13 @@ Result<GpuTicket> EnqueueKernelLaunch(HandlerContext& ctx, LaunchReq& req) {
     // tenants skip parse, patch AND compile). Device-side protection comes
     // from the sandboxed PTX itself; the manager's single context sees the
     // whole device, and co-resident kernels share it under the scheduler's
-    // occupancy model. The run is preemptible: the interpreter polls the
-    // slot's revocation flag and can suspend at a block boundary into
-    // state->checkpoint; modeled device time dilates per executed block,
-    // which is what bounds preemption latency to roughly one block.
-    simgpu::AllowAllPolicy policy;
-    ptxexec::Interpreter interpreter(&dev.gpu->memory(), &policy, session->id);
+    // occupancy model, with no per-access policy (the null policy). The run
+    // is preemptible: the interpreter polls the slot's revocation flag and
+    // can suspend at a block boundary into state->checkpoint; modeled device
+    // time dilates per executed block, which is what bounds preemption
+    // latency to roughly one block.
+    ptxexec::Interpreter interpreter(&dev.gpu->memory(), nullptr,
+                                     session->id);
     interpreter.set_max_instructions_per_thread(
         ex.options.max_kernel_instructions);
     ptxexec::ExecControls controls;
@@ -1227,17 +1228,15 @@ Result<Writer> ExecuteExportTable(HandlerContext&, ExportTableReq& req) {
 
 // kResumeSession: attach-first crash recovery. The client probes whether
 // its session survived its worker's death via adoption before paying the
-// full re-register + module-replay fallback. Sessionless: the session may
-// not exist locally yet — this very call triggers the journal rebuild.
+// full re-register + module-replay fallback. A replacement worker adopts
+// every session promised to it before serving anything, so the session is
+// here or it is gone. Sessionless: a lost session's id must still reach
+// this handler.
 Result<Writer> ExecuteResumeSession(HandlerContext& ctx, IdReq& req) {
   auto found = ctx.sessions.Find(req.id);
-  if (!found.ok()) {
-    auto adopted = AdoptJournaledSession(ctx.exec, ctx.sessions, req.id);
-    if (!adopted.ok())
-      return Status(NotFound("session " + std::to_string(req.id) +
-                             " was not adopted; re-register"));
-    found = std::move(adopted);
-  }
+  if (!found.ok())
+    return Status(NotFound("session " + std::to_string(req.id) +
+                           " was not adopted; re-register"));
   const std::shared_ptr<ClientSession>& session = *found;
   Writer out;
   out.Put<std::uint64_t>(session->id);
@@ -1369,31 +1368,18 @@ void RegisterBuiltinHandlers(Dispatcher& d) {
                     DecodeId, nullptr, ExecuteResumeSession);
 }
 
-Result<std::shared_ptr<ClientSession>> AdoptJournaledSession(
-    ExecutionContext& exec, SessionRegistry& sessions, std::uint64_t client) {
-  SharedServingState* shared = sessions.shared();
-  if (shared == nullptr)
-    return Status(NotFound("no shared registry (threaded mode)"));
-  SharedSessionSlot* slot = shared->FindSession(client);
-  if (slot == nullptr ||
-      slot->state.load(std::memory_order_acquire) !=
-          static_cast<std::uint32_t>(SessionSlotState::kActive) ||
-      slot->owner_worker.load(std::memory_order_acquire) !=
-          sessions.worker_index() ||
-      slot->adoption_pending.load(std::memory_order_acquire) == 0)
-    return Status(NotFound("session " + std::to_string(client) +
-                           " is not promised to this worker"));
-  if (slot->journal.truncated.load(std::memory_order_acquire) != 0) {
-    // Outgrew the journal caps at some point: adoption is impossible, fall
-    // back to the crash-fail path so the client rebuilds from scratch.
-    slot->adoption_pending.store(0, std::memory_order_release);
-    slot->state.store(static_cast<std::uint32_t>(SessionSlotState::kFailed),
-                      std::memory_order_release);
-    shared->counters().sessions_crash_failed.fetch_add(
-        1, std::memory_order_relaxed);
-    return Status(Unavailable("session " + std::to_string(client) +
-                              " outgrew its journal; re-register"));
-  }
+namespace {
+
+// Rebuilds the session in `slot` from its journal (see
+// AdoptPendingSessions). A failure leaves nothing installed.
+Status AdoptJournaledSession(ExecutionContext& exec, SessionRegistry& sessions,
+                             SharedServingState* shared,
+                             SharedSessionSlot* slot) {
+  const std::uint64_t client = slot->client.load(std::memory_order_acquire);
+  // A session that outgrew the journal caps cannot be rebuilt.
+  if (slot->journal.truncated.load(std::memory_order_acquire) != 0)
+    return Unavailable("session " + std::to_string(client) +
+                       " outgrew its journal");
 
   const SharedSessionJournal::Entries journal = slot->journal.Live();
   const std::uint32_t device_id = slot->device.load(std::memory_order_acquire);
@@ -1470,7 +1456,40 @@ Result<std::shared_ptr<ClientSession>> AdoptJournaledSession(
                              << (session->resume_pending
                                      ? ", in-flight kernel pending)"
                                      : ")");
-  return session;
+  return OkStatus();
+}
+
+}  // namespace
+
+std::size_t AdoptPendingSessions(ExecutionContext& exec,
+                                 SessionRegistry& sessions) {
+  SharedServingState* shared = sessions.shared();
+  if (shared == nullptr) return 0;
+  std::size_t adopted = 0;
+  for (std::uint32_t i = 0; i < shared->layout().max_sessions; ++i) {
+    SharedSessionSlot* slot = &shared->session_slot(i);
+    if (slot->adoption_pending.load(std::memory_order_acquire) == 0 ||
+        slot->owner_worker.load(std::memory_order_acquire) !=
+            sessions.worker_index() ||
+        slot->state.load(std::memory_order_acquire) !=
+            static_cast<std::uint32_t>(SessionSlotState::kActive))
+      continue;
+    const Status rebuilt = AdoptJournaledSession(exec, sessions, shared, slot);
+    if (rebuilt.ok()) {
+      ++adopted;
+      continue;
+    }
+    // Fail it the way a crash without respawn does: the client's requests
+    // get the clean "worker crashed" status and it registers afresh.
+    GRD_LOG_WARN("grdManager") << "could not adopt session "
+                               << slot->client.load() << ": " << rebuilt;
+    slot->adoption_pending.store(0, std::memory_order_release);
+    slot->state.store(static_cast<std::uint32_t>(SessionSlotState::kFailed),
+                      std::memory_order_release);
+    shared->counters().sessions_crash_failed.fetch_add(
+        1, std::memory_order_relaxed);
+  }
+  return adopted;
 }
 
 Status MigrateSession(ExecutionContext& exec,

@@ -62,14 +62,7 @@ ipc::Bytes GrdManager::HandleRequest(const Bytes& request) {
   }
 
   auto found = sessions_.Find(header->client);
-  if (!found.ok()) {
-    // Lazy adoption: a dead worker's session whose shared slot the
-    // supervisor reassigned to this worker is rebuilt from its journal on
-    // first touch, so the client keeps its id without re-registering.
-    auto adopted = AdoptJournaledSession(exec_, sessions_, header->client);
-    if (!adopted.ok()) return protocol::EncodeError(found.status());
-    found = std::move(adopted);
-  }
+  if (!found.ok()) return protocol::EncodeError(found.status());
   const std::shared_ptr<ClientSession> session = std::move(*found);
 
   // Per-session serialization: one request at a time per client, while

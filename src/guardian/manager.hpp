@@ -78,6 +78,13 @@ class GrdManager {
   // trigger would. Thread-safe against concurrent requests of the session.
   Status Migrate(ClientId client, std::uint32_t device);
 
+  // Process mode: rebuilds every session the supervisor promised to this
+  // worker from its shared journal (AdoptPendingSessions in dispatch.hpp).
+  // A replacement worker calls it before it serves any request.
+  std::size_t AdoptPendingSessions() {
+    return guardian::AdoptPendingSessions(exec_, sessions_);
+  }
+
   // Called by the transport when a response could not be delivered.
   void NoteDroppedResponse() noexcept { ++exec_.stats.responses_dropped; }
 

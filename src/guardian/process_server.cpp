@@ -118,6 +118,10 @@ void ProcessServer::WorkerMain(std::uint32_t index) {
     std::vector<simcuda::Gpu*> gpus;
     for (const auto& gpu : devices_[index]) gpus.push_back(gpu.get());
     GrdManager manager(gpus, options_.manager, state_, index);
+    // Sessions the dead predecessor left are rebuilt before this worker
+    // claims a channel: until then their partitions are free in this
+    // worker's allocator, and a registration could be handed one.
+    manager.AdoptPendingSessions();
 
     // Sticky claims: CAS our preferred channels; a channel claimed once is
     // pumped by this worker until it dies (the supervisor releases claims).
@@ -210,8 +214,8 @@ void ProcessServer::HandleWorkerDeath(std::uint32_t index, int wait_status) {
   state_->AuditAfterWorkerDeath();
   // Adoption before the fail sweep: slots flagged adoption_pending are
   // skipped by FailSessionsOfWorker. The replacement spawns into the SAME
-  // slot, so the dead worker's sessions re-home onto worker `index` and
-  // rebuild lazily from their journals on first touch.
+  // slot, so the dead worker's sessions re-home onto worker `index`, and
+  // the replacement rebuilds them from their journals before it serves.
   const std::size_t adopted =
       options_.respawn ? state_->AdoptSessionsOfWorker(index, index) : 0;
   const std::size_t failed = state_->FailSessionsOfWorker(index);

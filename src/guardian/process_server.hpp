@@ -35,9 +35,9 @@
 // tests/adoption_test.cpp):
 //  1. a SIGKILLed worker's in-flight requests answer with kUnavailable;
 //  2. with respawn enabled, its journaled sessions are re-homed onto the
-//     replacement worker (adoption_pending) and rebuilt from their shared
-//     journals on first touch — same client id, same partition bounds,
-//     same device bytes;
+//     replacement worker (adoption_pending), which rebuilds them from their
+//     shared journals before it claims a channel — same client id, same
+//     partition bounds, same device bytes;
 //     sessions whose journal overflowed (or with respawn disabled) move to
 //     kFailed and later requests get a clean "worker crashed" status;
 //  3. sessions on surviving workers are untouched and keep serving;

@@ -379,7 +379,7 @@ class SharedServingState {
   // Re-homes the journaled (non-truncated) active sessions of dead worker
   // `from` onto worker `to`: sets adoption_pending and flips owner_worker so
   // the subsequent FailSessionsOfWorker sweep leaves them alive. The
-  // adopting worker rebuilds each lazily from its journal on first touch.
+  // adopting worker rebuilds each from its journal before it serves.
   // Returns the number of sessions re-homed.
   std::size_t AdoptSessionsOfWorker(std::uint32_t from,
                                     std::uint32_t to) noexcept;

@@ -27,9 +27,10 @@
 //  - AccessLog, what a lockstep attempt loaded and stored: its store
 //    buffer and conflict check;
 //  - BlockExec, the per-block machine state (slot-major register file,
-//    shared segment, operand reads, the one load/store path through the
-//    access policy, fault recording, preemption-poll bookkeeping), the
-//    phase loop with its rollback and replay, and the dispatch loop;
+//    shared segment, operand reads, the one load/store path (through the
+//    access policy when one is set), fault recording, preemption-poll
+//    bookkeeping), the phase loop with its rollback and replay, and the
+//    dispatch loop;
 //  - Interpreter::Execute, the grid walk (checkpoint skip/resume, per-block
 //    stats deltas, block-boundary safe points).
 // A superinstruction executes its micro ops back to back, each across the
@@ -40,9 +41,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -295,6 +298,8 @@ class AccessLog {
   static constexpr std::uint32_t kMaxLoads = 1u << 15;
   static constexpr std::uint32_t kMaxStores = 1u << 12;
   static constexpr std::uint64_t kMaxScan = std::uint64_t{1} << 22;
+  // Stores CheckLoads' cursor steps over before it searches instead.
+  static constexpr std::ptrdiff_t kCursorWalk = 8;
 
   AccessLog()
       : loads_(new LoggedLoad[kMaxLoads]),
@@ -309,7 +314,8 @@ class AccessLog {
 
   // Logs `lane`'s load of [addr, addr + bytes), whose bytes in memory are
   // *value, and merges in the lane's own buffered bytes. Returns false, with
-  // *cause set, when the attempt must stop.
+  // *cause set, when the attempt must stop. Inlined with its caller, so
+  // *value stays in the caller's register.
   [[gnu::always_inline]] bool Load(std::uint32_t lane, std::uint64_t addr,
                                    std::size_t bytes, std::uint64_t* value,
                                    ReplayCause* cause) {
@@ -318,7 +324,11 @@ class AccessLog {
     loads_[n_loads_++] =
         LoggedLoad{addr, lane, static_cast<std::uint32_t>(bytes)};
     if (!RangeOf(addr).Overlaps(addr, bytes)) return true;
-    return ReadStored(lane, addr, bytes, value, cause);
+    const std::optional<std::uint64_t> merged =
+        ReadStored(lane, addr, bytes, *value, cause);
+    if (!merged) return false;
+    *value = *merged;
+    return true;
   }
 
   // Buffers `lane`'s store; false, with *cause set, when the buffer is full.
@@ -349,14 +359,32 @@ class AccessLog {
       first = by_address_.get();
       last = first + n_stores_;
     }
+    // `cursor` is the first store at or above `from` of the previous load
+    // in the stored ranges. The loads of one instruction come in lane order,
+    // usually ascending in address, so the next search starts there and
+    // walks a few stores; an address that goes backwards, or a longer walk,
+    // searches the whole array.
+    const BufferedStore* cursor = first;
+    std::uint64_t cursor_from = 0;
     for (std::uint32_t i = 0; i < n_loads_; ++i) {
       const LoggedLoad& load = loads_[i];
       if (!RangeOf(load.addr).Overlaps(load.addr, load.bytes)) continue;
       // An access is at most 8 bytes, so only stores starting within 7
       // bytes below the load can reach it.
-      const std::uint64_t from = load.addr - std::min<std::uint64_t>(load.addr, 7);
-      for (const BufferedStore* s = std::lower_bound(
-               first, last, BufferedStore{from, 0, 0, 0}, by_addr);
+      const std::uint64_t from =
+          load.addr - std::min<std::uint64_t>(load.addr, 7);
+      const BufferedStore key{from, 0, 0, 0};
+      if (from < cursor_from) {
+        cursor = std::lower_bound(first, last, key, by_addr);
+      } else {
+        const BufferedStore* const walk_end =
+            cursor + std::min<std::ptrdiff_t>(kCursorWalk, last - cursor);
+        while (cursor != walk_end && cursor->addr < from) ++cursor;
+        if (cursor != last && cursor->addr < from)
+          cursor = std::lower_bound(cursor, last, key, by_addr);
+      }
+      cursor_from = from;
+      for (const BufferedStore* s = cursor;
            s != last && s->addr < load.addr + load.bytes; ++s) {
         if (s->addr + s->bytes > load.addr && s->lane < load.lane)
           return Stop(ReplayCause::kConflict, cause);
@@ -368,7 +396,7 @@ class AccessLog {
   // Calls write(address, value, bytes) for every buffered store in thread
   // order: lane by lane, each lane's stores in program order.
   template <typename Write>
-  Status Commit(Write&& write) {
+  void Commit(Write&& write) {
     BufferedStore* const first = stores_.get();
     const auto by_lane = [](const BufferedStore& a, const BufferedStore& b) {
       return a.lane < b.lane;
@@ -376,8 +404,7 @@ class AccessLog {
     if (!std::is_sorted(first, first + n_stores_, by_lane))
       std::stable_sort(first, first + n_stores_, by_lane);
     for (std::uint32_t i = 0; i < n_stores_; ++i)
-      GRD_RETURN_IF_ERROR(write(first[i].addr, first[i].value, first[i].bytes));
-    return OkStatus();
+      write(first[i].addr, first[i].value, first[i].bytes);
   }
 
  private:
@@ -414,26 +441,33 @@ class AccessLog {
   }
 
   // A load inside the stored range: overlays the lane's own stores, in
-  // program order; a lower lane's store conflicts.
-  [[gnu::noinline]] bool ReadStored(std::uint32_t lane, std::uint64_t addr,
-                                    std::size_t bytes, std::uint64_t* value,
-                                    ReplayCause* cause) {
+  // program order, on `value`, the bytes in memory; a lower lane's store
+  // conflicts. The merged value, or nothing with *cause set.
+  [[gnu::noinline]] std::optional<std::uint64_t> ReadStored(
+      std::uint32_t lane, std::uint64_t addr, std::size_t bytes,
+      std::uint64_t value, ReplayCause* cause) {
     scanned_ += n_stores_;
-    if (scanned_ > kMaxScan) return Stop(ReplayCause::kLogBound, cause);
+    if (scanned_ > kMaxScan) {
+      Stop(ReplayCause::kLogBound, cause);
+      return std::nullopt;
+    }
     const std::uint64_t end = addr + bytes;
     for (std::uint32_t i = 0; i < n_stores_; ++i) {
       const BufferedStore& s = stores_[i];
       if (s.addr >= end || s.addr + s.bytes <= addr || s.lane > lane) continue;
-      if (s.lane < lane) return Stop(ReplayCause::kConflict, cause);
+      if (s.lane < lane) {
+        Stop(ReplayCause::kConflict, cause);
+        return std::nullopt;
+      }
       for (std::uint64_t b = std::max(addr, s.addr);
            b < std::min(end, s.addr + s.bytes); ++b) {
         const unsigned to = 8 * static_cast<unsigned>(b - addr);
         const unsigned from = 8 * static_cast<unsigned>(b - s.addr);
-        *value = (*value & ~(std::uint64_t{0xFF} << to)) |
-                 (((s.value >> from) & 0xFF) << to);
+        value = (value & ~(std::uint64_t{0xFF} << to)) |
+                (((s.value >> from) & 0xFF) << to);
       }
     }
-    return true;
+    return value;
   }
 
   std::unique_ptr<LoggedLoad[]> loads_;
@@ -497,7 +531,7 @@ class BlockExec {
 
   // Runs the phase's live lanes (group_) as one attempt and commits it.
   // False when it rolled back to the phase start, cause_ saying why.
-  Result<bool> Attempt(bool first_phase);
+  bool Attempt(bool first_phase);
 
   // Runs the group act_ (ascending lanes, one pc) until every lane parked
   // at a barrier or retired. A non-OK status is the fault of a one-lane
@@ -608,119 +642,138 @@ class BlockExec {
   }
 
   // The one path every ld/st lane takes, top-level or fused: the block's
-  // shared segment for a tagged address, else the tenant access policy and
-  // then GlobalMemory's inline Read/Write. Every attempted access consults
-  // the policy; in a multi-lane attempt the access log then checks it for
-  // conflicts and buffers the store. Alignment is checked by the caller,
-  // once per access. A load fills the low `bytes` bytes of *bits, which
-  // the caller zeroed. Forced inline into the lane loops; the fault paths
-  // are cold out-of-line functions (see LdScalar).
-  [[gnu::always_inline]] Status Load(std::uint32_t lane, std::uint64_t addr,
-                                     std::size_t bytes, std::uint64_t* bits) {
+  // shared segment for a tagged address, else the tenant access policy, when
+  // one is set, and GlobalMemory's word accessors. In a multi-lane attempt
+  // the access log then checks the access for conflicts and buffers the
+  // store. Alignment is checked by the caller, once per access. A load
+  // returns its bytes zero-extended in *bits. False when the lane stops:
+  // on a fault, recorded at `at` (a vector access's first byte) by a cold
+  // out-of-line function, or on an access-log stop, with cause_ set; the
+  // lane loop then returns Stopped(). Forced inline into the lane loops, so
+  // *bits lives in a register and no Status is built while lanes succeed.
+  [[gnu::always_inline]] bool Load(std::uint32_t lane, std::uint64_t addr,
+                                   std::size_t bytes, std::uint64_t at,
+                                   std::uint64_t* bits) {
     if (addr & scalar::kSharedTag) {
       const std::uint64_t off = addr & ~scalar::kSharedTag;
       if (off + bytes > shared_.size()) [[unlikely]]
-        return SharedOutOfRange();
-      std::memcpy(bits, shared_.data() + off, bytes);
+        return SharedFault(at, lane);
+      *bits = LoadWord(shared_.data() + off, bytes);
       ++stats_->shared_accesses;
     } else {
-      GRD_RETURN_IF_ERROR(policy_->CheckAccess(client_, addr, bytes, false));
-      GRD_RETURN_IF_ERROR(memory_->Read(addr, bits, bytes));
+      if (policy_ != nullptr && !Permitted(lane, addr, bytes, false, at))
+        return false;
+      if (!memory_->ReadWord(addr, bytes, bits)) [[unlikely]]
+        return RangeFault(addr, bytes, at, lane);
       ++stats_->global_loads;
     }
-    if (log_ != nullptr && !log_->Load(lane, addr, bytes, bits, &cause_))
-        [[unlikely]]
-      return Status(StatusCode::kAborted);
-    return OkStatus();
+    return log_ == nullptr || log_->Load(lane, addr, bytes, bits, &cause_);
   }
 
-  [[gnu::always_inline]] Status Store(std::uint32_t lane, std::uint64_t addr,
-                                      std::uint64_t bits, std::size_t bytes) {
+  [[gnu::always_inline]] bool Store(std::uint32_t lane, std::uint64_t addr,
+                                    std::uint64_t bits, std::size_t bytes,
+                                    std::uint64_t at) {
     if (addr & scalar::kSharedTag) {
       const std::uint64_t off = addr & ~scalar::kSharedTag;
       if (off + bytes > shared_.size()) [[unlikely]]
-        return SharedOutOfRange();
-      if (log_ == nullptr) std::memcpy(shared_.data() + off, &bits, bytes);
+        return SharedFault(at, lane);
+      if (log_ == nullptr) StoreWord(shared_.data() + off, bytes, bits);
       ++stats_->shared_accesses;
     } else {
-      GRD_RETURN_IF_ERROR(policy_->CheckAccess(client_, addr, bytes, true));
+      if (policy_ != nullptr && !Permitted(lane, addr, bytes, true, at))
+        return false;
       // A buffered store must be one the commit can write.
-      GRD_RETURN_IF_ERROR(log_ == nullptr
-                              ? memory_->Write(addr, &bits, bytes)
-                              : memory_->CheckRange(addr, bytes));
+      if (!(log_ == nullptr ? memory_->WriteWord(addr, bytes, bits)
+                            : memory_->InRange(addr, bytes))) [[unlikely]]
+        return RangeFault(addr, bytes, at, lane);
       ++stats_->global_stores;
     }
-    if (log_ != nullptr && !log_->Store(lane, addr, bytes, bits, &cause_))
-        [[unlikely]]
-      return Status(StatusCode::kAborted);
-    return OkStatus();
+    return log_ == nullptr || log_->Store(lane, addr, bytes, bits, &cause_);
   }
 
-  // A scalar ld/st: the alignment check, then Load/Store. `*bits` holds the
-  // loaded bytes zero-extended; a fault is recorded at `addr`. The fault
-  // paths stay out of line: their status strings, inlined into the lane
-  // loops, cost the loops their registers.
-  [[gnu::always_inline]] Status LdScalar(std::uint32_t lane,
-                                         std::uint64_t addr, std::size_t bytes,
-                                         std::uint64_t* bits) {
+  // A scalar ld/st: the alignment check, then Load/Store.
+  [[gnu::always_inline]] bool LdScalar(std::uint32_t lane, std::uint64_t addr,
+                                       std::size_t bytes,
+                                       std::uint64_t* bits) {
     if (scalar::MisalignedGlobal(addr, bytes)) [[unlikely]]
       return Misaligned(addr, bytes, false, lane);
-    Status s = Load(lane, addr, bytes, bits);
-    if (!s.ok()) [[unlikely]]
-      return Fault(std::move(s), addr, lane);
-    return s;
+    return Load(lane, addr, bytes, addr, bits);
   }
 
-  [[gnu::always_inline]] Status StScalar(std::uint32_t lane,
-                                         std::uint64_t addr,
-                                         std::uint64_t bits,
-                                         std::size_t bytes) {
+  [[gnu::always_inline]] bool StScalar(std::uint32_t lane, std::uint64_t addr,
+                                       std::uint64_t bits, std::size_t bytes) {
     if (scalar::MisalignedGlobal(addr, bytes)) [[unlikely]]
       return Misaligned(addr, bytes, true, lane);
-    Status s = Store(lane, addr, MaskToWidth(bits, bytes), bytes);
-    if (!s.ok()) [[unlikely]]
-      return Fault(std::move(s), addr, lane);
-    return s;
+    return Store(lane, addr, MaskToWidth(bits, bytes), bytes, addr);
   }
 
-  [[gnu::cold, gnu::noinline]] Status Misaligned(std::uint64_t addr,
-                                                 std::size_t bytes,
-                                                 bool is_store,
-                                                 std::uint32_t lane) {
-    return Fault(scalar::MisalignedAccess(addr, bytes, is_store), addr, lane);
+  // The access paths' stops. Each records the DeviceFault the launch
+  // reports and returns false. Out of line: their status strings, inlined
+  // into the lane loops, cost the loops their registers.
+  [[gnu::cold, gnu::noinline]] bool Misaligned(std::uint64_t addr,
+                                               std::size_t bytes,
+                                               bool is_store,
+                                               std::uint32_t lane) {
+    (void)Fault(scalar::MisalignedAccess(addr, bytes, is_store), addr, lane);
+    return false;
   }
 
-  [[gnu::cold, gnu::noinline]] static Status SharedOutOfRange() {
-    return OutOfRange("shared access beyond block allocation");
+  [[gnu::cold, gnu::noinline]] bool SharedFault(std::uint64_t at,
+                                                std::uint32_t lane) {
+    (void)Fault(OutOfRange("shared access beyond block allocation"), at,
+                lane);
+    return false;
   }
 
-  // Top-level ld/st of one lane, scalar or v2/v4; faults are recorded via
-  // Fault().
-  Status DoLd(std::uint32_t lane, const CompiledInst& inst) {
+  [[gnu::cold, gnu::noinline]] bool RangeFault(std::uint64_t addr,
+                                               std::size_t bytes,
+                                               std::uint64_t at,
+                                               std::uint32_t lane) {
+    (void)Fault(memory_->CheckRange(addr, bytes), at, lane);
+    return false;
+  }
+
+  // The tenant policy's verdict on one access; a denial is the lane's fault.
+  [[gnu::noinline]] bool Permitted(std::uint32_t lane, std::uint64_t addr,
+                                   std::size_t bytes, bool is_write,
+                                   std::uint64_t at) {
+    Status verdict = policy_->CheckAccess(client_, addr, bytes, is_write);
+    if (verdict.ok()) return true;
+    (void)Fault(std::move(verdict), at, lane);
+    return false;
+  }
+
+  // What RunGroup returns after a lane's access stopped: the recorded
+  // fault, or kAborted for an access-log stop (which records none).
+  [[gnu::cold, gnu::noinline]] Status Stopped() const {
+    return fault_.status.ok() ? Status(StatusCode::kAborted) : fault_.status;
+  }
+
+  // Top-level ld/st of one lane, scalar or v2/v4.
+  bool DoLd(std::uint32_t lane, const CompiledInst& inst) {
     const std::size_t width = inst.width;
     const std::uint64_t addr =
         ReadOp(lane, inst.a) + static_cast<std::uint64_t>(inst.mem_offset);
     if (inst.sub == 1) {
       std::uint64_t bits = 0;
-      GRD_RETURN_IF_ERROR(LdScalar(lane, addr, width, &bits));
+      if (!LdScalar(lane, addr, width, &bits)) return false;
       // Sign-extend signed sub-64-bit loads so later s64 arithmetic works.
       Row(inst.dst)[lane] =
           inst.is_signed ? static_cast<std::uint64_t>(SignExtend(bits, width))
                          : bits;
-      return OkStatus();
+      return true;
     }
     if (scalar::MisalignedGlobal(addr, width * inst.sub)) [[unlikely]]
       return Misaligned(addr, width * inst.sub, false, lane);
     for (int part = 0; part < inst.sub; ++part) {
       std::uint64_t bits = 0;
-      Status s = Load(lane, addr + part * width, width, &bits);
-      if (!s.ok()) return Fault(std::move(s), addr, lane);
+      if (!Load(lane, addr + part * width, width, addr, &bits)) return false;
       Row(inst.vec[part])[lane] = bits;
     }
-    return OkStatus();
+    return true;
   }
 
-  Status DoSt(std::uint32_t lane, const CompiledInst& inst) {
+  bool DoSt(std::uint32_t lane, const CompiledInst& inst) {
     const std::size_t width = inst.width;
     const std::uint64_t addr =
         ReadOp(lane, inst.a) + static_cast<std::uint64_t>(inst.mem_offset);
@@ -729,11 +782,67 @@ class BlockExec {
     if (scalar::MisalignedGlobal(addr, width * inst.sub)) [[unlikely]]
       return Misaligned(addr, width * inst.sub, true, lane);
     for (int part = 0; part < inst.sub; ++part) {
-      Status s = Store(lane, addr + part * width,
-                       MaskToWidth(Row(inst.vec[part])[lane], width), width);
-      if (!s.ok()) return Fault(std::move(s), addr, lane);
+      if (!Store(lane, addr + part * width,
+                 MaskToWidth(Row(inst.vec[part])[lane], width), width, addr))
+        return false;
     }
-    return OkStatus();
+    return true;
+  }
+
+  // A micro ld or st component over the active lanes; false when a lane
+  // stopped. Out of line, one copy per access width: inside RunGroup the
+  // loop shared the registers with every handler and kept its locals on
+  // the stack (about 5-10% of the served sgemm). The component's fields sit
+  // in locals: a lane's register and stats writes could otherwise alias
+  // them and force a reload per lane.
+  template <std::size_t kWidth>
+  [[gnu::noinline]] bool LdLanes(const FusedComp& m) {
+    std::uint64_t* const d = Row(m.dst);
+    const std::uint64_t* const base = (m.src_imm & 1) ? nullptr : Row(m.a);
+    const std::uint64_t imm = m.a, disp = m.c;
+    const bool is_signed = m.is_signed;
+    const unsigned sx = m.sx;
+    for (const std::uint32_t lane : act_) {
+      const std::uint64_t addr = (base != nullptr ? base[lane] : imm) + disp;
+      std::uint64_t bits = 0;
+      if (!LdScalar(lane, addr, kWidth, &bits)) [[unlikely]]
+        return false;
+      d[lane] = is_signed ? static_cast<std::uint64_t>(MicroSext(bits, sx))
+                          : bits;
+    }
+    return true;
+  }
+
+  template <std::size_t kWidth>
+  [[gnu::noinline]] bool StLanes(const FusedComp& m) {
+    const std::uint64_t* const base = (m.src_imm & 1) ? nullptr : Row(m.a);
+    const std::uint64_t* const src = (m.src_imm & 2) ? nullptr : Row(m.b);
+    const std::uint64_t imm = m.a, value = m.b, disp = m.c;
+    for (const std::uint32_t lane : act_) {
+      const std::uint64_t addr = (base != nullptr ? base[lane] : imm) + disp;
+      if (!StScalar(lane, addr, src != nullptr ? src[lane] : value, kWidth))
+          [[unlikely]]
+        return false;
+    }
+    return true;
+  }
+
+  bool LdLanes(const FusedComp& m) {
+    switch (m.width) {
+      case 1: return LdLanes<1>(m);
+      case 2: return LdLanes<2>(m);
+      case 4: return LdLanes<4>(m);
+      default: return LdLanes<8>(m);
+    }
+  }
+
+  bool StLanes(const FusedComp& m) {
+    switch (m.width) {
+      case 1: return StLanes<1>(m);
+      case 2: return StLanes<2>(m);
+      case 4: return StLanes<4>(m);
+      default: return StLanes<8>(m);
+    }
   }
 
   // Resolves a guarded branch over the active lanes and returns the pc the
@@ -868,12 +977,9 @@ Status BlockExec::RunBlock(std::uint32_t bx, std::uint32_t by,
     if (group_.size() > 1) {
       if (split) {
         cause_ = ReplayCause::kDivergence;
-      } else {
-        GRD_ASSIGN_OR_RETURN(const bool committed, Attempt(first_phase));
-        if (committed) {
-          ++stats_->lockstep_phases;
-          continue;
-        }
+      } else if (Attempt(first_phase)) {
+        ++stats_->lockstep_phases;
+        continue;
       }
       ++stats_->replayed_phases[static_cast<std::size_t>(cause_)];
     } else {
@@ -889,7 +995,7 @@ Status BlockExec::RunBlock(std::uint32_t bx, std::uint32_t by,
   }
 }
 
-Result<bool> BlockExec::Attempt(bool first_phase) {
+bool BlockExec::Attempt(bool first_phase) {
   if (tls_access_log == nullptr) tls_access_log = std::make_unique<AccessLog>();
   AccessLog& log = *tls_access_log;
   log.Reset();
@@ -906,16 +1012,14 @@ Result<bool> BlockExec::Attempt(bool first_phase) {
   const Status s = RunGroup();
   log_ = nullptr;
   if (s.ok() && log.CheckLoads(&cause_)) {
-    GRD_RETURN_IF_ERROR(log.Commit(
-        [this](std::uint64_t addr, std::uint64_t value,
-               std::size_t bytes) -> Status {
-          if (addr & scalar::kSharedTag) {
-            std::memcpy(shared_.data() + (addr & ~scalar::kSharedTag), &value,
-                        bytes);
-            return OkStatus();
-          }
-          return memory_->Write(addr, &value, bytes);
-        }));
+    // Every buffered global store passed the range check, so none fails.
+    log.Commit([this](std::uint64_t addr, std::uint64_t value,
+                      std::size_t bytes) {
+      if (addr & scalar::kSharedTag)
+        StoreWord(shared_.data() + (addr & ~scalar::kSharedTag), bytes, value);
+      else
+        (void)memory_->WriteWord(addr, bytes, value);
+    });
     return true;
   }
   *stats_ = stats_before;
@@ -1008,12 +1112,16 @@ op_kLdParam:
   goto dispatch;
 
 op_kLd:
-  GRD_LANES({ GRD_RETURN_IF_ERROR(DoLd(lane, *ip)); })
+  GRD_LANES({
+    if (!DoLd(lane, *ip)) return Stopped();
+  })
   ++pc;
   goto dispatch;
 
 op_kSt:
-  GRD_LANES({ GRD_RETURN_IF_ERROR(DoSt(lane, *ip)); })
+  GRD_LANES({
+    if (!DoSt(lane, *ip)) return Stopped();
+  })
   ++pc;
   goto dispatch;
 
@@ -1351,40 +1459,14 @@ micro_kMadF64:
   });
   GRD_NEXT_MICRO();
 
-micro_kLd : {
-  // The component's fields in locals: a lane's register and stats writes
-  // could otherwise alias them and force a reload per lane.
-  std::uint64_t* const d = Row(m->dst);
-  const std::uint64_t* const base = (m->src_imm & 1) ? nullptr : Row(m->a);
-  const std::uint64_t imm = m->a, disp = m->c;
-  const std::size_t width = m->width;
-  const bool is_signed = m->is_signed;
-  const unsigned sx = m->sx;
-  for (const std::uint32_t lane : act_) {
-    const std::uint64_t addr = (base != nullptr ? base[lane] : imm) + disp;
-    std::uint64_t bits = 0;
-    const Status s = LdScalar(lane, addr, width, &bits);
-    if (!s.ok()) [[unlikely]]
-      return s;
-    d[lane] = is_signed ? static_cast<std::uint64_t>(MicroSext(bits, sx))
-                        : bits;
-  }
-}
+micro_kLd:
+  if (!LdLanes(*m)) [[unlikely]]
+    return Stopped();
   GRD_NEXT_MICRO();
 
-micro_kSt : {
-  const std::uint64_t* const base = (m->src_imm & 1) ? nullptr : Row(m->a);
-  const std::uint64_t* const src = (m->src_imm & 2) ? nullptr : Row(m->b);
-  const std::uint64_t imm = m->a, value = m->b, disp = m->c;
-  const std::size_t width = m->width;
-  for (const std::uint32_t lane : act_) {
-    const std::uint64_t addr = (base != nullptr ? base[lane] : imm) + disp;
-    const Status s =
-        StScalar(lane, addr, src != nullptr ? src[lane] : value, width);
-    if (!s.ok()) [[unlikely]]
-      return s;
-  }
-}
+micro_kSt:
+  if (!StLanes(*m)) [[unlikely]]
+    return Stopped();
   GRD_NEXT_MICRO();
 
 micro_kBra:

@@ -72,7 +72,9 @@ inline bool IsPreempted(const Status& status) {
 
 class Interpreter {
  public:
-  // `client` is the tenant id handed to the access policy on global accesses.
+  // `policy`, when set, is consulted on every global access on behalf of
+  // tenant `client`. A null policy checks none: the manager's launches run
+  // patched PTX, whose fences keep every address in the tenant's partition.
   Interpreter(simgpu::GlobalMemory* memory, simgpu::AccessPolicy* policy,
               std::uint64_t client)
       : memory_(memory), policy_(policy), client_(client) {}

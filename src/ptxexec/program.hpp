@@ -226,9 +226,10 @@ Result<CompiledKernel> CompileKernel(const ptx::Kernel& kernel);
 
 // Upper bound on components per superinstruction. Generous relative to the
 // patterns fusion targets (a fenced access is 3 instructions, a typical loop
-// body under 10); the cap keeps `sub` meaningful and faults mid-run cheap to
-// attribute.
-inline constexpr unsigned kMaxFusedRun = 12;
+// body under 10): patched saxpy's 25 fusable instructions take two runs,
+// the second ending in its store, and patched sgemm's loop body two (2 and
+// 15). The cap keeps `sub` meaningful and faults mid-run cheap to attribute.
+inline constexpr unsigned kMaxFusedRun = 16;
 
 // Rewrites a compiled program with superinstructions: straight-line runs
 // of micro-lowerable instructions — mad+setp+bra loop heads, ld+op+st

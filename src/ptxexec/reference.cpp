@@ -262,7 +262,8 @@ Result<std::uint64_t> BlockExecutor::LoadSized(std::uint64_t addr,
     ++stats_->shared_accesses;
     return bits;
   }
-  GRD_RETURN_IF_ERROR(policy_->CheckAccess(client_, addr, bytes, false));
+  if (policy_ != nullptr)
+    GRD_RETURN_IF_ERROR(policy_->CheckAccess(client_, addr, bytes, false));
   std::uint64_t bits = 0;
   GRD_RETURN_IF_ERROR(memory_->Read(addr, &bits, bytes));
   ++stats_->global_loads;
@@ -279,7 +280,8 @@ Status BlockExecutor::StoreSized(std::uint64_t addr, std::uint64_t bits,
     ++stats_->shared_accesses;
     return OkStatus();
   }
-  GRD_RETURN_IF_ERROR(policy_->CheckAccess(client_, addr, bytes, true));
+  if (policy_ != nullptr)
+    GRD_RETURN_IF_ERROR(policy_->CheckAccess(client_, addr, bytes, true));
   GRD_RETURN_IF_ERROR(memory_->Write(addr, &bits, bytes));
   ++stats_->global_stores;
   return OkStatus();

@@ -21,7 +21,8 @@ namespace grd::ptxexec {
 // string lookup it performs is counted by exec_debug::HotPathStringLookups().
 class ReferenceInterpreter {
  public:
-  // `client` is the tenant id handed to the access policy on global accesses.
+  // `client` is the tenant id handed to the access policy on global
+  // accesses; a null policy checks none (as in Interpreter).
   ReferenceInterpreter(simgpu::GlobalMemory* memory,
                        simgpu::AccessPolicy* policy, std::uint64_t client)
       : memory_(memory), policy_(policy), client_(client) {}

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <new>
 
 #include "common/strings.hpp"
@@ -32,6 +33,20 @@ Status GlobalMemory::RangeError(std::uint64_t addr, std::uint64_t len) const {
   return OutOfRange("device access " + ToHex(addr) + "+" +
                     std::to_string(len) + " beyond device memory (" +
                     std::to_string(size_) + " bytes)");
+}
+
+Status GlobalMemory::Read(std::uint64_t addr, void* dst,
+                          std::uint64_t len) const {
+  if (!InRange(addr, len)) return RangeError(addr, len);
+  std::memcpy(dst, base_ + addr, len);
+  return OkStatus();
+}
+
+Status GlobalMemory::Write(std::uint64_t addr, const void* src,
+                           std::uint64_t len) {
+  if (!InRange(addr, len)) return RangeError(addr, len);
+  std::memcpy(base_ + addr, src, len);
+  return OkStatus();
 }
 
 Status GlobalMemory::Fill(std::uint64_t addr, std::uint8_t value,

@@ -8,11 +8,13 @@
 // kernel backs a page on its first touch and bytes never written read as
 // zero. Reads commit pages too (shared anonymous memory has no shared zero
 // page), so reading an untouched range costs the same memory as writing it.
-// Every access is one range check and one memcpy/memset/memmove at
-// `base + addr`. Because the mapping is shared, a process forked after the
-// GlobalMemory was built reads and writes the same bytes as its parent:
-// ProcessServer builds its workers' devices before forking, so a respawned
-// worker serves the bytes its dead predecessor wrote.
+// Every access is one range check and one move at `base + addr`. The kernel
+// engine's per-lane path is ReadWord/WriteWord: a bool and a register, so a
+// lane's access builds no Status. Read/Write, Fill, Copy and Zero return a
+// Status and serve host transfers. Because the mapping is shared, a process
+// forked after the GlobalMemory was built reads and writes the same bytes
+// as its parent: ProcessServer builds its workers' devices before forking,
+// so a respawned worker serves the bytes its dead predecessor wrote.
 //
 // Concurrency: no lock. Co-resident kernels under the guardian device
 // scheduler access the mapping directly; racing writes to the *same* bytes
@@ -20,35 +22,28 @@
 // partitioning keeps tenants on disjoint ranges).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
 
+#include "common/bits.hpp"
 #include "common/status.hpp"
 
 namespace grd::simgpu {
 
-// Access-control hook consulted on every device-side global access (and on
-// host-initiated transfers by the runtimes). Implementations:
+// Access-control hook a kernel engine consults on every device-side global
+// access when one is set (and the runtimes on host-initiated transfers). A
+// null policy means no per-access check: the grdManager's launches run
+// patched PTX, whose fence instructions keep every address inside the
+// tenant's partition. Implementations:
 //  - simcuda native: per-context allocation ownership (a context cannot touch
 //    another context's memory -> fault, like real per-context page tables);
-//  - MPS baseline: per-client protection, fault kills everyone (grd::baselines);
-//  - single-context stream sharing (Guardian w/o protection): allow-all --
-//    which is exactly the unsafety Guardian closes.
+//  - the tests' range and counting policies.
 class AccessPolicy {
  public:
   virtual ~AccessPolicy() = default;
   // `client` identifies the tenant on whose behalf the access runs.
   virtual Status CheckAccess(std::uint64_t client, std::uint64_t addr,
                              std::uint64_t size, bool is_write) = 0;
-};
-
-// Allow-everything policy (single shared CUDA context, paper Figure 1).
-class AllowAllPolicy final : public AccessPolicy {
- public:
-  Status CheckAccess(std::uint64_t, std::uint64_t, std::uint64_t,
-                     bool) override {
-    return OkStatus();
-  }
 };
 
 class GlobalMemory {
@@ -63,28 +58,37 @@ class GlobalMemory {
 
   std::uint64_t size() const noexcept { return size_; }
 
-  // OK when [addr, addr + len) lies inside device memory; otherwise the
-  // OutOfRange status every access below fails with.
+  // Whether [addr, addr + len) lies inside device memory.
+  bool InRange(std::uint64_t addr, std::uint64_t len) const {
+    return len <= size_ && addr <= size_ - len;
+  }
+  // OK when it does; otherwise the OutOfRange status every access below
+  // fails with.
   Status CheckRange(std::uint64_t addr, std::uint64_t len) const {
     if (InRange(addr, len)) [[likely]]
       return OkStatus();
     return RangeError(addr, len);
   }
 
-  // Inline: the kernel engine's per-access path.
-  Status Read(std::uint64_t addr, void* dst, std::uint64_t len) const {
-    if (!InRange(addr, len)) [[unlikely]]
-      return RangeError(addr, len);
-    CopyBytes(dst, base_ + addr, len);
-    return OkStatus();
+  // Inline: the kernel engine's per-lane path. `bytes` is 1, 2, 4 or 8; a
+  // read zero-extends into *value. False, moving nothing, when the access
+  // leaves device memory (CheckRange then names the fault).
+  bool ReadWord(std::uint64_t addr, std::size_t bytes,
+                std::uint64_t* value) const {
+    if (!InRange(addr, bytes)) [[unlikely]]
+      return false;
+    *value = LoadWord(base_ + addr, bytes);
+    return true;
   }
-  Status Write(std::uint64_t addr, const void* src, std::uint64_t len) {
-    if (!InRange(addr, len)) [[unlikely]]
-      return RangeError(addr, len);
-    CopyBytes(base_ + addr, src, len);
-    return OkStatus();
+  bool WriteWord(std::uint64_t addr, std::size_t bytes, std::uint64_t value) {
+    if (!InRange(addr, bytes)) [[unlikely]]
+      return false;
+    StoreWord(base_ + addr, bytes, value);
+    return true;
   }
 
+  Status Read(std::uint64_t addr, void* dst, std::uint64_t len) const;
+  Status Write(std::uint64_t addr, const void* src, std::uint64_t len);
   Status Fill(std::uint64_t addr, std::uint8_t value, std::uint64_t len);
   // Device-to-device copy (cudaMemcpyD2D path); the ranges may overlap.
   Status Copy(std::uint64_t dst, std::uint64_t src, std::uint64_t len);
@@ -106,22 +110,8 @@ class GlobalMemory {
   }
 
  private:
-  bool InRange(std::uint64_t addr, std::uint64_t len) const {
-    return len <= size_ && addr <= size_ - len;
-  }
   [[gnu::cold]] Status RangeError(std::uint64_t addr,
                                   std::uint64_t len) const;
-  // memcpy with the access sizes the engine issues spelled out, so each
-  // compiles to one move instead of a library call.
-  static void CopyBytes(void* dst, const void* src, std::uint64_t len) {
-    switch (len) {
-      case 1: std::memcpy(dst, src, 1); break;
-      case 2: std::memcpy(dst, src, 2); break;
-      case 4: std::memcpy(dst, src, 4); break;
-      case 8: std::memcpy(dst, src, 8); break;
-      default: std::memcpy(dst, src, len); break;
-    }
-  }
 
   std::uint64_t size_;
   std::uint8_t* base_ = nullptr;

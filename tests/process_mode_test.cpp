@@ -292,8 +292,8 @@ TEST(ProcessModeTest, CrashAdoptsItsSessionsSurvivorsServeAndParentRespawns) {
   // Victim tenant on channel 0: honest workload, then a spin launch that
   // parks its worker mid-kernel. After the kill the in-flight request
   // answers with the clean synthetic failure, but the session itself
-  // SURVIVES: the respawned worker adopts it from the shared journal on
-  // first touch, so a straggler op succeeds under the same client id.
+  // SURVIVES: the respawned worker adopts it from the shared journal before
+  // it serves, so a straggler op succeeds under the same client id.
   const pid_t victim = ForkChild([&]() -> int {
     ChannelTransport transport(&(*server)->channel(0));
     auto lib = GrdLib::Connect(&transport, 8 << 20);
@@ -320,8 +320,8 @@ TEST(ProcessModeTest, CrashAdoptsItsSessionsSurvivorsServeAndParentRespawns) {
     if (killed.code() != StatusCode::kUnavailable) return 17;
 
     // 2. a straggler on the killed session is served by the replacement
-    //    worker, which adopts the session from its shared journal on first
-    //    touch — same client id, same partition, handles still valid.
+    //    worker, which adopted the session from its shared journal — same
+    //    client id, same partition, handles still valid.
     DevicePtr straggler = 0;
     if (!lib->cudaMalloc(&straggler, 64).ok()) return 18;
 
@@ -450,6 +450,79 @@ TEST(ProcessModeTest, AdoptedSessionReadsBackBytesWrittenBeforeTheKill) {
   EXPECT_EQ(state.stats().sessions_adopted.load(), 1u);
   (*server)->Stop();
   for (const int fd : {written[0], adopted[0], adopted[1]}) close(fd);
+}
+
+// The replacement worker rebuilds the sessions promised to it before it
+// serves anything. Tenant A registers on channel 0 and writes a pattern,
+// the idle worker is SIGKILLed, and after the respawn tenant B registers on
+// channel 1 before A sends another request: B must get a partition of its
+// own, and A must read its bytes back under its old session.
+TEST(ProcessModeTest, ReplacementAdoptsBeforeServingAFreshRegistration) {
+  ProcessServerOptions options;
+  options.workers = 1;
+  options.channels = 2;
+  auto server = ProcessServer::Create(options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  ASSERT_TRUE((*server)->WaitForChannelOwners());
+
+  int written[2];  // A -> test: A's partition base, once its pattern is in
+  int replaced[2];  // test -> A: "B registered on the replacement"
+  ASSERT_EQ(pipe(written), 0);
+  ASSERT_EQ(pipe(replaced), 0);
+  constexpr std::uint32_t kBytes = 64 << 10;
+
+  const pid_t tenant_a = ForkChild([&]() -> int {
+    ChannelTransport transport(&(*server)->channel(0));
+    auto lib = GrdLib::Connect(&transport, 1 << 20);
+    if (!lib.ok()) return 10;
+    std::vector<std::uint8_t> pattern(kBytes);
+    for (std::uint32_t i = 0; i < kBytes; ++i)
+      pattern[i] = static_cast<std::uint8_t>(0x5A ^ i ^ (i >> 8));
+    DevicePtr buf = 0;
+    if (!lib->cudaMalloc(&buf, kBytes).ok()) return 11;
+    if (!lib->cudaMemcpyH2D(buf, pattern.data(), kBytes).ok()) return 12;
+    const std::uint64_t base = lib->partition_base();
+    if (write(written[1], &base, sizeof(base)) != sizeof(base)) return 13;
+    char go = 0;
+    if (read(replaced[0], &go, 1) != 1) return 14;
+    std::vector<std::uint8_t> back(kBytes);
+    if (!lib->cudaMemcpy(back.data(), buf, kBytes,
+                         simcuda::MemcpyKind::kDeviceToHost)
+             .ok())
+      return 15;
+    if (back != pattern) return 16;
+    return lib->resume_attaches() == 0 ? 0 : 17;
+  });
+
+  close(written[1]);
+  std::uint64_t base_a = 0;
+  ASSERT_EQ(read(written[0], &base_a, sizeof(base_a)),
+            static_cast<ssize_t>(sizeof(base_a)))
+      << "tenant A exited before writing its pattern";
+  SharedServingState& state = (*server)->state();
+  ASSERT_EQ(kill((*server)->worker_pid(0), SIGKILL), 0);
+  ASSERT_TRUE(PollUntil(
+      [&] { return state.counters().workers_respawned.load() >= 1; }, 5000));
+  ASSERT_TRUE((*server)->WaitForChannelOwners());
+
+  const pid_t tenant_b = ForkChild([&]() -> int {
+    ChannelTransport transport(&(*server)->channel(1));
+    auto lib = GrdLib::Connect(&transport, 1 << 20);
+    if (!lib.ok()) return 20;
+    return lib->partition_base() != base_a ? 0 : 21;
+  });
+  EXPECT_EQ(WaitExit(tenant_b), 0) << "21: B was handed A's partition";
+  ASSERT_EQ(write(replaced[1], "B", 1), 1);
+
+  EXPECT_EQ(WaitExit(tenant_a), 0)
+      << "15: A's session was lost; 16: A's bytes changed; 17: A had to "
+         "recover";
+  EXPECT_EQ(state.counters().sessions_adopted.load(), 1u);
+  EXPECT_EQ(state.stats().sessions_adopted.load(), 1u);
+  EXPECT_EQ(state.counters().sessions_crash_failed.load(), 0u);
+  (*server)->Stop();
+  for (const int fd : {written[0], replaced[0], replaced[1]}) close(fd);
 }
 
 TEST(ProcessModeTest, StressRegisterLaunchUnregisterAcrossProcesses) {

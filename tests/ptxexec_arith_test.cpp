@@ -13,7 +13,7 @@ namespace {
 // u64 params %rd2, %rd3.
 class ArithTest : public ::testing::Test {
  protected:
-  ArithTest() : memory_(1 << 20), interp_(&memory_, &allow_, 1) {}
+  ArithTest() : memory_(1 << 20), interp_(&memory_, nullptr, 1) {}
 
   Result<std::uint64_t> Run(const std::string& body, std::uint64_t a = 0,
                             std::uint64_t b = 0) {
@@ -47,7 +47,6 @@ class ArithTest : public ::testing::Test {
   }
 
   simgpu::GlobalMemory memory_;
-  simgpu::AllowAllPolicy allow_;
   Interpreter interp_;
 };
 

@@ -64,10 +64,9 @@ EngineRun RunEngine(const ptx::Module& module, const std::string& kernel,
                     simgpu::AccessPolicy* policy, RunFn&& run) {
   EngineRun out;
   simgpu::GlobalMemory memory(kMemBytes);
-  simgpu::AllowAllPolicy allow_all;
   for (const auto& [addr, value] : init)
     EXPECT_TRUE(memory.Store<std::uint32_t>(addr, value).ok());
-  Engine interp(&memory, policy != nullptr ? policy : &allow_all, 1);
+  Engine interp(&memory, policy, 1);
   out.result = run(interp, module, kernel, params);
   out.fault = interp.last_fault();
   out.memory.resize(kMemBytes);
@@ -101,6 +100,8 @@ void ExpectSameOutcome(const EngineRun& reference, const EngineRun& other,
               other.result.status().message())
         << kernel;
     EXPECT_EQ(reference.fault.status.code(), other.fault.status.code())
+        << kernel;
+    EXPECT_EQ(reference.fault.status.message(), other.fault.status.message())
         << kernel;
     EXPECT_EQ(reference.fault.address, other.fault.address) << kernel;
     EXPECT_EQ(reference.fault.thread_linear_id, other.fault.thread_linear_id)
@@ -249,9 +250,8 @@ TEST(ProgramParity, MissingKernelArgumentFaults) {
 TEST(ProgramParity, UnknownKernelNameSameError) {
   LaunchParams params;
   simgpu::GlobalMemory memory(1 << 20);
-  simgpu::AllowAllPolicy allow;
-  Interpreter interp(&memory, &allow, 1);
-  ReferenceInterpreter ref(&memory, &allow, 1);
+  Interpreter interp(&memory, nullptr, 1);
+  ReferenceInterpreter ref(&memory, nullptr, 1);
   const ptx::Module module = MakeSampleModule();
   auto reference = ref.Execute(module, "nope", params);
   auto engine = interp.Execute(module, "nope", params);
@@ -359,8 +359,7 @@ class SnippetParity : public ::testing::Test {
     EXPECT_TRUE(module.ok()) << module.status();
     if (!module.ok()) return run;
     simgpu::GlobalMemory memory(kMemBytes);
-    simgpu::AllowAllPolicy allow_all;
-    Interpreter interp(&memory, &allow_all, 1);
+    Interpreter interp(&memory, nullptr, 1);
     run.result = interp.Execute(*module, "t", params);
     run.fault = interp.last_fault();
     EXPECT_TRUE(memory.Read(kOut, run.out, sizeof(run.out)).ok());
@@ -501,8 +500,7 @@ TEST_F(SnippetParity, MisalignedGlobalAccessFaultsIdentically) {
     auto module = ptx::Parse(Source(c.body));
     ASSERT_TRUE(module.ok()) << module.status();
     simgpu::GlobalMemory memory(kMemBytes);
-    simgpu::AllowAllPolicy allow_all;
-    Interpreter interp(&memory, &allow_all, 1);
+    Interpreter interp(&memory, nullptr, 1);
     auto run = interp.Execute(*module, "t", Params());
     ASSERT_FALSE(run.ok());
     EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
@@ -873,8 +871,7 @@ TEST(ProgramParity, InstructionBudgetTripsIdentically) {
   std::uint64_t per_thread = 0;
   {
     simgpu::GlobalMemory memory(kMemBytes);
-    simgpu::AllowAllPolicy allow;
-    ReferenceInterpreter ref(&memory, &allow, 1);
+    ReferenceInterpreter ref(&memory, nullptr, 1);
     auto run = ref.Execute(module, "vecadd", params);
     ASSERT_TRUE(run.ok()) << run.status();
     per_thread = run->instructions / run->threads;
@@ -916,11 +913,10 @@ TEST(ProgramParity, PreemptCheckpointResumeMatchesReference) {
        {Engine::kReference, Engine::kUnfused, Engine::kFused}) {
     SCOPED_TRACE("engine=" + std::to_string(static_cast<int>(engine)));
     simgpu::GlobalMemory memory(kMemBytes);
-    simgpu::AllowAllPolicy allow;
     for (const auto& [addr, value] : init)
       ASSERT_TRUE(memory.Store<std::uint32_t>(addr, value).ok());
-    Interpreter interp(&memory, &allow, 1);
-    ReferenceInterpreter ref(&memory, &allow, 1);
+    Interpreter interp(&memory, nullptr, 1);
+    ReferenceInterpreter ref(&memory, nullptr, 1);
     LaunchParams params;
     params.grid = {4, 1, 1};
     params.block = {128, 1, 1};
@@ -1013,8 +1009,7 @@ LOOP:
   std::uint64_t reference_instructions = 0;
   {
     simgpu::GlobalMemory memory(kMemBytes);
-    simgpu::AllowAllPolicy allow;
-    ReferenceInterpreter ref(&memory, &allow, 1);
+    ReferenceInterpreter ref(&memory, nullptr, 1);
     auto run = ref.Execute(*module, "loopk", params);
     ASSERT_TRUE(run.ok()) << run.status();
     reference_instructions = run->instructions;
@@ -1028,8 +1023,7 @@ LOOP:
       ASSERT_GT(program->super_count, 0u) << "the loop body must fuse";
     }
     simgpu::GlobalMemory memory(kMemBytes);
-    simgpu::AllowAllPolicy allow;
-    Interpreter interp(&memory, &allow, 1);
+    Interpreter interp(&memory, nullptr, 1);
 
     std::atomic<bool> revoke{true};
     KernelCheckpoint ckpt;
@@ -1064,10 +1058,11 @@ LOOP:
   }
 }
 
-// Every global access of a fused launch reaches the tenant access policy:
-// saxpy, patched as the manager patches it, calls CheckAccess exactly once
-// per global load and store. Its two loads run as micro ops; its store
-// follows a full 12-component run and takes the top-level handler.
+// Every global access of a launch reaches the tenant access policy when one
+// is set: saxpy, patched as the manager patches it, calls CheckAccess
+// exactly once per global load and store, on the unfused program (every
+// access top-level) and on the fused one, where both loads and the store
+// run as micro ops.
 TEST(ProgramParity, FusedLaunchConsultsPolicyOnEveryAccess) {
   class CountingPolicy final : public simgpu::AccessPolicy {
    public:
@@ -1084,13 +1079,6 @@ TEST(ProgramParity, FusedLaunchConsultsPolicyOnEveryAccess) {
   options.elision_enabled = true;
   auto patched = ptxpatcher::PatchModule(native, options);
   ASSERT_TRUE(patched.ok()) << patched.status();
-  auto program = EngineProgram(*patched, "saxpy", /*fuse=*/true);
-  ASSERT_TRUE(program.ok()) << program.status();
-  int fused_loads = 0;
-  for (const FusedComp& m : program->fused_micro)
-    fused_loads += m.op == MicroOp::kLd;
-  ASSERT_EQ(fused_loads, 2) << "both saxpy loads run as micro ops";
-
   const std::uint64_t base = 1ull << 20;
   const auto grd = ptxpatcher::ComputeGrdArgs(options.mode, base, 1ull << 20);
   LaunchParams params;
@@ -1099,14 +1087,28 @@ TEST(ProgramParity, FusedLaunchConsultsPolicyOnEveryAccess) {
   params.args = {KernelArg::U64(base), KernelArg::U64(base + 0x1000),
                  KernelArg::F32(2.0f), KernelArg::U32(1024),
                  KernelArg::U64(grd.arg0), KernelArg::U64(grd.arg1)};
-  simgpu::GlobalMemory memory(kMemBytes);
-  CountingPolicy policy;
-  Interpreter interp(&memory, &policy, 1);
-  auto run = interp.Execute(*program, params);
-  ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_EQ(run->global_loads, 2048u);
-  EXPECT_EQ(run->global_stores, 1024u);
-  EXPECT_EQ(policy.calls, run->global_loads + run->global_stores);
+
+  for (const bool fuse : {false, true}) {
+    SCOPED_TRACE(fuse ? "fused" : "unfused");
+    auto program = EngineProgram(*patched, "saxpy", fuse);
+    ASSERT_TRUE(program.ok()) << program.status();
+    int fused_loads = 0, fused_stores = 0;
+    for (const FusedComp& m : program->fused_micro) {
+      fused_loads += m.op == MicroOp::kLd;
+      fused_stores += m.op == MicroOp::kSt;
+    }
+    EXPECT_EQ(fused_loads, fuse ? 2 : 0) << "both saxpy loads are micro ops";
+    EXPECT_EQ(fused_stores, fuse ? 1 : 0) << "saxpy's store is a micro op";
+
+    simgpu::GlobalMemory memory(kMemBytes);
+    CountingPolicy policy;
+    Interpreter interp(&memory, &policy, 1);
+    auto run = interp.Execute(*program, params);
+    ASSERT_TRUE(run.ok()) << run.status();
+    EXPECT_EQ(run->global_loads, 2048u);
+    EXPECT_EQ(run->global_stores, 1024u);
+    EXPECT_EQ(policy.calls, run->global_loads + run->global_stores);
+  }
 }
 
 // ---- lockstep phases and their replays -------------------------------------
@@ -1326,8 +1328,7 @@ TEST_F(LockstepParity, HighLaneFaultsEarlyLowLaneLater) {
   params.args = {KernelArg::U64(kData), KernelArg::U32(0)};
   ExpectParity(*module, "t", params);
   simgpu::GlobalMemory memory(kMemBytes);
-  simgpu::AllowAllPolicy allow;
-  Interpreter interp(&memory, &allow, 1);
+  Interpreter interp(&memory, nullptr, 1);
   auto run = interp.Execute(*module, "t", params);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(interp.last_fault().thread_linear_id, 0u);
@@ -1377,14 +1378,67 @@ TEST_F(LockstepParity, ReplayDropsTheAttemptsFault) {
   params.args = {KernelArg::U64(kData), KernelArg::U32(0)};
   ExpectParity(*module, "t", params);
   simgpu::GlobalMemory memory(kMemBytes);
-  simgpu::AllowAllPolicy allow;
-  Interpreter interp(&memory, &allow, 1);
+  Interpreter interp(&memory, nullptr, 1);
   auto run = interp.Execute(*module, "t", params);
   ASSERT_FALSE(run.ok());
   EXPECT_NE(run.status().message().find("bogus"), std::string::npos)
       << run.status();
   EXPECT_TRUE(interp.last_fault().status.ok()) << interp.last_fault().status;
   EXPECT_EQ(interp.last_fault().thread_linear_id, 0u);
+}
+
+// The phase-end conflict check starts each load's search where the previous
+// load's ended. Lanes loading in descending address order (lane i reads
+// lane 31 - i's word) send that search backwards on every load, and the
+// upper half read words lower lanes store after them: the check must still
+// find the conflict. Loads that climb, then drop to a lower lane's word
+// (lane i reads lane i ^ 16's), go backwards once, at lane 16.
+TEST_F(LockstepParity, DescendingLoadsMeetLowerLanesLaterStores) {
+  Check("sub.u32 %r4, 31, %r1; mul.wide.u32 %rd9, %r4, 4; "
+        "add.u64 %rd10, %rd1, %rd9; ld.global.u32 %r3, [%rd10]; "
+        "st.global.u32 [%rd3], %r1; st.global.u32 [%rd3+128], %r3;",
+        ReplayCause::kConflict);
+  Check("xor.b32 %r4, %r1, 16; mul.wide.u32 %rd9, %r4, 4; "
+        "add.u64 %rd10, %rd1, %rd9; ld.global.u32 %r3, [%rd10]; "
+        "st.global.u32 [%rd3], %r1; st.global.u32 [%rd3+128], %r3;",
+        ReplayCause::kConflict);
+}
+
+// A tenant policy denies lane 13's load, in the middle of the group. The
+// attempt stops there; the replay stores lanes 0-12's words and faults lane
+// 13 again, so status, message, address, thread and memory match the
+// reference on the top-level path and on the micro ops.
+TEST_F(LockstepParity, PolicyDeniesOneLaneMidGroup) {
+  auto module = ptx::Parse(Source(
+      "setp.eq.u32 %p1, %r1, 13; selp.u64 %rd9, 4096, 0, %p1; "
+      "add.u64 %rd10, %rd3, %rd9; ld.global.u32 %r4, [%rd10]; "
+      "st.global.u32 [%rd3+128], %r4;"));
+  ASSERT_TRUE(module.ok()) << module.status();
+  LaunchParams params;
+  params.block = {32, 1, 1};
+  params.args = {KernelArg::U64(kData), KernelArg::U32(0)};
+  MemInit init;
+  for (std::uint32_t i = 0; i < 32; ++i)
+    init.push_back({kData + 4 * i, 1000 + i});
+  RangePolicy ref_policy(kData, 1024);
+  RangePolicy engine_policy(kData, 1024);
+  ExpectParity(*module, "t", params, init, &ref_policy, &engine_policy);
+
+  simgpu::GlobalMemory memory(kMemBytes);
+  for (const auto& [addr, value] : init)
+    ASSERT_TRUE(memory.Store<std::uint32_t>(addr, value).ok());
+  RangePolicy policy(kData, 1024);
+  Interpreter interp(&memory, &policy, 1);
+  auto run = interp.Execute(*module, "t", params);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kPermissionDenied);
+  EXPECT_EQ(interp.last_fault().thread_linear_id, 13u);
+  EXPECT_EQ(interp.last_fault().address, kData + 13 * 4 + 4096);
+  for (std::uint32_t lane = 0; lane < 32; ++lane) {
+    auto stored = memory.Load<std::uint32_t>(kData + 128 + 4 * lane);
+    ASSERT_TRUE(stored.ok());
+    EXPECT_EQ(*stored, lane < 13 ? 1000 + lane : 0u) << "lane " << lane;
+  }
 }
 
 // A phase logging more loads than the access log holds replays.
@@ -1511,8 +1565,7 @@ TEST(ProgramHotPath, EnginePerformsNoStringLookups) {
     auto program = EngineProgram(module, "vecadd", fuse);
     ASSERT_TRUE(program.ok()) << program.status();
     simgpu::GlobalMemory memory(kMemBytes);
-    simgpu::AllowAllPolicy allow;
-    Interpreter interp(&memory, &allow, 1);
+    Interpreter interp(&memory, nullptr, 1);
     const std::uint64_t before = exec_debug::HotPathStringLookups();
     auto run = interp.Execute(*program, params);
     ASSERT_TRUE(run.ok()) << run.status();
@@ -1521,7 +1574,7 @@ TEST(ProgramHotPath, EnginePerformsNoStringLookups) {
 
     // Sanity: the counter is live — the reference engine must bump it
     // heavily (several lookups per executed instruction).
-    ReferenceInterpreter reference(&memory, &allow, 1);
+    ReferenceInterpreter reference(&memory, nullptr, 1);
     auto ref = reference.Execute(module, "vecadd", params);
     ASSERT_TRUE(ref.ok());
     EXPECT_GT(exec_debug::HotPathStringLookups() - before, ref->instructions);
@@ -1555,8 +1608,7 @@ TEST(ProgramHotPath, SpecialRegisterReadsAreStringFree) {
   ASSERT_TRUE(compiled.ok()) << compiled.status();
 
   simgpu::GlobalMemory memory(1 << 20);
-  simgpu::AllowAllPolicy allow;
-  Interpreter interp(&memory, &allow, 1);
+  Interpreter interp(&memory, nullptr, 1);
   LaunchParams params;
   params.grid = {4, 1, 1};
   params.block = {64, 1, 1};
@@ -1739,9 +1791,9 @@ LOOP:
 }
 
 // cuBLAS sgemm as the manager serves it (bitwise fencing with elision):
-// the LOOPK body fuses into runs of 2 (setp + @bra), 12 (both fenced loads
-// with their index math) and 3 (fma + add + bra). An instruction that loses
-// its micro op ends a run early and fails this.
+// the LOOPK body fuses into runs of 2 (setp + @bra) and 15 (both fenced
+// loads with their index math, then fma + add + bra). An instruction that
+// loses its micro op ends a run early and fails this.
 TEST(FuseKernel, ServedLoopFusesWhole) {
   auto library = ptx::Parse(std::string(simlibs::CublasPtx()));
   ASSERT_TRUE(library.ok()) << library.status();
@@ -1771,7 +1823,7 @@ TEST(FuseKernel, ServedLoopFusesWhole) {
         << "LOOPK instruction at pc " << pc << " is not fused";
     runs.push_back(fused.code[pc].sub);
   }
-  EXPECT_EQ(runs, (std::vector<unsigned>{2, 12, 3}));
+  EXPECT_EQ(runs, (std::vector<unsigned>{2, 15}));
 }
 
 }  // namespace

@@ -31,12 +31,11 @@ class RangePolicy final : public simgpu::AccessPolicy {
 
 class PtxExecTest : public ::testing::Test {
  protected:
-  PtxExecTest() : memory_(64ull << 20), interp_(&memory_, &allow_all_, 1) {
+  PtxExecTest() : memory_(64ull << 20), interp_(&memory_, nullptr, 1) {
     module_ = MakeSampleModule();
   }
 
   simgpu::GlobalMemory memory_;
-  simgpu::AllowAllPolicy allow_all_;
   Interpreter interp_;
   ptx::Module module_;
 };
@@ -261,7 +260,7 @@ LOOP:
 }
 )");
   ASSERT_TRUE(module.ok()) << module.status();
-  Interpreter interp(&memory_, &allow_all_, 1);
+  Interpreter interp(&memory_, nullptr, 1);
   interp.set_max_instructions_per_thread(10'000);
   LaunchParams params;
   params.block = {1, 1, 1};

@@ -167,7 +167,7 @@ TEST(Patcher, GrdArgsPerMode) {
 
 class PatchedExecution : public ::testing::Test {
  protected:
-  PatchedExecution() : memory_(64ull << 20), interp_(&memory_, &allow_, 1) {}
+  PatchedExecution() : memory_(64ull << 20), interp_(&memory_, nullptr, 1) {}
 
   // Launches `kernel` patched with `mode`, over partition [base, base+size).
   Status RunPatched(const Kernel& kernel, BoundsCheckMode mode,
@@ -190,7 +190,6 @@ class PatchedExecution : public ::testing::Test {
   }
 
   simgpu::GlobalMemory memory_;
-  simgpu::AllowAllPolicy allow_;
   Interpreter interp_;
 };
 
@@ -697,8 +696,7 @@ TEST(GuardElision, WrapParityFullVsElided) {
     ptx::Module m;
     m.kernels.push_back(patched->kernel);
     simgpu::GlobalMemory memory(16ull << 20);
-    simgpu::AllowAllPolicy allow;
-    Interpreter interp(&memory, &allow, 1);
+    Interpreter interp(&memory, nullptr, 1);
     const GrdArgs grd = ComputeGrdArgs(mode, base, size);
     LaunchParams params;
     params.block = {32, 1, 1};
@@ -814,8 +812,7 @@ RLOOP:
     simgpu::GlobalMemory memory(4ull << 20);
     for (std::uint64_t i = 0; i < size / 4; ++i)
       EXPECT_TRUE(memory.Store<std::uint32_t>(base + 4 * i, 100 + 7 * i).ok());
-    simgpu::AllowAllPolicy allow;
-    Interpreter interp(&memory, &allow, 1);
+    Interpreter interp(&memory, nullptr, 1);
     const GrdArgs grd = ComputeGrdArgs(mode, base, size);
     LaunchParams params;
     params.args = {KernelArg::U64(base), KernelArg::U32(iters),
